@@ -58,6 +58,25 @@ class Relation(str, Enum):
     LT_ZERO = "<0"
     GE_H = ">=H"
 
+    def bound(self, h: float) -> Tuple[bool, float]:
+        """One-sided search bound ``(is_lower, t)``: v >= t if lower, else v <= t.
+
+        Strict relations are searched at ``STRICT_MARGIN`` from zero; ``h`` is
+        the system's mean curvature.
+        """
+        return {
+            Relation.GE_ZERO: (True, 0.0),
+            Relation.LE_ZERO: (False, 0.0),
+            Relation.GT_ZERO: (True, STRICT_MARGIN),
+            Relation.LT_ZERO: (False, -STRICT_MARGIN),
+            Relation.GE_H: (True, h),
+        }[self]
+
+
+def _excess(v, is_lower: bool, t):
+    # Signed distance past a one-sided bound; positive means violated.
+    return t - v if is_lower else v - t
+
 
 @dataclass(frozen=True)
 class SignConstraint:
@@ -184,48 +203,55 @@ class ConstraintSystem:
             raise DomainError(f"malformed system payload: {exc}") from exc
 
 
-def constraint_violations(system: ConstraintSystem, point: Sequence[float],
-                          strict_margin: float = STRICT_MARGIN) -> Dict[str, float]:
+def constraint_violations(system: ConstraintSystem,
+                          point: Sequence[Scalar]) -> Dict[str, Scalar]:
     """Independent per-constraint violations at ``point`` (pure Python).
 
     This is the double-entry bookkeeping side of ``scan``: it shares no code
-    with the vectorized penalty, and every WITNESS must pass it.
+    with the vectorized penalty, and every WITNESS must pass it.  An EXACT
+    point (Fractions and ints) is evaluated in Fraction arithmetic, with the
+    targets, H and ``STRICT_MARGIN`` at their exact values (a float target
+    at its exact binary value), so a zero maximum proves feasibility; a
+    FLOAT point is evaluated in doubles.  Mixing the two raises
+    ``RegimeError``.
     """
-    x = [float(v) for v in point]
+    x = list(point)
+    num = Fraction if common_regime(x) is Regime.EXACT else float
+    x = [num(v) for v in x]
     if len(x) != system.n:
         raise DomainError(f"point has {len(x)} coordinates, system has n={system.n}")
-    viol: Dict[str, float] = {
-        "trace": abs(sum(x) - promote(system.trace_target)),
-        "sigma2": abs(sigma(x, 2) - promote(system.sigma2_target)),
+    zero, margin = num(0), num(STRICT_MARGIN)
+    viol: Dict[str, Scalar] = {
+        "trace": abs(sum(x) - num(system.trace_target)),
+        "sigma2": abs(sigma(x, 2) - num(system.sigma2_target)),
     }
     for i in sorted(system.fixed_zeros):
         viol[f"lambda{i}=0"] = abs(x[i - 1])
     if system.ordering:
-        viol["ordering"] = max(0.0, max(x[i] - x[i + 1] for i in range(system.n - 1)))
-    h = promote(system.mean_curvature)
+        viol["ordering"] = max(zero, max(x[i] - x[i + 1] for i in range(system.n - 1)))
+    h = num(system.mean_curvature)
     for sc in system.sign_constraints:
         v = x[sc.index - 1]
         if sc.relation is Relation.GE_ZERO:
-            bad = max(0.0, -v)
+            bad = max(zero, -v)
         elif sc.relation is Relation.LE_ZERO:
-            bad = max(0.0, v)
+            bad = max(zero, v)
         elif sc.relation is Relation.GT_ZERO:
-            bad = max(0.0, strict_margin - v)
+            bad = max(zero, margin - v)
         elif sc.relation is Relation.LT_ZERO:
-            bad = max(0.0, v + strict_margin)
+            bad = max(zero, v + margin)
         else:
-            bad = max(0.0, h - v)
+            bad = max(zero, h - v)
         viol[f"lambda{sc.index}{sc.relation.value}"] = bad
     for ex in system.extra_symmetric:
         s = sigma(x, ex.r)
-        bad = max(0.0, -s) if ex.relation is Relation.GE_ZERO else max(0.0, s)
+        bad = max(zero, -s) if ex.relation is Relation.GE_ZERO else max(zero, s)
         viol[f"sigma{ex.r}{ex.relation.value}"] = bad
     return viol
 
 
-def max_violation(system: ConstraintSystem, point: Sequence[float],
-                  strict_margin: float = STRICT_MARGIN) -> float:
-    return max(constraint_violations(system, point, strict_margin).values())
+def max_violation(system: ConstraintSystem, point: Sequence[Scalar]) -> Scalar:
+    return max(constraint_violations(system, point).values())
 
 
 @dataclass(frozen=True)
@@ -268,17 +294,17 @@ class FeasibilityVerdict:
 class _PenaltyEvaluator:
     """Vectorized squared-violation penalty over rows of free coordinates."""
 
-    def __init__(self, system: ConstraintSystem, strict_margin: float = STRICT_MARGIN):
+    def __init__(self, system: ConstraintSystem):
         self.system = system
         self.n = system.n
         self.trace = promote(system.trace_target)
         self.sigma2 = promote(system.sigma2_target)
-        self.h = promote(system.mean_curvature)
-        self.margin = strict_margin
+        h = promote(system.mean_curvature)
         self.fixed0 = sorted(i - 1 for i in system.fixed_zeros)
         self.free0 = [i for i in range(self.n) if i + 1 not in system.fixed_zeros]
-        self.signs = [(sc.index - 1, sc.relation) for sc in system.sign_constraints]
-        self.extra = [(ex.r, ex.relation) for ex in system.extra_symmetric]
+        # (coordinate, is_lower, t) and (r, is_lower, t), from Relation.bound
+        self.signs = [(sc.index - 1, *sc.relation.bound(h)) for sc in system.sign_constraints]
+        self.extra = [(ex.r, *ex.relation.bound(h)) for ex in system.extra_symmetric]
 
     def full(self, x_free: np.ndarray) -> np.ndarray:
         rows = np.zeros((x_free.shape[0], self.n))
@@ -305,22 +331,11 @@ class _PenaltyEvaluator:
             steps = rows[:, :-1] - rows[:, 1:]
             np.maximum(steps, 0.0, out=steps)
             pen += (steps * steps).sum(axis=1)
-        for idx0, rel in self.signs:
-            v = rows[:, idx0]
-            if rel is Relation.GE_ZERO:
-                bad = np.maximum(-v, 0.0)
-            elif rel is Relation.LE_ZERO:
-                bad = np.maximum(v, 0.0)
-            elif rel is Relation.GT_ZERO:
-                bad = np.maximum(self.margin - v, 0.0)
-            elif rel is Relation.LT_ZERO:
-                bad = np.maximum(v + self.margin, 0.0)
-            else:
-                bad = np.maximum(self.h - v, 0.0)
+        for idx0, is_lower, t in self.signs:
+            bad = np.maximum(_excess(rows[:, idx0], is_lower, t), 0.0)
             pen += bad * bad
-        for r, rel in self.extra:
-            s = self._sigma_rows(rows, r)
-            bad = np.maximum(-s, 0.0) if rel is Relation.GE_ZERO else np.maximum(s, 0.0)
+        for r, is_lower, t in self.extra:
+            bad = np.maximum(_excess(self._sigma_rows(rows, r), is_lower, t), 0.0)
             pen += bad * bad
         return pen
 
@@ -389,27 +404,16 @@ def _active_residuals(ev: _PenaltyEvaluator, x_free: np.ndarray):
             if j + 1 in pos:
                 g[pos[j + 1]] -= 1.0
             push(float(full[j] - full[j + 1]), g)
-    for idx0, rel in ev.signs:
-        v = float(full[idx0])
-        if rel is Relation.GE_ZERO:
-            bad, slope = -v, -1.0
-        elif rel is Relation.LE_ZERO:
-            bad, slope = v, 1.0
-        elif rel is Relation.GT_ZERO:
-            bad, slope = ev.margin - v, -1.0
-        elif rel is Relation.LT_ZERO:
-            bad, slope = v + ev.margin, 1.0
-        else:
-            bad, slope = ev.h - v, -1.0
+    for idx0, is_lower, t in ev.signs:
         g = np.zeros(d)
         if idx0 in pos:
-            g[pos[idx0]] = slope
-        push(bad, g)
-    for r, rel in ev.extra:
+            g[pos[idx0]] = -1.0 if is_lower else 1.0
+        push(_excess(float(full[idx0]), is_lower, t), g)
+    for r, is_lower, t in ev.extra:
         s_r = float(_PenaltyEvaluator._sigma_rows(full[None, :], r)[0])
-        slope = -1.0 if rel is Relation.GE_ZERO else 1.0
-        bad = -s_r if rel is Relation.GE_ZERO else s_r
+        bad = _excess(s_r, is_lower, t)
         if bad > 0.0:
+            slope = -1.0 if is_lower else 1.0
             g = np.zeros(d)
             for i, j in enumerate(ev.free0):
                 reduced = np.delete(full, j)
@@ -444,36 +448,6 @@ def _gauss_newton(ev: _PenaltyEvaluator, x: np.ndarray, iters: int = 40) -> np.n
     return x
 
 
-def _exactly_feasible(system: ConstraintSystem, point: List[Fraction],
-                      strict_margin: float = STRICT_MARGIN) -> bool:
-    if sum(point) != Fraction(system.trace_target):
-        return False
-    if sigma(point, 2) != Fraction(system.sigma2_target):
-        return False
-    if any(point[i - 1] != 0 for i in system.fixed_zeros):
-        return False
-    if system.ordering and any(point[i] > point[i + 1] for i in range(system.n - 1)):
-        return False
-    h = Fraction(system.mean_curvature)
-    margin = Fraction(strict_margin)
-    for sc in system.sign_constraints:
-        v = point[sc.index - 1]
-        ok = {
-            Relation.GE_ZERO: v >= 0,
-            Relation.LE_ZERO: v <= 0,
-            Relation.GT_ZERO: v >= margin,
-            Relation.LT_ZERO: v <= -margin,
-            Relation.GE_H: v >= h,
-        }[sc.relation]
-        if not ok:
-            return False
-    for ex in system.extra_symmetric:
-        s = sigma(point, ex.r)
-        if (s < 0) if ex.relation is Relation.GE_ZERO else (s > 0):
-            return False
-    return True
-
-
 def _exact_snap(ev: _PenaltyEvaluator, x: np.ndarray) -> Tuple[np.ndarray, bool]:
     """Rational reconstruction of a near-feasible point, exactly verified.
 
@@ -500,7 +474,7 @@ def _exact_snap(ev: _PenaltyEvaluator, x: np.ndarray) -> Tuple[np.ndarray, bool]
             exact[i] = value
     for i in ev.fixed0:
         exact[i] = Fraction(0)
-    if not _exactly_feasible(ev.system, exact):
+    if max_violation(ev.system, exact) != 0:
         return x, False
     return np.array([float(exact[j]) for j in ev.free0]), True
 

@@ -8,7 +8,8 @@ table.
 Exit codes: 0 on success, 1 on usage or domain errors (bad flags, malformed
 input files, values outside mathematical domains), 2 when a verification
 fails (a ``verify-all`` check, a scan that contradicts the recorded outcome
-of a built-in case, or a certificate that does not survive sampling).
+of a built-in case, or a certificate that does not survive sampling).  A
+reader that closes stdout early also gets exit 1, without a traceback.
 
 Options may come from a ``--config`` JSON file (flag values win over config
 values); ``HYPERCURV_SEED`` supplies the seed when no flag or config does.
@@ -485,4 +486,12 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main():
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``).  Python flushes stdout
+        # once more at exit; point it at devnull so that flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_USAGE
+    sys.exit(code)

@@ -24,13 +24,14 @@ out) so non-Python embeddings can feed the finite-difference path.
 from __future__ import annotations
 
 import json
+import queue
 import subprocess
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, EigenSolverError, HypercurvError, SingularPatchError
 from .scalars import Regime
@@ -94,7 +95,8 @@ def fundamental_forms(patch: PatchSample, cond_limit: float = 1e8) -> Fundamenta
     """First/second fundamental forms and oriented unit normal of a patch."""
     jac = patch.jacobian
     n = patch.n
-    singular_values = np.linalg.svd(jac, compute_uv=False)
+    # The last left singular vector spans the null space of J^T: the normal.
+    left, singular_values, _ = np.linalg.svd(jac)
     smallest = singular_values[-1]
     cond = float(singular_values[0] / smallest) if smallest > 0 else np.inf
     if not np.isfinite(cond) or cond > cond_limit:
@@ -102,11 +104,7 @@ def fundamental_forms(patch: PatchSample, cond_limit: float = 1e8) -> Fundamenta
             f"patch Jacobian condition number {cond:.3e} exceeds {cond_limit:.1e}; "
             "the parametrization is (numerically) not an immersion here"
         )
-    null = scipy.linalg.null_space(jac.T)
-    if null.shape[1] != 1:
-        raise SingularPatchError(
-            f"normal space has dimension {null.shape[1]}, expected 1")
-    normal = null[:, 0]
+    normal = left[:, -1]
     lead = int(np.argmax(np.abs(normal)))
     if normal[lead] < 0:
         normal = -normal
@@ -125,9 +123,12 @@ def principal_curvatures(patch: PatchSample, cond_limit: float = 1e8) -> Curvatu
     """Solve b v = lambda g v and package the eigenvalues as a FLOAT spectrum."""
     forms = fundamental_forms(patch, cond_limit=cond_limit)
     try:
-        eigenvalues = scipy.linalg.eigh(forms.second, forms.first,
-                                        eigvals_only=True)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+        # g = L L^T turns b v = lambda g v into the standard symmetric problem
+        # (L^-1 b L^-T) w = lambda w; b is symmetric, so two solves suffice.
+        chol = np.linalg.cholesky(forms.first)
+        half = np.linalg.solve(chol, forms.second)
+        eigenvalues = np.linalg.eigvalsh(np.linalg.solve(chol, half.T))
+    except np.linalg.LinAlgError as exc:
         raise EigenSolverError(
             f"generalized eigensolve failed (condition number "
             f"{forms.condition_number:.3e}): {exc}"
@@ -289,13 +290,17 @@ def default_point(shape_name: str, n: int, k: Optional[int] = None) -> Tuple[flo
     return (0.0,) * n
 
 
+READ_TIMEOUT_S = 30.0  # longest wait for one answer line from a shape process
+
+
 class SubprocessShape:
     """An embedding evaluated by a child process over line-oriented JSON.
 
     Protocol: each request is one line, a JSON array of n parameters, on the
     child's stdin; the response is one line, a JSON array of n+1 embedding
     coordinates, on its stdout.  The child must answer one line per line and
-    flush.  Only the finite-difference path can drive such a shape.
+    flush, within ``READ_TIMEOUT_S`` seconds, or it is killed.  Only the
+    finite-difference path can drive such a shape.
     """
 
     def __init__(self, argv: Sequence[str], n: int):
@@ -309,6 +314,15 @@ class SubprocessShape:
                 text=True, bufsize=1)
         except OSError as exc:
             raise HypercurvError(f"could not start shape process {argv!r}: {exc}") from exc
+        # A reader thread hands lines over a queue, so a silent child can be
+        # timed out; "" marks the end of the child's output.
+        self._lines: "queue.Queue[str]" = queue.Queue()
+        threading.Thread(target=self._pump, daemon=True).start()
+
+    def _pump(self):
+        for line in self._child.stdout:
+            self._lines.put(line)
+        self._lines.put("")
 
     def __call__(self, point: Sequence[float]) -> np.ndarray:
         u = [float(v) for v in np.asarray(point, dtype=float)]
@@ -317,9 +331,18 @@ class SubprocessShape:
         if self._child.poll() is not None:
             raise HypercurvError("shape process has exited")
         assert self._child.stdin and self._child.stdout
-        self._child.stdin.write(json.dumps(u) + "\n")
-        self._child.stdin.flush()
-        line = self._child.stdout.readline()
+        try:
+            self._child.stdin.write(json.dumps(u) + "\n")
+            self._child.stdin.flush()
+        except OSError as exc:  # a closed pipe must not pass for a closed stdout
+            raise HypercurvError(f"shape process stopped reading: {exc}") from exc
+        try:
+            line = self._lines.get(timeout=READ_TIMEOUT_S)
+        except queue.Empty:
+            self._child.kill()
+            self._child.wait()
+            raise HypercurvError(
+                f"shape process sent no answer within {READ_TIMEOUT_S} s") from None
         if not line:
             raise HypercurvError("shape process closed its output")
         try:

@@ -15,6 +15,7 @@ the only road between regimes is the explicit, one-way :func:`promote`.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
@@ -74,15 +75,22 @@ def parse_scalar(raw, regime: Regime) -> Scalar:
 
     Strings are read as rationals ("3/4", "5", "0.25" all denote exact
     values); numbers are coerced into ``regime``, so a JSON float under
-    EXACT is rejected rather than silently exactified.
+    EXACT is rejected rather than silently exactified, and NaN or infinity
+    is rejected in either regime.
     """
+    value = raw
     if isinstance(raw, str):
         try:
             value = Fraction(raw.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"not a rational literal: {raw!r}") from exc
-        return value if regime is Regime.EXACT else float(value)
-    return coerce(raw, regime)
+    try:
+        value = coerce(value, regime)
+    except OverflowError as exc:
+        raise DomainError(f"not a finite number: {raw!r}") from exc
+    if regime is Regime.FLOAT and not math.isfinite(value):
+        raise DomainError(f"not a finite number: {raw!r}")
+    return value
 
 
 def scalar_to_json(value: Scalar):

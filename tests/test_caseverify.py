@@ -7,6 +7,7 @@ import pytest
 import oracles
 from hypercurv.caseverify import (
     BUILTIN_CASES,
+    STRICT_MARGIN,
     ConstraintSystem,
     Relation,
     ScanBudget,
@@ -23,7 +24,7 @@ from hypercurv.caseverify import (
     pct_sets,
     scan,
 )
-from hypercurv.errors import DomainError, UnsupportedCaseError
+from hypercurv.errors import DomainError, RegimeError, UnsupportedCaseError
 from hypercurv.scalars import Regime
 
 
@@ -104,6 +105,33 @@ class TestViolations:
     def test_wrong_dimension(self):
         with pytest.raises(DomainError):
             constraint_violations(builtin_case("thm1-claim"), (1.0, 2.0))
+
+    @pytest.mark.parametrize("name", ["thm1-lambda2", "thm2-lambda3", "thm2-lambda2"])
+    def test_exact_path_proves_recorded_witness(self, name):
+        s = builtin_case(name, H=1)
+        witness = list(expected_outcome(s).witness)
+        viol = constraint_violations(s, witness)
+        assert all(isinstance(v, Fraction) for v in viol.values())
+        assert max_violation(s, witness) == 0
+        # move the largest coordinate up: the trace misses by exactly 1/7
+        witness[-1] += Fraction(1, 7)
+        assert max_violation(s, witness) > 0
+        assert constraint_violations(s, witness)["trace"] == Fraction(1, 7)
+
+    def test_exact_path_keeps_the_strict_margin(self):
+        # x_1 > 0 is checked as x_1 >= STRICT_MARGIN, the margin at its exact
+        # binary value
+        s = ConstraintSystem(3, 4, 5, sign_constraints=(
+            SignConstraint(1, Relation.GT_ZERO),))
+        assert max_violation(s, (Fraction(1), Fraction(1), Fraction(2))) == 0
+        tiny = Fraction(1, 10 ** 7)
+        viol = constraint_violations(s, (tiny, Fraction(1), 3 - tiny))
+        assert viol["lambda1>0"] == Fraction(STRICT_MARGIN) - tiny
+
+    def test_mixed_point_rejected(self):
+        s = builtin_case("thm1-lambda2")
+        with pytest.raises(RegimeError):
+            constraint_violations(s, (Fraction(0), 0.0, Fraction(2), 2.0))
 
 
 class TestBuiltinCases:

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from hypercurv import cli, verify
+import hypercurv
+from hypercurv import cli, immersion, verify
 from hypercurv.verify import CheckResult
 
 
@@ -263,6 +267,49 @@ class TestErrors:
 
     def test_unknown_flag(self, capsys):
         assert cli.run(["ladder", "--n", "3", "--bogus"]) == 1
+
+    def test_nan_in_float_spectrum_file(self, capsys, tmp_path):
+        # json reads the bare token NaN as float('nan')
+        src = tmp_path / "spec.json"
+        src.write_text('{"lambdas": [NaN, 1.0], "regime": "float"}')
+        assert cli.run(["invariants", "--input", str(src)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not a finite number" in captured.err
+
+    def test_nan_target_in_system_file(self, capsys, tmp_path):
+        sysfile = tmp_path / "sys.json"
+        sysfile.write_text(
+            '{"n": 3, "regime": "float", "traceTarget": NaN, "sigma2Target": 5.0}')
+        assert cli.run(["scan", "--system", str(sysfile), "--seed", "1",
+                        "--budget", "1000"]) == 1
+        assert "not a finite number" in capsys.readouterr().err
+
+    def test_closed_stdout_exits_one_without_traceback(self):
+        src = os.path.dirname(os.path.dirname(hypercurv.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first write
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", "from hypercurv.cli import main; main()",
+                 "--format", "table", "ladder", "--n", "400"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert b"Traceback" not in proc.stderr
+
+    def test_silent_shape_process_times_out(self, capsys, monkeypatch, tmp_path):
+        silent = tmp_path / "silent.py"
+        silent.write_text("import sys\nfor line in sys.stdin:\n    pass\n")
+        monkeypatch.setattr(immersion, "READ_TIMEOUT_S", 0.5)
+        code = cli.run(["immersion-eval", "--shape-cmd", f"{sys.executable} {silent}",
+                        "--dim", "2"])
+        assert code == 1
+        assert "no answer" in capsys.readouterr().err
 
 
 class TestVerifyAll:

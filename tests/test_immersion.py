@@ -1,10 +1,13 @@
 import json
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import hypercurv
 from hypercurv.errors import DomainError, HypercurvError, SingularPatchError
 from hypercurv.immersion import (
     PatchSample,
@@ -166,6 +169,33 @@ class TestOrientationAndSingularity:
         shape = make_shape("sphere", n=3)
         with pytest.raises(SingularPatchError):
             principal_curvatures(shape.patch([0.5, 1e-12, 0.5]))
+
+
+class TestNumpyOnly:
+    # Graph of (u^2 + 3 v^2)/2 at (0.3, -0.2), where g != I: Gauss curvature
+    # f_uu f_vv / W^4 and mean curvature
+    # ((1 + f_v^2) f_uu + (1 + f_u^2) f_vv) / (2 W^3), with W^2 = 1 + |grad f|^2.
+    CHILD = (
+        "import sys\n"
+        "sys.modules['scipy'] = None  # any scipy import now fails\n"
+        "from hypercurv import make_shape, principal_curvatures\n"
+        "shape = make_shape('graph', 2, coefficients=(1, 3))\n"
+        "print(*principal_curvatures(shape.patch([0.3, -0.2])).lambdas)\n"
+    )
+
+    def test_principal_curvatures_without_scipy(self):
+        src = os.path.dirname(os.path.dirname(hypercurv.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-c", self.CHILD], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        k1, k2 = (float(v) for v in proc.stdout.split())
+        w2 = 1.0 + 0.3 ** 2 + 0.6 ** 2
+        assert k1 * k2 == pytest.approx(3.0 / w2 ** 2, rel=1e-12)
+        assert (k1 + k2) / 2 == pytest.approx(
+            ((1 + 0.36) * 1.0 + (1 + 0.09) * 3.0) / (2 * w2 ** 1.5), rel=1e-12)
 
 
 class TestSubprocessShape:
