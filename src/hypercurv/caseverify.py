@@ -32,8 +32,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations
 from math import comb
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -500,8 +501,8 @@ def scan(system: ConstraintSystem, budget: Optional[ScanBudget] = None,
     budget = budget or ScanBudget()
     if jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
-    if tol <= 0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise DomainError(f"tol must be finite and positive, got {tol}")
     ev = _PenaltyEvaluator(system)
     norm_a2 = promote(system.norm_a2_target)
     d = len(ev.free0)
@@ -592,55 +593,111 @@ def scan(system: ConstraintSystem, budget: Optional[ScanBudget] = None,
 # Built-in named cases, expected outcomes, and closed-form certificates.
 # ---------------------------------------------------------------------------
 
-_CASE_SHAPES: Dict[str, dict] = {
-    "thm1-claim": dict(
-        n=4, ratio=Fraction(2, 3), fixed=(3,),
-        signs=((4, Relation.GE_H),), extra=(),
-    ),
-    "thm1-lambda2": dict(
-        n=4, ratio=Fraction(2, 3), fixed=(2,),
-        signs=((3, Relation.GT_ZERO), (4, Relation.GE_H)), extra=(),
-    ),
-    "thm2-claim": dict(
-        n=5, ratio=Fraction(5, 8), fixed=(4,),
+_WITNESS_MATCH = 1e-6  # a scan witness agrees with the recorded one this closely
+
+
+@dataclass(frozen=True)
+class _Case:
+    """A built-in case: its shape, recorded witness and optional certificate.
+
+    ``witness`` is in units of H, ``None`` for NO_WITNESS.  A certificate is
+    its value ``value(x, trace, s2)``; an ``audit(x, E, s2, h)`` giving one
+    sample's identity and margin terms (0.0 and inf where a term does not
+    apply); the ``drawn`` coordinates of its samples, first at ``anchor``
+    (units of H); and the ``detail`` of a pass.
+    """
+
+    n: int
+    ratio: Fraction
+    fixed: int
+    signs: Tuple[Tuple[int, Relation], ...]
+    extra: Tuple[Tuple[int, Relation], ...] = ()
+    witness: Optional[Tuple[Scalar, ...]] = None
+    value: Optional[Callable] = None
+    audit: Optional[Callable] = None
+    drawn: Tuple[int, ...] = ()
+    anchor: Tuple[int, ...] = ()
+    detail: str = ""
+
+
+def _pinned_identity(x, trace, s2):
+    # E = (x_4 - 2H)^2 + (sigma_2(x) - 4H^2) - x_1 x_3, with sigma_2 read off
+    # the point.  E vanishes identically on the set {x_2 = 0, sum x_i = 4H}
+    # (where sigma_2(x) - 4H^2 = 6(R - (2/3)H^2)); every term is zero at the
+    # witness, and E = 2H^2 at the umbilic point.
+    h = trace / 4
+    gap = x[3] - 2 * h
+    return gap * gap + (sigma(x, 2) - 4 * h * h) - x[0] * x[2]
+
+
+def _sigma3_squeeze(x, trace, s2):
+    # E = max(10RH - sigma_3, sigma_3), the gap of the two-sided squeeze: the
+    # premise forces sigma_3 >= 10RH and sigma_3 <= 0 simultaneously, so
+    # E >= 5RH > 0 certifies infeasibility.
+    s3 = sigma(x, 3)
+    return max(s2 * (trace / 5) - s3, s3)
+
+
+_CASES: Dict[str, _Case] = {
+    # E = (4H) x_2 - 6R.  On the equality set E equals x_2^2 - x_1 x_4, so the
+    # sign premise x_1 <= 0 <= x_4 forces E >= 0 and hence x_2 >= 6R/(4H) > 0,
+    # contradicting x_2 <= 0: no witness exists.
+    "thm1-claim": _Case(
+        n=4, ratio=Fraction(2, 3), fixed=3, signs=((4, Relation.GE_H),),
+        value=lambda x, trace, s2: trace * x[1] - s2,
+        audit=lambda x, e, s2, h: (abs(e - (x[1] * x[1] - x[0] * x[3])), x[0] * x[3]),
+        drawn=(2,), anchor=(2,),
+        detail="x_1 x_4 stays non-negative on the equality set, so the sign "
+               "premises force x_2 > 0 and no sample is feasible"),
+    "thm1-lambda2": _Case(
+        n=4, ratio=Fraction(2, 3), fixed=2,
+        signs=((3, Relation.GT_ZERO), (4, Relation.GE_H)), witness=(0, 0, 2, 2),
+        value=_pinned_identity, audit=lambda x, e, s2, h: (abs(e), math.inf),
+        drawn=(4,), anchor=(2,),
+        detail="identity vanishes on the equality set and the anchored witness "
+               "is feasible"),
+    "thm2-claim": _Case(
+        n=5, ratio=Fraction(5, 8), fixed=4,
         signs=((5, Relation.GE_H),), extra=((4, Relation.GE_ZERO),),
-    ),
-    "thm2-lambda3": dict(
-        n=5, ratio=Fraction(5, 8), fixed=(3,),
+        value=_sigma3_squeeze, audit=lambda x, e, s2, h: (0.0, e - 0.5 * s2 * h),
+        drawn=(2, 3), anchor=(0, 0),
+        detail="two-sided sigma_3 squeeze keeps a positive gap on every sample"),
+    "thm2-lambda3": _Case(
+        n=5, ratio=Fraction(5, 8), fixed=3,
         signs=((4, Relation.GT_ZERO), (5, Relation.GE_H)),
         extra=((4, Relation.GE_ZERO),),
-    ),
-    "thm2-lambda2": dict(
-        n=5, ratio=Fraction(5, 6), fixed=(2,),
+        witness=(0, 0, 0, Fraction(5, 2), Fraction(5, 2))),
+    "thm2-lambda2": _Case(
+        n=5, ratio=Fraction(5, 6), fixed=2,
         signs=((3, Relation.GT_ZERO), (5, Relation.GE_H)),
         extra=((4, Relation.GE_ZERO),),
-    ),
+        witness=(0, 0, Fraction(5, 3), Fraction(5, 3), Fraction(5, 3))),
 }
 
-BUILTIN_CASES = tuple(sorted(_CASE_SHAPES))
+BUILTIN_CASES = tuple(sorted(_CASES))
 
 
 def builtin_case(name: str, H: Scalar = 1, R: Optional[Scalar] = None) -> ConstraintSystem:
     """Instantiate a built-in named case at mean curvature H (default R per case)."""
-    shape = _CASE_SHAPES.get(name)
-    if shape is None:
+    case = _CASES.get(name)
+    if case is None:
         raise DomainError(f"unknown case {name!r}; known: {', '.join(BUILTIN_CASES)}")
     regime = common_regime((H,) if R is None else (H, R))
     H = coerce(H, regime)
     if promote(H) <= 0:
         raise DomainError("built-in cases assume H > 0")
     if R is None:
-        R = shape["ratio"] * H * H
+        R = case.ratio * H * H
     R = coerce(R, regime)
-    n = shape["n"]
+    n = case.n
     return ConstraintSystem(
         n=n,
         trace_target=n * H,
         sigma2_target=comb(n, 2) * R,
-        fixed_zeros=frozenset(shape["fixed"]),
+        fixed_zeros=frozenset({case.fixed}),
         ordering=True,
-        sign_constraints=tuple(SignConstraint(i, rel) for i, rel in shape["signs"]),
-        extra_symmetric=tuple(SymmetricSignConstraint(r, rel) for r, rel in shape["extra"]),
+        sign_constraints=tuple(SignConstraint(i, rel) for i, rel in case.signs),
+        extra_symmetric=tuple(SymmetricSignConstraint(r, rel) for r, rel in case.extra),
         name=name,
     )
 
@@ -652,6 +709,11 @@ class ExpectedOutcome:
     status: str
     witness: Optional[Tuple[Scalar, ...]]
 
+    def agrees(self, verdict: FeasibilityVerdict) -> bool:
+        """Same status, and any witness within ``_WITNESS_MATCH`` of the recorded one."""
+        return verdict.status == self.status and (self.witness is None or max(
+            abs(a - promote(b)) for a, b in zip(verdict.witness, self.witness)) <= _WITNESS_MATCH)
+
     def to_json_dict(self) -> dict:
         return {
             "status": self.status,
@@ -661,11 +723,11 @@ class ExpectedOutcome:
 
 def expected_outcome(system: ConstraintSystem) -> Optional[ExpectedOutcome]:
     """Recorded outcome for a built-in case at its canonical R, else None."""
-    shape = _CASE_SHAPES.get(system.name or "")
-    if shape is None or system.n != shape["n"]:
+    case = _CASES.get(system.name or "")
+    if case is None or system.n != case.n:
         return None
     h = system.mean_curvature
-    canonical_sigma2 = comb(system.n, 2) * shape["ratio"] * h * h
+    canonical_sigma2 = comb(system.n, 2) * case.ratio * h * h
     if system.regime is Regime.EXACT:
         canonical = system.sigma2_target == canonical_sigma2
     else:
@@ -673,59 +735,40 @@ def expected_outcome(system: ConstraintSystem) -> Optional[ExpectedOutcome]:
             <= 1e-12 * max(1.0, abs(promote(canonical_sigma2)))
     if not canonical:
         return None
-    if system.name in ("thm1-claim", "thm2-claim"):
+    if case.witness is None:
         return ExpectedOutcome(status="NO_WITNESS", witness=None)
-    zero = coerce(0, system.regime)
-    if system.name == "thm1-lambda2":
-        return ExpectedOutcome("WITNESS", (zero, zero, 2 * h, 2 * h))
-    if system.name == "thm2-lambda3":
-        return ExpectedOutcome("WITNESS", (zero, zero, zero, 5 * h / 2, 5 * h / 2))
-    return ExpectedOutcome("WITNESS", (zero, zero, 5 * h / 3, 5 * h / 3, 5 * h / 3))
+    return ExpectedOutcome(
+        "WITNESS", tuple(w.numerator * h / w.denominator for w in case.witness))
+
+
+def has_certificate(system: ConstraintSystem) -> bool:
+    case = _CASES.get(system.name or "")
+    return case is not None and case.value is not None
+
+
+def _certified(system: ConstraintSystem) -> _Case:
+    if not has_certificate(system):
+        raise UnsupportedCaseError(
+            f"no closed-form certificate registered for case {system.name!r}"
+        )
+    return _CASES[system.name]
 
 
 def closed_form_contradiction(system: ConstraintSystem, point: Sequence[Scalar]) -> Scalar:
     """Evaluate the registered one-line certificate of a named case at ``point``.
 
     The certificate is a polynomial in the coordinates and the targets whose
-    sign settles the case on the equality-constrained set:
-
-    * ``thm1-claim``:   E = (4H) x_2 - 6R.  On the equality set E equals
-      x_2^2 - x_1 x_4, so the sign premise x_1 <= 0 <= x_4 forces E >= 0 and
-      hence x_2 >= 6R/(4H) > 0, contradicting x_2 <= 0: no witness exists.
-    * ``thm1-lambda2``: E = (x_4 - 2H)^2 + (sigma_2(x) - 4H^2) - x_1 x_3,
-      with sigma_2 read off the point.  E vanishes identically on the set
-      {x_2 = 0, sum x_i = 4H} (where sigma_2(x) - 4H^2 = 6(R - (2/3)H^2));
-      every term is zero at the witness, and E = 2H^2 at the umbilic point.
-    * ``thm2-claim``:   E = max(10RH - sigma_3, sigma_3), the gap of the
-      two-sided squeeze: the premise forces sigma_3 >= 10RH and
-      sigma_3 <= 0 simultaneously, so E >= 5RH > 0 certifies infeasibility.
-
-    Points are evaluated as given, with no feasibility precondition; exact
-    inputs stay exact.
+    sign settles the case on the equality-constrained set; the argument for
+    each case sits next to its record in ``_CASES``.  Points are evaluated
+    as given, with no feasibility precondition; exact inputs stay exact.
     """
-    name = system.name
     x = tuple(point)
     if len(x) != system.n:
         raise DomainError(f"point has {len(x)} coordinates, system has n={system.n}")
     regime = common_regime(x)
     x = tuple(coerce(v, regime) for v in x)
-    trace = coerce(system.trace_target, regime) if regime is Regime.EXACT \
-        else promote(system.trace_target)
-    s2 = coerce(system.sigma2_target, regime) if regime is Regime.EXACT \
-        else promote(system.sigma2_target)
-    if name == "thm1-claim":
-        return trace * x[1] - s2
-    if name == "thm1-lambda2":
-        h = trace / 4
-        gap = x[3] - 2 * h
-        return gap * gap + (sigma(x, 2) - 4 * h * h) - x[0] * x[2]
-    if name == "thm2-claim":
-        h = trace / 5
-        s3 = sigma(x, 3)
-        return max(s2 * h - s3, s3)
-    raise UnsupportedCaseError(
-        f"no closed-form certificate registered for case {system.name!r}"
-    )
+    return _certified(system).value(
+        x, coerce(system.trace_target, regime), coerce(system.sigma2_target, regime))
 
 
 @dataclass(frozen=True)
@@ -766,60 +809,33 @@ def certificate_samples(system: ConstraintSystem, seed: int = 0,
                         count: int = 1000) -> List[Tuple[float, ...]]:
     """Seeded points satisfying the trace/sigma_2 equalities and pinned zeros.
 
-    Sampling parametrizes the equality variety case by case and discards
-    parameters with no real completion, so every returned point satisfies
-    the equality constraints to rounding; sign and ordering constraints are
-    deliberately not imposed.
+    Sampling draws the case's ``drawn`` coordinates, solves the equalities
+    for the two other free coordinates, and discards draws with no real
+    completion, so every returned point satisfies the equality constraints
+    to rounding; sign and ordering constraints are deliberately not imposed.
     """
-    name = system.name
-    if name not in ("thm1-claim", "thm1-lambda2", "thm2-claim"):
-        raise UnsupportedCaseError(
-            f"no closed-form certificate registered for case {system.name!r}"
-        )
+    case = _certified(system)
+    completed = tuple(i for i in range(1, case.n + 1)
+                      if i != case.fixed and i not in case.drawn)
     rng = np.random.default_rng(seed)
     trace = promote(system.trace_target)
     s2 = promote(system.sigma2_target)
     h = trace / system.n
     box = math.sqrt(max(promote(system.norm_a2_target), 0.0))
     points: List[Tuple[float, ...]] = []
-    anchors = {
-        "thm1-claim": [2.0 * h],
-        "thm1-lambda2": [2.0 * h],
-        "thm2-claim": [(0.0, 0.0)],
-    }[name]
-    max_tries = 80 * count
-
-    def next_param(tries: int):
-        if tries < len(anchors):
-            return anchors[tries]
-        if name == "thm2-claim":
-            return tuple(rng.uniform(-box, box, size=2))
-        return float(rng.uniform(-box, box))
-
-    tries = 0
-    while len(points) < count and tries < max_tries:
-        param = next_param(tries)
-        tries += 1
-        if name == "thm1-claim":
-            t = param
-            pair = _pair_completions(trace - t, s2 - t * (trace - t))
-            if pair is None:
-                continue
-            points.append((pair[0], t, 0.0, pair[1]))
-        elif name == "thm1-lambda2":
-            s = param
-            pair = _pair_completions(trace - s, s2 - s * (trace - s))
-            if pair is None:
-                continue
-            points.append((pair[0], 0.0, pair[1], s))
-        else:
-            a, b = param
-            rest = trace - a - b
-            product = s2 - a * b - (a + b) * rest
-            pair = _pair_completions(rest, product)
-            if pair is None:
-                continue
-            points.append((pair[0], a, b, 0.0, pair[1]))
+    params = [a * h for a in case.anchor]
+    for _ in range(80 * count):
+        rest = trace
+        for p in params:
+            rest -= p
+        pairs = sum(a * b for a, b in combinations(params, 2))
+        pair = _pair_completions(rest, s2 - pairs - sum(params) * rest)
+        if pair is not None:
+            coords = dict(zip(case.drawn + completed, params + list(pair)))
+            points.append(tuple(coords.get(i, 0.0) for i in range(1, case.n + 1)))
+            if len(points) == count:
+                break
+        params = rng.uniform(-box, box, size=len(case.drawn)).tolist()
     return points
 
 
@@ -827,13 +843,14 @@ def certificate_check(system: ConstraintSystem, seed: int = 0, count: int = 1000
                       tol: float = 1e-8) -> CertificateReport:
     """Verify the registered certificate against scan semantics.
 
-    For the infeasibility certificates every equality-feasible sample must
+    For an infeasibility certificate every equality-feasible sample must
     violate the full system and the certificate's algebra must hold on it;
-    for the witness-pinning certificate the identity must vanish on every
-    sample and the anchored witness must be fully feasible.
+    for a witness-pinning certificate (a case with a recorded witness) the
+    identity must vanish on every sample and the anchored witness must be
+    fully feasible.
     """
     points = certificate_samples(system, seed=seed, count=count)
-    name = system.name
+    case = _certified(system)
     trace = promote(system.trace_target)
     s2 = promote(system.sigma2_target)
     h = trace / system.n
@@ -846,48 +863,27 @@ def certificate_check(system: ConstraintSystem, seed: int = 0, count: int = 1000
         if viol <= tol:
             feasible += 1
         value = promote(closed_form_contradiction(system, x))
-        if name == "thm1-claim":
-            # On the equality set, E = x_2^2 - x_1 x_4 identically, so the
-            # premise x_1 <= 0 <= x_4 is incompatible with x_1 x_4 >= 0
-            # except at the boundary x_1 = 0, where E >= 0 forces x_2 > 0.
-            identity_residual = max(
-                identity_residual, abs(value - (x[1] * x[1] - x[0] * x[3])))
-            margin = min(margin, x[0] * x[3])
-        elif name == "thm1-lambda2":
-            identity_residual = max(identity_residual, abs(value))
-            if viol <= tol:
-                witness_ok = witness_ok or abs(value) <= 1e-6
-        else:
-            margin = min(margin, value - 0.5 * s2 * h)
+        identity, gap = case.audit(x, value, s2, h)
+        identity_residual = max(identity_residual, identity)
+        margin = min(margin, gap)
+        witness_ok = witness_ok or (viol <= tol and abs(value) <= 1e-6)
     scale = max(1.0, trace * trace, abs(s2))
-    identity_ok = identity_residual <= 1e-7 * scale
-    if name == "thm1-lambda2":
+    passed = identity_residual <= 1e-7 * scale
+    if case.witness is not None:
         kind = "witness-pinning"
-        passed = identity_ok and feasible >= 1 and witness_ok
-        detail = ("identity vanishes on the equality set and the anchored "
-                  "witness is feasible" if passed else
-                  "identity or anchored witness failed")
+        passed = passed and feasible >= 1 and witness_ok
+        failure = "identity or anchored witness failed"
         margin = identity_residual
-    elif name == "thm1-claim":
-        kind = "infeasibility"
-        passed = identity_ok and feasible == 0 and margin > -1e-9 * scale
-        detail = ("x_1 x_4 stays non-negative on the equality set, so the "
-                  "sign premises force x_2 > 0 and no sample is feasible"
-                  if passed else "a sample defeated the certificate")
     else:
         kind = "infeasibility"
-        passed = feasible == 0 and margin > -1e-9 * scale
-        detail = ("two-sided sigma_3 squeeze keeps a positive gap on every "
-                  "sample" if passed else "a sample defeated the certificate")
+        passed = passed and feasible == 0 and margin > -1e-9 * scale
+        failure = "a sample defeated the certificate"
     return CertificateReport(
-        case=name or "", kind=kind, samples=len(points),
+        case=system.name, kind=kind, samples=len(points),
         feasible_samples=feasible, max_identity_residual=identity_residual,
-        margin=margin, passed=passed, detail=detail,
+        margin=margin, passed=passed,
+        detail=case.detail if passed else failure,
     )
-
-
-def has_certificate(system: ConstraintSystem) -> bool:
-    return (system.name or "") in ("thm1-claim", "thm1-lambda2", "thm2-claim")
 
 
 # ---------------------------------------------------------------------------

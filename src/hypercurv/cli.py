@@ -47,9 +47,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# Each config key with the rule of its flag: the flag's type, or its choices.
 _CONFIG_KEYS = {
-    "format", "seed", "budget", "jobs", "tol", "regime", "method", "h",
-    "samples",
+    "format": ("json", "csv", "table"), "regime": ("exact", "float"),
+    "method": ("analytic", "fd"), "seed": int, "budget": int, "jobs": int,
+    "samples": int, "tol": float, "h": float,
 }
 
 
@@ -128,7 +130,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="hypercurv",
                      description="Curvature invariants of hypersurface "
                                  "principal-curvature spectra")
-    parser.add_argument("--format", choices=("json", "csv", "table"), default=None,
+    parser.add_argument("--format", choices=_CONFIG_KEYS["format"], default=None,
                         help="output format (default json)")
     parser.add_argument("--config", default=None, metavar="FILE",
                         help="JSON file of default option values")
@@ -137,7 +139,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("invariants", help="full invariant report of a spectrum")
     p.add_argument("--lambdas", help="comma-separated principal curvatures")
     p.add_argument("--c", default="0", help="ambient curvature (default 0)")
-    p.add_argument("--regime", choices=("exact", "float"), default=None)
+    p.add_argument("--regime", choices=_CONFIG_KEYS["regime"], default=None)
     p.add_argument("--input", metavar="FILE", help="spectrum JSON file")
 
     p = sub.add_parser("ladder", help="scalar-curvature ladder of dimension n")
@@ -165,7 +167,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("simons", help="Simons right-hand sides and CMC bracket")
     p.add_argument("--lambdas", help="comma-separated principal curvatures")
     p.add_argument("--c", default="0", help="ambient curvature (default 0)")
-    p.add_argument("--regime", choices=("exact", "float"), default=None)
+    p.add_argument("--regime", choices=_CONFIG_KEYS["regime"], default=None)
     p.add_argument("--grad-a2", default="0", dest="grad_a2", help="|grad A|^2")
     p.add_argument("--hess-h", default=None, dest="hess_h",
                    help="comma-separated Hess H diagonal (default zeros)")
@@ -182,7 +184,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=None, help="sphere dimension for cylinder")
     p.add_argument("--coeffs", default=None, help="graph coefficients")
     p.add_argument("--point", default=None, help="comma-separated parameter point")
-    p.add_argument("--method", choices=("analytic", "fd"), default=None)
+    p.add_argument("--method", choices=_CONFIG_KEYS["method"], default=None)
     p.add_argument("--h", type=float, default=None, help="finite-difference step")
 
     p = sub.add_parser("verify-all", help="run every built-in fixture check")
@@ -200,13 +202,22 @@ def _merge_config(args: argparse.Namespace):
         raw = _load_json(args.config)
         if not isinstance(raw, dict):
             raise DomainError(f"config {args.config} must hold a JSON object")
-        unknown = set(raw) - _CONFIG_KEYS
+        unknown = set(raw) - set(_CONFIG_KEYS)
         if unknown:
             raise DomainError(
                 f"unknown config keys: {', '.join(sorted(unknown))}; "
                 f"known: {', '.join(sorted(_CONFIG_KEYS))}")
         config = raw
     for key, value in config.items():
+        rule = _CONFIG_KEYS[key]
+        try:
+            if isinstance(rule, tuple):
+                if value not in rule:
+                    raise ValueError(value)
+            else:
+                value = rule(str(value))  # as argparse converts the flag's text
+        except ValueError:
+            raise DomainError(f"config value {key}={value!r} is not a valid --{key}") from None
         if getattr(args, key, None) is None:
             setattr(args, key, value)
     if getattr(args, "seed", None) is None and os.environ.get("HYPERCURV_SEED"):
@@ -217,8 +228,6 @@ def _merge_config(args: argparse.Namespace):
             raise DomainError(f"HYPERCURV_SEED must be an integer, got {raw_seed!r}") from exc
     if getattr(args, "format", None) is None:
         args.format = "json"
-    if args.format not in ("json", "csv", "table"):
-        raise DomainError(f"unknown format {args.format!r}")
 
 
 def _cmd_invariants(args) -> Tuple[dict, List[str], List[list], int]:
@@ -303,13 +312,7 @@ def _cmd_scan(args) -> Tuple[dict, List[str], List[list], int]:
     if expected is not None and caseverify.has_certificate(system):
         certificate = caseverify.certificate_check(
             system, seed=args.seed, count=args.samples or 1000, tol=tol)
-    agrees = None
-    if expected is not None:
-        agrees = verdict.status == expected.status
-        if agrees and expected.witness is not None:
-            target = [promote(v) for v in expected.witness]
-            agrees = max(abs(a - b) for a, b in
-                         zip(verdict.witness, target)) <= 1e-6
+    agrees = expected.agrees(verdict) if expected is not None else None
     payload = {
         "command": "scan",
         "system": system.to_json_dict(),

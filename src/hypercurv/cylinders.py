@@ -17,6 +17,7 @@ examples only, and some are rigid only under extra sign hypotheses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -272,6 +273,8 @@ def classify(n: int, H: Scalar, R: Scalar, tol: Optional[float] = None) -> Class
     """
     if n < 3:
         raise DomainError(f"classification covers n >= 3, got n={n}")
+    if tol is not None and not 0 <= tol < math.inf:
+        raise DomainError(f"tol must be finite and non-negative, got {tol}")
     regime = common_regime((H, R))
     if tol is None and regime is Regime.FLOAT:
         raise RegimeError("exact classification needs rational H and R; pass tol for floats")

@@ -24,6 +24,7 @@ out) so non-Python embeddings can feed the finite-difference path.
 from __future__ import annotations
 
 import json
+import math
 import queue
 import subprocess
 import threading
@@ -151,8 +152,8 @@ def finite_difference_lift(embedding: Callable[[np.ndarray], Sequence[float]],
     if h is None:
         h = float(np.finfo(float).eps ** (1.0 / 3.0) * (1.0 + np.linalg.norm(u)))
     h = float(h)
-    if h <= 0:
-        raise DomainError(f"finite-difference step must be positive, got {h}")
+    if not 0 < h < math.inf:
+        raise DomainError(f"finite-difference step must be finite and positive, got {h}")
     n = u.size
 
     def at(shift: np.ndarray) -> np.ndarray:
@@ -317,7 +318,8 @@ class SubprocessShape:
         # A reader thread hands lines over a queue, so a silent child can be
         # timed out; "" marks the end of the child's output.
         self._lines: "queue.Queue[str]" = queue.Queue()
-        threading.Thread(target=self._pump, daemon=True).start()
+        self._reader = threading.Thread(target=self._pump, daemon=True)
+        self._reader.start()
 
     def _pump(self):
         for line in self._child.stdout:
@@ -356,13 +358,19 @@ class SubprocessShape:
         return arr
 
     def close(self):
-        if self._child.poll() is None:
-            try:
-                if self._child.stdin:
-                    self._child.stdin.close()
-                self._child.wait(timeout=5)
-            except (OSError, subprocess.TimeoutExpired):
-                self._child.kill()
+        # Releases both pipes whether the child is running, has exited or was
+        # killed: the reader thread ends at EOF once the child is gone.
+        try:
+            self._child.stdin.close()
+        except OSError:  # unsent data to a child that has stopped reading
+            pass
+        try:
+            self._child.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            self._child.kill()
+            self._child.wait()
+        self._reader.join()
+        self._child.stdout.close()
 
     def __enter__(self) -> "SubprocessShape":
         return self

@@ -152,18 +152,9 @@ def run_builtin_suite(seed: int = 0, scan_grid_points: int = 200_000,
     budget = caseverify.ScanBudget(grid_points=scan_grid_points)
     for case in caseverify.BUILTIN_CASES:
         system = caseverify.builtin_case(case, H=1)
-        expected = caseverify.expected_outcome(system)
-
-        def scan_ok(system=system, expected=expected):
-            verdict = caseverify.scan(system, budget=budget, seed=seed, jobs=jobs)
-            if verdict.status != expected.status:
-                return False
-            if expected.witness is not None:
-                target = [float(v) for v in expected.witness]
-                if max(abs(a - b) for a, b in zip(verdict.witness, target)) > 1e-6:
-                    return False
-            return True
-        _check(results, f"scan-{case}", scan_ok,
+        _check(results, f"scan-{case}",
+               lambda system=system: caseverify.expected_outcome(system).agrees(
+                   caseverify.scan(system, budget=budget, seed=seed, jobs=jobs)),
                f"scan of {case} reproduces the recorded outcome")
         if caseverify.has_certificate(system):
             _check(

@@ -118,6 +118,11 @@ class TestViolations:
         assert max_violation(s, witness) > 0
         assert constraint_violations(s, witness)["trace"] == Fraction(1, 7)
 
+    def test_exact_path_proves_recorded_witnesses_at_other_h(self):
+        for name in ("thm1-lambda2", "thm2-lambda3", "thm2-lambda2"):
+            s = builtin_case(name, H=Fraction(3, 4))
+            assert max_violation(s, expected_outcome(s).witness) == 0
+
     def test_exact_path_keeps_the_strict_margin(self):
         # x_1 > 0 is checked as x_1 >= STRICT_MARGIN, the margin at its exact
         # binary value
@@ -168,6 +173,14 @@ class TestBuiltinCases:
         assert w.witness == (0, 0, 0, 5, 5)
         w = expected_outcome(builtin_case("thm2-lambda2"))
         assert w.witness == (0, 0, Fraction(5, 3), Fraction(5, 3), Fraction(5, 3))
+
+    def test_float_witnesses_round_like_the_closed_forms(self):
+        h = 1.5
+        w = expected_outcome(builtin_case("thm2-lambda2", H=h)).witness
+        assert w == (0.0, 0.0, 5 * h / 3, 5 * h / 3, 5 * h / 3)
+        w = expected_outcome(builtin_case("thm2-lambda3", H=h)).witness
+        assert w == (0.0, 0.0, 0.0, 5 * h / 2, 5 * h / 2)
+        assert all(type(v) is float for v in w)
 
     def test_expected_outcome_gated_on_recorded_ratio(self):
         custom = builtin_case("thm1-claim", R=Fraction(1, 2))
@@ -220,8 +233,9 @@ class TestScan:
         s = builtin_case("thm1-claim")
         with pytest.raises(DomainError):
             scan(s, seed=0, jobs=0)
-        with pytest.raises(DomainError):
-            scan(s, seed=0, tol=0.0)
+        for tol in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                scan(s, seed=0, tol=tol)
         with pytest.raises(DomainError):
             ScanBudget(grid_points=0)
 
@@ -287,6 +301,14 @@ class TestCertificates:
                 assert sum(x) == pytest.approx(float(s.trace_target), abs=1e-8)
                 assert oracles.sigma_subsets(list(x), 2) == pytest.approx(
                     float(s.sigma2_target), abs=1e-7)
+
+    def test_first_sample_sits_at_the_anchor(self):
+        # anchors in units of H, here H = 3/4: x_2 = 2H, x_4 = 2H, x_2 = x_3 = 0
+        anchors = {"thm1-claim": {1: 1.5}, "thm1-lambda2": {3: 1.5},
+                   "thm2-claim": {1: 0.0, 2: 0.0}}
+        for name, coords in anchors.items():
+            first = certificate_samples(builtin_case(name, H=Fraction(3, 4)), seed=5)[0]
+            assert {i: first[i] for i in coords} == coords
 
     def test_certificate_checks_pass(self):
         for name in ("thm1-claim", "thm1-lambda2", "thm2-claim"):

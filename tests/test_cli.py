@@ -248,6 +248,21 @@ class TestConfig:
         assert cli.run(["--config", str(cfg), "ladder", "--n", "3"]) == 1
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, argv", [
+        ({"tol": "abc"}, ["scan", "--case", "thm1-claim", "--seed", "1"]),
+        ({"budget": "big"}, ["scan", "--case", "thm1-claim", "--seed", "1"]),
+        ({"seed": 1.5}, ["scan", "--case", "thm1-claim", "--budget", "1000"]),
+        ({"regime": "bogus"}, ["invariants", "--lambdas", "1,2"]),
+        ({"method": "bogus"}, ["immersion-eval", "--shape", "sphere", "--dim", "2"]),
+    ], ids=["tol", "budget", "seed", "regime", "method"])
+    def test_value_checked_like_its_flag(self, capsys, tmp_path, config, argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert cli.run(["--config", str(cfg)] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config value" in captured.err
+
     def test_malformed_config_reports_position(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{\n  \"seed\": ,\n}\n")
@@ -284,6 +299,22 @@ class TestErrors:
         assert cli.run(["scan", "--system", str(sysfile), "--seed", "1",
                         "--budget", "1000"]) == 1
         assert "not a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["scan", "--case", "thm1-lambda2", "--seed", "1", "--budget", "20000",
+          "--tol", "nan"], "tol must be finite"),
+        (["immersion-eval", "--shape", "sphere", "--dim", "2", "--method", "fd",
+          "--h", "nan"], "step must be finite"),
+        (["classify", "--n", "4", "--H", "1", "--R", "0.5", "--tol", "nan"],
+         "tol must be finite"),
+        (["classify", "--n", "4", "--H", "1", "--R", "0.5", "--tol", "-1"],
+         "tol must be finite"),
+    ], ids=["scan-tol-nan", "fd-h-nan", "classify-tol-nan", "classify-tol-negative"])
+    def test_non_finite_or_negative_tolerance(self, capsys, argv, message):
+        assert cli.run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
     def test_closed_stdout_exits_one_without_traceback(self):
         src = os.path.dirname(os.path.dirname(hypercurv.__file__))

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -141,6 +142,9 @@ class TestClassify:
             classify(2, Fraction(1), Fraction(1))
         with pytest.raises(DomainError):
             classify(4, Fraction(0), Fraction(1))
+        for tol in (math.nan, math.inf, -1.0):
+            with pytest.raises(DomainError):
+                classify(4, 1.0, 0.5, tol=tol)
 
     def test_negative_H_classifies_by_ratio(self):
         v = classify(4, Fraction(-1), Fraction(2, 3))

@@ -133,8 +133,9 @@ class TestFiniteDifferences:
 
     def test_fd_step_validation(self):
         shape = make_shape("sphere", n=3)
-        with pytest.raises(DomainError):
-            finite_difference_lift(shape, [0.5, 0.5, 0.5], h=0.0)
+        for h in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                finite_difference_lift(shape, [0.5, 0.5, 0.5], h=h)
         with pytest.raises(DomainError):
             finite_difference_lift(shape, [])
 
