@@ -8,11 +8,20 @@ together with sign constraints on higher symmetric values sigma_r.
 
 ``scan`` searches the box |x_i| <= |A| = sqrt(trace^2 - 2 sigma_2) with a
 uniform grid, keeps the best cells of a squared-violation penalty, runs
-lockstep coordinate descent (each coordinate section of the penalty is
-convex piecewise-quadratic, so ternary line search is exact), and finishes
-with a seeded random-perturbation polish.  A returned WITNESS is always
-re-validated by an independent pure-Python constraint evaluator; NO_WITNESS
-is exhaustive-search evidence, not a proof.
+lockstep coordinate descent and Gauss-Newton, and finishes with a seeded
+random-perturbation polish.  A returned WITNESS is always re-validated by
+an independent pure-Python constraint evaluator; NO_WITNESS is
+exhaustive-search evidence, not a proof.
+
+The scan encodes its constraint terms once, as a matrix of signed excess
+(one column per term, positive when violated).  Every term is affine in
+any one coordinate x_j: the trace, the ordering steps and the sign bounds
+trivially, and sigma_r through sigma_r(x) = x_j sigma_{r-1}(x without j) +
+sigma_r(x without j).  So the excess at x_j = 0 and x_j = 1 gives each
+term's slope and offset along x_j.  The penalty is the sum of squares with
+inequality terms clipped at zero, each coordinate section of it is convex
+piecewise-quadratic (so ternary line search on slope * t + offset is
+exact), and the slopes over all coordinates are the Gauss-Newton Jacobian.
 
 For the built-in named cases, ``closed_form_contradiction`` evaluates the
 registered one-line certificate whose sign settles the case without any
@@ -72,11 +81,6 @@ class Relation(str, Enum):
             Relation.LT_ZERO: (False, -STRICT_MARGIN),
             Relation.GE_H: (True, h),
         }[self]
-
-
-def _excess(v, is_lower: bool, t):
-    # Signed distance past a one-sided bound; positive means violated.
-    return t - v if is_lower else v - t
 
 
 @dataclass(frozen=True)
@@ -293,7 +297,12 @@ class FeasibilityVerdict:
 
 
 class _PenaltyEvaluator:
-    """Vectorized squared-violation penalty over rows of free coordinates."""
+    """The scan's constraint terms as one vectorized matrix of signed excess.
+
+    ``excess`` is the only encoding of the terms on this side of the double
+    entry: the penalty, the descent's line sections and the Gauss-Newton
+    Jacobian are all read off it.
+    """
 
     def __init__(self, system: ConstraintSystem):
         self.system = system
@@ -303,149 +312,142 @@ class _PenaltyEvaluator:
         h = promote(system.mean_curvature)
         self.fixed0 = sorted(i - 1 for i in system.fixed_zeros)
         self.free0 = [i for i in range(self.n) if i + 1 not in system.fixed_zeros]
-        # (coordinate, is_lower, t) and (r, is_lower, t), from Relation.bound
-        self.signs = [(sc.index - 1, *sc.relation.bound(h)) for sc in system.sign_constraints]
-        self.extra = [(ex.r, *ex.relation.bound(h)) for ex in system.extra_symmetric]
+        self.steps = self.n - 1 if system.ordering else 0
+        self.coords = [sc.index - 1 for sc in system.sign_constraints]
+        self.orders = [ex.r for ex in system.extra_symmetric]
+        bounds = [c.relation.bound(h) for c in system.sign_constraints + system.extra_symmetric]
+        # excess = sense * (v - t): t - v below a lower bound, v - t past an upper one
+        self.sense = np.array([-1.0 if is_lower else 1.0 for is_lower, _ in bounds])
+        self.t = np.array([t for _, t in bounds])
+        self.top = max([2] + self.orders)
+        self.terms = 2 + self.steps + len(bounds)
 
     def full(self, x_free: np.ndarray) -> np.ndarray:
         rows = np.zeros((x_free.shape[0], self.n))
         rows[:, self.free0] = x_free
         return rows
 
-    @staticmethod
-    def _sigma_rows(rows: np.ndarray, r: int) -> np.ndarray:
-        coeffs = np.zeros((rows.shape[0], r + 1))
-        coeffs[:, 0] = 1.0
-        for col in range(rows.shape[1]):
-            top = min(col + 1, r)
-            v = rows[:, col:col + 1]
-            coeffs[:, 1:top + 1] = coeffs[:, 1:top + 1] + v * coeffs[:, 0:top]
-        return coeffs[:, r]
+    def excess(self, x_free: np.ndarray) -> np.ndarray:
+        """Signed excess of every term, one row per point; positive is violated.
+
+        Columns: the trace and sigma_2 equalities, the n-1 ordering steps
+        x_i - x_{i+1}, the sign bounds, then the sigma_r bounds.  One pass of
+        prod(1 + x_i t) gives sigma_r up to the largest r needed.
+        """
+        x_free = np.atleast_2d(x_free)
+        e = np.zeros((x_free.shape[0], self.top + 1))
+        e[:, 0] = 1.0
+        for col in range(x_free.shape[1]):
+            e[:, 1:] += x_free[:, col:col + 1] * e[:, :-1]
+        out = np.empty((x_free.shape[0], self.terms))
+        out[:, 0] = e[:, 1] - self.trace
+        out[:, 1] = e[:, 2] - self.sigma2
+        rows = self.full(x_free)
+        if self.steps:
+            np.subtract(rows[:, :-1], rows[:, 1:], out=out[:, 2:2 + self.steps])
+        bounds = out[:, 2 + self.steps:]
+        bounds[:, :len(self.coords)] = rows[:, self.coords]
+        bounds[:, len(self.coords):] = e[:, self.orders]
+        bounds -= self.t
+        bounds *= self.sense
+        return out
 
     def penalty(self, x_free: np.ndarray) -> np.ndarray:
-        rows = self.full(np.atleast_2d(x_free))
-        s1 = rows.sum(axis=1)
-        eq_trace = s1 - self.trace
-        eq_sigma2 = 0.5 * (s1 * s1 - (rows * rows).sum(axis=1)) - self.sigma2
-        pen = eq_trace * eq_trace + eq_sigma2 * eq_sigma2
-        if self.system.ordering:
-            steps = rows[:, :-1] - rows[:, 1:]
-            np.maximum(steps, 0.0, out=steps)
-            pen += (steps * steps).sum(axis=1)
-        for idx0, is_lower, t in self.signs:
-            bad = np.maximum(_excess(rows[:, idx0], is_lower, t), 0.0)
-            pen += bad * bad
-        for r, is_lower, t in self.extra:
-            bad = np.maximum(_excess(self._sigma_rows(rows, r), is_lower, t), 0.0)
-            pen += bad * bad
-        return pen
+        return _sum_squares(self.excess(x_free))
 
-    def penalty_with_column(self, x_free: np.ndarray, col: int, values: np.ndarray) -> np.ndarray:
-        trial = x_free.copy()
-        trial[:, col] = values
-        return self.penalty(trial)
+    def sections(self, x_free: np.ndarray, cols) -> Tuple[np.ndarray, np.ndarray]:
+        """Slope and offset of every term along each coordinate in ``cols``.
+
+        sigma_r(x) = x_j sigma_{r-1}(x without j) + sigma_r(x without j), so
+        every term is affine in any one coordinate, and one ``excess`` call
+        at x_j = 0 and x_j = 1 fixes it.  Both arrays are cols x rows x terms.
+        """
+        k, (m, d) = len(cols), x_free.shape
+        trial = np.repeat(x_free[None], 2 * k, axis=0)
+        for i, col in enumerate(cols):
+            trial[2 * i, :, col] = 0.0
+            trial[2 * i + 1, :, col] = 1.0
+        ex = self.excess(trial.reshape(2 * k * m, d)).reshape(k, 2, m, self.terms)
+        return ex[:, 1] - ex[:, 0], ex[:, 0]
+
+
+def _sum_squares(ex: np.ndarray) -> np.ndarray:
+    # Penalty per row of an excess matrix, computed in place: equalities
+    # squared, inequalities squared past zero.
+    np.maximum(ex[:, 2:], 0.0, out=ex[:, 2:])
+    np.square(ex, out=ex)
+    return ex.sum(axis=1)
 
 
 def _lockstep_descent(ev: _PenaltyEvaluator, x: np.ndarray, rounds: int,
                       iters: int, lo: float, hi: float) -> np.ndarray:
-    # Each coordinate section of the penalty is convex piecewise-quadratic,
-    # so per-coordinate ternary search is an exact line minimization.
+    # Along one coordinate every term is affine, so each coordinate section
+    # of the penalty is convex piecewise-quadratic and ternary search on
+    # slope * t + offset is an exact line minimization.
     x = x.copy()
     for _ in range(rounds):
         for col in range(x.shape[1]):
+            slope, offset = (a[0] for a in ev.sections(x, [col]))
+
+            def section(t):
+                return _sum_squares(slope * t[:, None] + offset)
+
             lo_v = np.full(x.shape[0], lo)
             hi_v = np.full(x.shape[0], hi)
             for _ in range(iters):
                 third = (hi_v - lo_v) / 3.0
                 m1 = lo_v + third
                 m2 = hi_v - third
-                f1 = ev.penalty_with_column(x, col, m1)
-                f2 = ev.penalty_with_column(x, col, m2)
-                better1 = f1 < f2
+                better1 = section(m1) < section(m2)
                 hi_v = np.where(better1, m2, hi_v)
                 lo_v = np.where(better1, lo_v, m1)
             mid = 0.5 * (lo_v + hi_v)
-            f_mid = ev.penalty_with_column(x, col, mid)
-            improve = f_mid < ev.penalty(x)
+            improve = section(mid) < section(x[:, col])
             x[improve, col] = mid[improve]
     return x
 
 
-def _active_residuals(ev: _PenaltyEvaluator, x_free: np.ndarray):
-    """Violation residual vector and Jacobian (free coords) at one point.
-
-    Only active terms contribute, so near a solution with a stable active
-    set this is a smooth least-squares system whose squared norm equals the
-    scan penalty.
-    """
-    n, d = ev.n, len(ev.free0)
-    full = np.zeros(n)
-    full[ev.free0] = x_free
-    pos = {j: i for i, j in enumerate(ev.free0)}
-    values: List[float] = []
-    grads: List[np.ndarray] = []
-
-    s1 = full.sum()
-    values.append(s1 - ev.trace)
-    grads.append(np.ones(d))
-    sigma2 = 0.5 * (s1 * s1 - float(full @ full))
-    values.append(sigma2 - ev.sigma2)
-    grads.append(s1 - full[ev.free0])
-
-    def push(bad: float, grad: np.ndarray):
-        if bad > 0.0:
-            values.append(bad)
-            grads.append(grad)
-
-    if ev.system.ordering:
-        for j in range(n - 1):
-            g = np.zeros(d)
-            if j in pos:
-                g[pos[j]] += 1.0
-            if j + 1 in pos:
-                g[pos[j + 1]] -= 1.0
-            push(float(full[j] - full[j + 1]), g)
-    for idx0, is_lower, t in ev.signs:
-        g = np.zeros(d)
-        if idx0 in pos:
-            g[pos[idx0]] = -1.0 if is_lower else 1.0
-        push(_excess(float(full[idx0]), is_lower, t), g)
-    for r, is_lower, t in ev.extra:
-        s_r = float(_PenaltyEvaluator._sigma_rows(full[None, :], r)[0])
-        bad = _excess(s_r, is_lower, t)
-        if bad > 0.0:
-            slope = -1.0 if is_lower else 1.0
-            g = np.zeros(d)
-            for i, j in enumerate(ev.free0):
-                reduced = np.delete(full, j)
-                g[i] = slope * float(
-                    _PenaltyEvaluator._sigma_rows(reduced[None, :], r - 1)[0])
-            push(bad, g)
-    return np.asarray(values), np.vstack(grads)
+_HALVINGS = 0.5 ** np.arange(25)  # Gauss-Newton step scales, tried in order
 
 
 def _gauss_newton(ev: _PenaltyEvaluator, x: np.ndarray, iters: int = 40) -> np.ndarray:
     # Quadratic local convergence where coordinatewise descent creeps, e.g.
-    # along directions where an equality residual is second-order flat.
+    # along directions where an equality residual is second-order flat.  The
+    # residual is the equalities plus the violated inequalities, so near a
+    # solution with a stable active set its squared norm is the penalty.
+    # Rows run in lockstep, so each iteration costs one excess, one sections,
+    # one stacked pseudo-inverse and one penalty call however many rows are
+    # live or how many halvings they need; a row takes the first halving of
+    # its step that lowers its penalty, and stops at penalty 0, at a
+    # non-finite step, or when no halving helps.
     x = x.copy()
-    fx = float(ev.penalty(x[None, :])[0])
+    fx = ev.penalty(x)
+    live = fx != 0.0
     for _ in range(iters):
-        if fx == 0.0:
+        rows = np.flatnonzero(live)
+        if not rows.size:
             break
-        res, jac = _active_residuals(ev, x)
-        step = np.linalg.lstsq(jac, -res, rcond=None)[0]
-        if not np.all(np.isfinite(step)):
-            break
-        scale, moved = 1.0, False
-        for _ in range(25):
-            trial = x + scale * step
-            ft = float(ev.penalty(trial[None, :])[0])
-            if ft < fx:
-                x, fx, moved = trial, ft, True
-                break
-            scale *= 0.5
-        if not moved:
-            break
+        res = ev.excess(x[rows])
+        active = res > 0.0
+        active[:, :2] = True
+        slope, _ = ev.sections(x[rows], range(x.shape[1]))
+        # Inactive terms enter as zero rows, which leaves each least-squares
+        # problem unchanged and lets one stacked pseudo-inverse solve them all.
+        jac = np.where(active[:, :, None], slope.transpose(1, 2, 0), 0.0)
+        pinv = np.linalg.pinv(jac, rcond=max(jac.shape[1:]) * np.finfo(float).eps)
+        step = (pinv @ np.where(active, -res, 0.0)[:, :, None])[:, :, 0]
+        finite = np.isfinite(step).all(axis=1)
+        live[rows[~finite]] = False
+        rows, step = rows[finite], step[finite]
+        trial = x[rows, None, :] + _HALVINGS[:, None] * step[:, None, :]
+        ft = ev.penalty(trial.reshape(-1, x.shape[1])).reshape(len(rows), len(_HALVINGS))
+        better = ft < fx[rows, None]
+        moved = better.any(axis=1)
+        live[rows[~moved]] = False
+        pick = np.flatnonzero(moved), better.argmax(axis=1)[moved]
+        rows = rows[moved]
+        x[rows], fx[rows] = trial[pick], ft[pick]
+        live[rows] = fx[rows] != 0.0
     return x
 
 
@@ -566,7 +568,7 @@ def scan(system: ConstraintSystem, budget: Optional[ScanBudget] = None,
     x_polish, flat_polish = x_top[order], flat[order]
 
     x_polish = _lockstep_descent(ev, x_polish, budget.polish_rounds, iters=84, lo=lo, hi=hi)
-    x_polish = np.vstack([_gauss_newton(ev, row) for row in x_polish])
+    x_polish = _gauss_newton(ev, x_polish)
     pen = ev.penalty(x_polish)
     best_idx = np.lexsort((flat_polish, pen))[0]
     best = x_polish[best_idx].copy()
@@ -582,7 +584,7 @@ def scan(system: ConstraintSystem, budget: Optional[ScanBudget] = None,
         if cloud_pen[i] < best_pen:
             best, best_pen = cloud[i].copy(), float(cloud_pen[i])
     best = _lockstep_descent(ev, best[None, :], rounds=2, iters=84, lo=lo, hi=hi)[0]
-    best = _gauss_newton(ev, best)
+    best = _gauss_newton(ev, best[None, :])[0]
     best, snapped = _exact_snap(ev, best)
     stats["snappedExact"] = snapped
 
@@ -815,6 +817,8 @@ def certificate_samples(system: ConstraintSystem, seed: int = 0,
     to rounding; sign and ordering constraints are deliberately not imposed.
     """
     case = _certified(system)
+    if count < 1:
+        raise DomainError(f"count must be >= 1, got {count}")
     completed = tuple(i for i in range(1, case.n + 1)
                       if i != case.fixed and i not in case.drawn)
     rng = np.random.default_rng(seed)
@@ -876,8 +880,9 @@ def certificate_check(system: ConstraintSystem, seed: int = 0, count: int = 1000
         margin = identity_residual
     else:
         kind = "infeasibility"
-        passed = passed and feasible == 0 and margin > -1e-9 * scale
-        failure = "a sample defeated the certificate"
+        passed = passed and bool(points) and feasible == 0 and margin > -1e-9 * scale
+        failure = ("a sample defeated the certificate" if points
+                   else "no sample was drawn: the equalities have no real completion")
     return CertificateReport(
         case=system.name, kind=kind, samples=len(points),
         feasible_samples=feasible, max_identity_residual=identity_residual,

@@ -302,16 +302,16 @@ def _cmd_scan(args) -> Tuple[dict, List[str], List[list], int]:
         system = caseverify.builtin_case(args.case, H=mean, R=scalar)
     else:
         system = caseverify.ConstraintSystem.from_json_dict(_load_json(args.system))
-    budget = caseverify.ScanBudget(grid_points=args.budget or 1_000_000)
+    budget = caseverify.ScanBudget(grid_points=1_000_000 if args.budget is None else args.budget)
     tol = args.tol if args.tol is not None else 1e-8
     verdict = caseverify.scan(system, budget=budget, seed=args.seed, tol=tol,
-                              jobs=args.jobs or 1)
+                              jobs=1 if args.jobs is None else args.jobs)
     expected = caseverify.expected_outcome(system)
     certificate = None
     # certificate margins are asserted for the recorded target ratios only
     if expected is not None and caseverify.has_certificate(system):
         certificate = caseverify.certificate_check(
-            system, seed=args.seed, count=args.samples or 1000, tol=tol)
+            system, seed=args.seed, count=1000 if args.samples is None else args.samples, tol=tol)
     agrees = expected.agrees(verdict) if expected is not None else None
     payload = {
         "command": "scan",
@@ -443,8 +443,8 @@ def _cmd_immersion(args) -> Tuple[dict, List[str], List[list], int]:
 def _cmd_verify_all(args) -> Tuple[dict, List[str], List[list], int]:
     results = verify.run_builtin_suite(
         seed=args.seed if args.seed is not None else 0,
-        scan_grid_points=args.budget or 200_000,
-        jobs=args.jobs or 1)
+        scan_grid_points=200_000 if args.budget is None else args.budget,
+        jobs=1 if args.jobs is None else args.jobs)
     passed = sum(1 for r in results if r.passed)
     failed = len(results) - passed
     payload = {

@@ -56,10 +56,15 @@ def coerce(value: Scalar, regime: Regime) -> Scalar:
     """Normalize one value into ``regime``.
 
     Coercing a float into EXACT raises: promotion is one-way and must go
-    through :func:`promote` on purpose.
+    through :func:`promote` on purpose.  In FLOAT, NaN and infinity raise
+    ``DomainError``; computed results pass through here too, so a float
+    overflow raises rather than returning ``inf``.
     """
     if regime is Regime.FLOAT:
-        return float(value)
+        value = float(value)
+        if not math.isfinite(value):
+            raise DomainError(f"not a finite number: {value!r}")
+        return value
     if regime_of(value) is Regime.FLOAT:
         raise RegimeError("a float cannot be silently exactified; promotion is one-way")
     return Fraction(value)
@@ -85,12 +90,9 @@ def parse_scalar(raw, regime: Regime) -> Scalar:
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"not a rational literal: {raw!r}") from exc
     try:
-        value = coerce(value, regime)
+        return coerce(value, regime)
     except OverflowError as exc:
         raise DomainError(f"not a finite number: {raw!r}") from exc
-    if regime is Regime.FLOAT and not math.isfinite(value):
-        raise DomainError(f"not a finite number: {raw!r}")
-    return value
 
 
 def scalar_to_json(value: Scalar):

@@ -17,6 +17,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import caseverify, cylinders, immersion, simons, spectrum
+from .errors import DomainError
 from .scalars import Regime
 
 
@@ -64,6 +65,11 @@ _INVARIANT_FIXTURES = [
 def run_builtin_suite(seed: int = 0, scan_grid_points: int = 200_000,
                       jobs: int = 1) -> List[CheckResult]:
     """Run every recorded fixture and return one result per check."""
+    # A bad budget or job count is an input error, not a failed check, so
+    # it is rejected before any check runs.
+    budget = caseverify.ScanBudget(grid_points=scan_grid_points)
+    if jobs < 1:
+        raise DomainError(f"jobs must be >= 1, got {jobs}")
     results: List[CheckResult] = []
 
     for n, expected in _LADDERS.items():
@@ -149,7 +155,6 @@ def run_builtin_suite(seed: int = 0, scan_grid_points: int = 200_000,
     _check(results, "identities-exact", identity_spot_checks,
            "quadratic/cubic trace identities hold literally on random exact spectra")
 
-    budget = caseverify.ScanBudget(grid_points=scan_grid_points)
     for case in caseverify.BUILTIN_CASES:
         system = caseverify.builtin_case(case, H=1)
         _check(results, f"scan-{case}",

@@ -2,11 +2,14 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import oracles
 from hypercurv.caseverify import (
     BUILTIN_CASES,
+    _PenaltyEvaluator,
+    _gauss_newton,
     STRICT_MARGIN,
     ConstraintSystem,
     Relation,
@@ -30,6 +33,18 @@ from hypercurv.scalars import Regime
 
 def small_budget(cells=60_000):
     return ScanBudget(grid_points=cells)
+
+
+def planted_system():
+    # FLOAT system around x = (-1.5, -0.5, 0, 0, 0.25, 1, 1.25, 2, 2.5, 3),
+    # x_3 pinned to zero: nine free coordinates, every constraint holds at x.
+    x = [-1.5, -0.5, 0.0, 0.0, 0.25, 1.0, 1.25, 2.0, 2.5, 3.0]
+    return ConstraintSystem(
+        10, math.fsum(x), oracles.sigma_subsets(x, 2), fixed_zeros={3},
+        sign_constraints=(SignConstraint(2, Relation.LT_ZERO),
+                          SignConstraint(4, Relation.GE_ZERO),
+                          SignConstraint(10, Relation.GE_H)),
+        extra_symmetric=(SymmetricSignConstraint(4, Relation.LE_ZERO),))
 
 
 class TestConstraintSystem:
@@ -255,6 +270,52 @@ class TestScan:
         assert "violations" in payload
 
 
+class TestExcessKernel:
+    @staticmethod
+    def kernel_and_point(system, seed):
+        ev = _PenaltyEvaluator(system)
+        box = math.sqrt(float(system.norm_a2_target))
+        rng = random.Random(seed)
+        return ev, [rng.uniform(-box, box) for _ in ev.free0]
+
+    @pytest.mark.parametrize("system", [builtin_case("thm2-claim"), planted_system()],
+                             ids=["thm2-claim", "float-custom"])
+    def test_jacobian_matches_central_differences(self, system):
+        ev, x = self.kernel_and_point(system, seed=11)
+        x = np.array(x)
+        slope, _ = ev.sections(x[None, :], range(len(x)))
+        for j in range(len(x)):
+            up, down = x.copy(), x.copy()
+            up[j] += 1e-3
+            down[j] -= 1e-3
+            fd = (ev.excess(up) - ev.excess(down))[0] / 2e-3
+            np.testing.assert_allclose(
+                slope[j, 0], fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max())
+
+    def test_sections_reproduce_excess(self):
+        ev, x = self.kernel_and_point(builtin_case("thm2-claim"), seed=4)
+        x = np.array([x, [0.5 * v for v in x]])
+        slope, offset = (a[0] for a in ev.sections(x, [1]))
+        for t in (-2.0, 0.3, 1.7):
+            moved = x.copy()
+            moved[:, 1] = t
+            direct = ev.excess(moved)
+            np.testing.assert_allclose(
+                slope * t + offset, direct, rtol=1e-12, atol=1e-12 * np.abs(direct).max())
+
+    def test_gauss_newton_rows_do_not_interact(self):
+        # Rows run in lockstep; each must end where it ends when run alone,
+        # and none may end with a higher penalty than it started with.
+        system = planted_system()
+        ev = _PenaltyEvaluator(system)
+        box = math.sqrt(float(system.norm_a2_target))
+        x = np.random.default_rng(3).uniform(-box, box, size=(6, len(ev.free0)))
+        batch = _gauss_newton(ev, x)
+        for start, end in zip(x, batch):
+            np.testing.assert_array_equal(_gauss_newton(ev, start[None, :])[0], end)
+        assert np.all(ev.penalty(batch) <= ev.penalty(x))
+
+
 class TestCertificates:
     def test_has_certificate(self):
         assert has_certificate(builtin_case("thm1-claim"))
@@ -291,6 +352,20 @@ class TestCertificates:
             closed_form_contradiction(builtin_case("thm2-lambda3"), (0,) * 5)
         with pytest.raises(UnsupportedCaseError):
             certificate_samples(builtin_case("thm2-lambda2"))
+
+    def test_sample_count_must_be_positive(self):
+        for call in (certificate_samples, certificate_check):
+            with pytest.raises(DomainError):
+                call(builtin_case("thm1-claim"), count=0)
+
+    def test_infeasibility_without_samples_fails(self):
+        # at R = 5H^2 the equalities force a negative sum of squares
+        for name in ("thm1-claim", "thm2-claim"):
+            rep = certificate_check(builtin_case(name, H=1, R=5), seed=0, count=50)
+            assert rep.kind == "infeasibility"
+            assert rep.samples == 0
+            assert not rep.passed
+            assert "no sample was drawn" in rep.detail
 
     def test_samples_satisfy_equalities(self):
         for name in ("thm1-claim", "thm1-lambda2", "thm2-claim"):

@@ -316,6 +316,25 @@ class TestErrors:
         assert captured.out == ""
         assert message in captured.err
 
+    @pytest.mark.parametrize("config, argv", [
+        ({}, ["scan", "--budget", "0"]),
+        ({}, ["scan", "--budget", "20000", "--jobs", "0"]),
+        ({}, ["scan", "--budget", "20000", "--samples", "0"]),
+        ({"budget": 0}, ["scan"]),
+        ({}, ["verify-all", "--budget", "0"]),
+        ({}, ["verify-all", "--jobs", "0"]),
+    ], ids=["budget", "jobs", "samples", "config-budget", "verify-all-budget",
+            "verify-all-jobs"])
+    def test_zero_is_not_the_default(self, capsys, tmp_path, config, argv):
+        if argv[0] == "scan":
+            argv = argv + ["--case", "thm1-claim", "--seed", "1"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert cli.run(["--config", str(cfg)] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be >= 1" in captured.err
+
     def test_closed_stdout_exits_one_without_traceback(self):
         src = os.path.dirname(os.path.dirname(hypercurv.__file__))
         env = dict(os.environ)

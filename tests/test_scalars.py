@@ -1,8 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from hypercurv.caseverify import ConstraintSystem
+from hypercurv.cylinders import cylinder_from_H
 from hypercurv.errors import DomainError, RegimeError
 from hypercurv.scalars import (
     Regime,
@@ -16,6 +19,7 @@ from hypercurv.scalars import (
     scalar_to_json,
     scalars_equal,
 )
+from hypercurv.spectrum import CurvatureSpectrum, sigma
 
 
 def test_regime_of_basic():
@@ -47,6 +51,23 @@ def test_coerce_is_one_way():
         coerce(0.5, Regime.EXACT)
     assert promote(Fraction(1, 2)) == 0.5
     assert isinstance(promote(Fraction(1, 2)), float)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_coerce_rejects_non_finite_floats(bad):
+    with pytest.raises(DomainError):
+        coerce(bad, Regime.FLOAT)
+    with pytest.raises(DomainError):
+        CurvatureSpectrum([bad, 1.0, 2.0])
+    with pytest.raises(DomainError):
+        ConstraintSystem(4, bad, 4.0)
+    with pytest.raises(DomainError):
+        cylinder_from_H(4, 2, bad)
+
+
+def test_float_overflow_in_a_computation_raises():
+    with pytest.raises(DomainError, match="not a finite number"):
+        sigma([1e200, 1e200], 2)
 
 
 def test_parse_scalar_strings():
