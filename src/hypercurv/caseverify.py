@@ -787,13 +787,14 @@ class CertificateReport:
     detail: str
 
     def to_json_dict(self) -> dict:
+        # With no sample drawn the margin stays inf; JSON has no infinity.
         return {
             "case": self.case,
             "kind": self.kind,
             "samples": self.samples,
             "feasibleSamples": self.feasible_samples,
             "maxIdentityResidual": self.max_identity_residual,
-            "margin": self.margin,
+            "margin": self.margin if math.isfinite(self.margin) else None,
             "passed": self.passed,
             "detail": self.detail,
         }

@@ -56,7 +56,8 @@ def coerce(value: Scalar, regime: Regime) -> Scalar:
     """Normalize one value into ``regime``.
 
     Coercing a float into EXACT raises: promotion is one-way and must go
-    through :func:`promote` on purpose.  In FLOAT, NaN and infinity raise
+    through :func:`promote` on purpose; a ``Fraction`` is immutable and comes
+    back as it is, an integer as a ``Fraction``.  In FLOAT, NaN and infinity raise
     ``DomainError``; computed results pass through here too, so a float
     overflow raises rather than returning ``inf``.
     """
@@ -64,6 +65,8 @@ def coerce(value: Scalar, regime: Regime) -> Scalar:
         value = float(value)
         if not math.isfinite(value):
             raise DomainError(f"not a finite number: {value!r}")
+        return value
+    if isinstance(value, Fraction):
         return value
     if regime_of(value) is Regime.FLOAT:
         raise RegimeError("a float cannot be silently exactified; promotion is one-way")

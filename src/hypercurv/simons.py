@@ -42,7 +42,7 @@ from .scalars import (
     promote,
     scalar_to_json,
 )
-from .spectrum import CurvatureSpectrum
+from .spectrum import CurvatureSpectrum, _lift
 
 
 @dataclass(frozen=True)
@@ -97,11 +97,25 @@ class SimonsPointData:
         """Build the K table from the Gauss equation K_ij = c + lambda_i lambda_j."""
         regime = spectrum.regime
         lam = spectrum.lambdas
+        n = spectrum.n
         if hess_h is None:
-            hess_h = (coerce(0, regime),) * spectrum.n
-        table = tuple(
-            tuple(spectrum.c + a * b for b in lam) for a in lam
-        )
+            hess_h = (coerce(0, regime),) * n
+        if regime is Regime.EXACT:
+            # K_ij = (c_num D^2 + c_den a_i a_j) / (c_den D^2) with a_i = lambda_i D,
+            # built once per pair i <= j and mirrored.
+            a, D = _lift(lam)
+            c_den = spectrum.c.denominator
+            base = spectrum.c.numerator * D * D
+            den = c_den * D * D
+            rows = [[None] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    rows[i][j] = rows[j][i] = Fraction(base + c_den * a[i] * a[j], den)
+            table = tuple(tuple(row) for row in rows)
+        else:
+            table = tuple(
+                tuple(spectrum.c + a * b for b in lam) for a in lam
+            )
         return cls(spectrum=spectrum, grad_a2=coerce(grad_a2, regime),
                    hess_h=tuple(hess_h), k_table=table, gauss=True)
 

@@ -17,6 +17,15 @@ space form of curvature c:
 All operations accept either numeric regime.  In EXACT the classical
 identities hold literally, e.g. n^2 H^2 = |A|^2 + n(n-1)(R - c) and
 tr A^3 = tr phi^3 + 3 H |phi|^2 + n H^3, and tests compare with ``==``.
+
+EXACT values are computed fraction free.  A spectrum is lifted once to
+integer numerators a_i = lambda_i D over the common denominator D (the lcm
+of the lambda_i denominators); every sum, product and recursion then runs
+in plain ``int`` arithmetic, and each output value is built as one
+``Fraction`` over the matching power of D, so it is normalized exactly
+once.  For example sigma_r = e_r(a) / D^r, and the traceless eigenvalues
+are mu_i = (n a_i - e_1(a)) / (n D).  The results are the same rationals
+the direct ``Fraction`` arithmetic gives.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, sqrt
+from math import comb, lcm, sqrt
 from typing import Optional, Sequence, Tuple
 
 from .errors import DomainError, RegimeError
@@ -107,6 +116,14 @@ class CurvatureSpectrum:
         return spectrum
 
 
+def _lift(values: Sequence[Scalar]) -> Tuple[list, int]:
+    # Integer numerators a_i = v_i * D over D = lcm of the denominators, for
+    # exact values (Fractions and plain integers).
+    pairs = [(int(v.numerator), int(v.denominator)) for v in values]
+    D = lcm(*(q for _, q in pairs))
+    return [p * (D // q) for p, q in pairs], D
+
+
 def _sigma_coefficients(values: Sequence[Scalar], top: int) -> list:
     # One coefficient-accumulation pass of prod (1 + lambda_i t), truncated
     # at degree `top`; coeffs[r] ends up as sigma_r.
@@ -122,15 +139,19 @@ def sigma(values: Sequence[Scalar], r: int) -> Scalar:
     values = tuple(values)
     if not 0 <= r <= len(values):
         raise DomainError(f"sigma_{r} undefined for {len(values)} values")
-    regime = common_regime(values)
-    return coerce(_sigma_coefficients(values, r)[r], regime)
+    if common_regime(values) is Regime.EXACT:
+        a, D = _lift(values)
+        return Fraction(_sigma_coefficients(a, r)[r], D ** r)
+    return coerce(_sigma_coefficients(values, r)[r], Regime.FLOAT)
 
 
 def sigma_all(values: Sequence[Scalar]) -> Tuple[Scalar, ...]:
     """All of (sigma_0, ..., sigma_n) in one pass."""
     values = tuple(values)
-    regime = common_regime(values)
-    return tuple(coerce(cf, regime) for cf in _sigma_coefficients(values, len(values)))
+    if common_regime(values) is Regime.EXACT:
+        a, D = _lift(values)
+        return tuple(Fraction(e, D ** r) for r, e in enumerate(_sigma_coefficients(a, len(a))))
+    return tuple(coerce(cf, Regime.FLOAT) for cf in _sigma_coefficients(values, len(values)))
 
 
 def _sigma_or_zero(values: Sequence[Scalar], r: int) -> Scalar:
@@ -195,15 +216,30 @@ def invariants(spectrum: CurvatureSpectrum) -> InvariantReport:
     """Compute the full invariant report for one spectrum."""
     lam = spectrum.lambdas
     n = spectrum.n
-    S = sigma_all(lam)
-    Hr = tuple(S[r] / comb(n, r) for r in range(n + 1))
-    H = Hr[1]
+    if spectrum.regime is Regime.EXACT:
+        a, D = _lift(lam)
+        E = _sigma_coefficients(a, n)
+        S = tuple(Fraction(e, D ** r) for r, e in enumerate(E))
+        Hr = tuple(Fraction(e, D ** r * comb(n, r)) for r, e in enumerate(E))
+        H = Hr[1]
+        # mu_i = lambda_i - H = (n a_i - E_1) / (n D)
+        b = [n * v - E[1] for v in a]
+        nD = n * D
+        mu = tuple(Fraction(v, nD) for v in b)
+        norm_a2 = Fraction(sum(v * v for v in a), D * D)
+        tr_a3 = Fraction(sum(v * v * v for v in a), D ** 3)
+        norm_phi2 = Fraction(sum(v * v for v in b), nD * nD)
+        tr_phi3 = Fraction(sum(v * v * v for v in b), nD ** 3)
+    else:
+        S = sigma_all(lam)
+        Hr = tuple(S[r] / comb(n, r) for r in range(n + 1))
+        H = Hr[1]
+        norm_a2 = sum(v * v for v in lam)
+        mu = tuple(v - H for v in lam)
+        norm_phi2 = sum(m * m for m in mu)
+        tr_phi3 = sum(m * m * m for m in mu)
+        tr_a3 = sum(v * v * v for v in lam)
     R = spectrum.c + Hr[2]
-    norm_a2 = sum(v * v for v in lam)
-    mu = tuple(v - H for v in lam)
-    norm_phi2 = sum(m * m for m in mu)
-    tr_phi3 = sum(m * m * m for m in mu)
-    tr_a3 = sum(v * v * v for v in lam)
     return InvariantReport(
         n=n, c=spectrum.c, regime=spectrum.regime, H=H, S=S, Hr=Hr, R=R,
         norm_a2=norm_a2, mu=mu, norm_phi2=norm_phi2, tr_phi3=tr_phi3, tr_a3=tr_a3,
@@ -217,7 +253,14 @@ def tr_a3_sides(spectrum: CurvatureSpectrum) -> Tuple[Scalar, Scalar]:
     assert literal equality.  For n = 2 the S_3 term vanishes.
     """
     lam = spectrum.lambdas
-    n = spectrum.n
+    if spectrum.regime is Regime.EXACT:
+        # Both sides over 2 D^3: sum a^3 and a1 (3 sum a^2 - a1^2) + 6 e_3(a).
+        a, D = _lift(lam)
+        a1 = sum(a)
+        e3 = _sigma_coefficients(a, 3)[3]
+        lhs = Fraction(sum(v * v * v for v in a), D ** 3)
+        rhs = Fraction(a1 * (3 * sum(v * v for v in a) - a1 * a1) + 6 * e3, 2 * D ** 3)
+        return lhs, rhs
     s1 = sum(lam)
     s3 = _sigma_or_zero(lam, 3)
     norm_a2 = sum(v * v for v in lam)
@@ -238,6 +281,15 @@ def newton_eigenvalues(spectrum: CurvatureSpectrum, r: int) -> Tuple[Scalar, ...
     if not 0 <= r <= n:
         raise DomainError(f"Newton transformation P_{r} undefined for n={n}")
     lam = spectrum.lambdas
+    if spectrum.regime is Regime.EXACT:
+        # q_{r,i} = p_{r,i} D^r obeys q_{r,i} = E_r - a_i q_{r-1,i} in ints.
+        a, D = _lift(lam)
+        E = _sigma_coefficients(a, r)
+        q = [1] * n
+        for j in range(1, r + 1):
+            q = [E[j] - a[i] * q[i] for i in range(n)]
+        den = D ** r
+        return tuple(Fraction(v, den) for v in q)
     S = sigma_all(lam)
     one = coerce(1, spectrum.regime)
     p = [one] * n
@@ -295,24 +347,31 @@ def okumura_bound(mu: Sequence[Scalar], tol: Tolerance = DEFAULT_TOLERANCE) -> O
     if n < 3:
         raise DomainError(f"the cubic bound needs n >= 3, got n={n}")
     regime = common_regime(mu)
-    mu = tuple(coerce(m, regime) for m in mu)
-    total = sum(mu)
     if regime is Regime.EXACT:
-        if total != 0:
-            raise DomainError(f"mu must be traceless, got sum {total}")
-    else:
-        if abs(total) > tol.abs + tol.rel * sum(abs(m) for m in mu):
-            raise DomainError(f"mu must be traceless, got sum {total}")
-    beta2 = sum(m * m for m in mu)
-    sum3 = sum(m * m * m for m in mu)
-    bound2 = Fraction((n - 2) ** 2, n * (n - 1)) * beta2 ** 3
-    bound_float = sqrt(promote(bound2))
-    if regime is Regime.EXACT:
-        holds = sum3 * sum3 <= bound2
-        counts = Counter(mu)
+        # Lifted to a_i = mu_i D: beta^2 = P2 / D^2, sum3 = P3 / D^3, and the
+        # verdict sum3^2 <= bound^2 is n(n-1) P3^2 <= (n-2)^2 P2^3 in ints.
+        a, D = _lift(mu)
+        if sum(a) != 0:
+            raise DomainError(f"mu must be traceless, got sum {Fraction(sum(a), D)}")
+        p2 = sum(m * m for m in a)
+        p3 = sum(m * m * m for m in a)
+        beta2 = Fraction(p2, D * D)
+        sum3 = Fraction(p3, D ** 3)
+        bound2 = Fraction((n - 2) ** 2 * p2 ** 3, n * (n - 1) * D ** 6)
+        bound_float = sqrt(promote(bound2))
+        holds = n * (n - 1) * p3 * p3 <= (n - 2) ** 2 * p2 ** 3
+        counts = Counter(a)
         equality = any(cnt >= n - 1 for cnt in counts.values())
         eq_tol = None
     else:
+        mu = tuple(coerce(m, regime) for m in mu)
+        total = sum(mu)
+        if abs(total) > tol.abs + tol.rel * sum(abs(m) for m in mu):
+            raise DomainError(f"mu must be traceless, got sum {total}")
+        beta2 = sum(m * m for m in mu)
+        sum3 = sum(m * m * m for m in mu)
+        bound2 = Fraction((n - 2) ** 2, n * (n - 1)) * beta2 ** 3
+        bound_float = sqrt(promote(bound2))
         bound2 = promote(bound2)
         slack = max(tol.abs, tol.rel * max(abs(sum3), bound_float))
         holds = abs(sum3) <= bound_float + slack

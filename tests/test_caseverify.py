@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -366,6 +367,12 @@ class TestCertificates:
             assert rep.samples == 0
             assert not rep.passed
             assert "no sample was drawn" in rep.detail
+
+    def test_report_without_samples_is_strict_json(self):
+        payload = certificate_check(builtin_case("thm1-claim", H=1, R=5),
+                                    seed=0, count=50).to_json_dict()
+        assert payload["margin"] is None
+        assert json.loads(json.dumps(payload, allow_nan=False)) == payload
 
     def test_samples_satisfy_equalities(self):
         for name in ("thm1-claim", "thm1-lambda2", "thm2-claim"):

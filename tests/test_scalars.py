@@ -45,6 +45,8 @@ def test_common_regime_defaults_and_mixing():
 def test_coerce_is_one_way():
     assert coerce(3, Regime.EXACT) == Fraction(3)
     assert isinstance(coerce(3, Regime.EXACT), Fraction)
+    assert coerce(Fraction(-1, 3), Regime.EXACT) == Fraction(-1, 3)
+    assert type(coerce(Fraction(-1, 3), Regime.EXACT)) is Fraction
     assert coerce(Fraction(1, 4), Regime.FLOAT) == 0.25
     assert isinstance(coerce(3, Regime.FLOAT), float)
     with pytest.raises(RegimeError):

@@ -27,6 +27,19 @@ class TestSimonsPointData:
         assert d.k_table[0][1] == Fraction(1, 2) + 1 * 2
         assert d.k_table[1][2] == Fraction(1, 2) + 2 * 3
         assert d.hess_h == (0, 0, 0)
+        # every entry, the diagonal included, in EXACT; FLOAT entry by entry
+        rng = random.Random(7)
+        for n in (2, 5, 9):
+            s = CurvatureSpectrum(random_exact(rng, n), c=Fraction(-3, 11))
+            table = SimonsPointData.with_gauss_curvatures(s).k_table
+            lam = s.lambdas
+            for i in range(n):
+                for j in range(n):
+                    assert isinstance(table[i][j], Fraction)
+                    assert table[i][j] == s.c + lam[i] * lam[j]
+        f = CurvatureSpectrum([rng.uniform(-3, 3) for _ in range(6)], c=0.7)
+        table = SimonsPointData.with_gauss_curvatures(f).k_table
+        assert table == tuple(tuple(f.c + a * b for b in f.lambdas) for a in f.lambdas)
 
     def test_validation(self):
         s = CurvatureSpectrum([1, 2, 3])

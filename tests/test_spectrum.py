@@ -195,6 +195,103 @@ class TestNewton:
             newton_eigenvalues(CurvatureSpectrum([1, 2]), 3)
 
 
+def _lift_cases():
+    # Spectra for the lifted kernel: repeated values, zeros, negatives,
+    # plain ints, and pairwise-coprime prime denominators for n = 2..12.
+    rng = random.Random(109)
+    primes = [101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157]
+    cases = [
+        [Fraction(1, 3)] * 4,
+        [0, 0, Fraction(-2, 5), 0],
+        [-3, -3, 7, 0, -1, 12],
+        [Fraction(-7, 2), Fraction(-7, 2), 0, Fraction(5, 6), Fraction(5, 6), Fraction(5, 6)],
+        list(range(-5, 6)),
+        [Fraction(rng.randint(-1000, 1000), q) for q in primes],
+    ]
+    for n in range(2, 13):
+        vals = random_exact(rng, n, span=9)
+        vals[rng.randrange(n)] = 0
+        vals[rng.randrange(n)] = vals[rng.randrange(n)]
+        cases.append(vals)
+        cases.append([rng.randint(-6, 6) for _ in range(n)])
+        cases.append([Fraction(rng.randint(-99, 99), q) for q in primes[:n]])
+    return cases
+
+
+class TestLiftedKernel:
+    def test_prime_denominators_lift_far(self):
+        # the common denominator of the 12 prime denominators is about 1e25
+        vals = _lift_cases()[5]
+        assert math.lcm(*(v.denominator for v in vals)) > 10 ** 15
+
+    @pytest.mark.parametrize("vals", _lift_cases())
+    def test_sigma_all_against_subsets(self, vals):
+        S = sigma_all(vals)
+        assert len(S) == len(vals) + 1
+        for r, value in enumerate(S):
+            assert isinstance(value, Fraction)
+            assert value == oracles.sigma_subsets(vals, r)
+            assert sigma(vals, r) == value
+
+    @pytest.mark.parametrize("vals", _lift_cases())
+    def test_newton_all_orders_against_subsets(self, vals):
+        s = CurvatureSpectrum(vals)
+        lam = list(s.lambdas)
+        for r in range(s.n + 1):
+            p = newton_eigenvalues(s, r)
+            assert all(isinstance(v, Fraction) for v in p)
+            assert p == tuple(oracles.newton_eigenvalue_subsets(lam, r, i)
+                              for i in range(s.n))
+
+    @pytest.mark.parametrize("vals", _lift_cases())
+    def test_invariants_against_direct_fractions(self, vals):
+        s = CurvatureSpectrum(vals, c=Fraction(-2, 7))
+        rep = invariants(s)
+        lam = s.lambdas
+        n = s.n
+        H = sum(lam) / n
+        mu = tuple(v - H for v in lam)
+        assert rep.H == H
+        assert rep.Hr == tuple(oracles.sigma_subsets(lam, r) / math.comb(n, r)
+                               for r in range(n + 1))
+        assert rep.mu == mu
+        assert rep.norm_a2 == oracles.power_sum(lam, 2)
+        assert rep.tr_a3 == oracles.power_sum(lam, 3)
+        assert rep.norm_phi2 == oracles.power_sum(mu, 2)
+        assert rep.tr_phi3 == oracles.power_sum(mu, 3)
+        assert rep.tr_a3 == tr_a3_sides(s)[0] == tr_a3_sides(s)[1]
+        if n >= 3:
+            b = okumura_bound(rep.mu)
+            assert (b.sum3, b.beta_squared) == (rep.tr_phi3, rep.norm_phi2)
+            assert b.holds
+
+    def test_plain_ints_give_fractions(self):
+        assert sigma([1, 2, 3], 2) == 11
+        assert isinstance(sigma([1, 2, 3], 2), Fraction)
+        assert isinstance(sigma([1, 2, 3], 0), Fraction)
+        assert all(isinstance(v, Fraction) for v in sigma_all([4, -1, 0]))
+
+    def test_float_paths_pinned(self):
+        # bit-for-bit values of the FLOAT paths, which the lift leaves alone
+        s = CurvatureSpectrum([3.1, -1.5, 0.7, 0.25, 2.0], c=0.3)
+        assert sigma_all(s.lambdas) == (
+            1.0, 4.55, 2.145, -10.0475, -9.088750000000001, -1.6274999999999997)
+        assert newton_eigenvalues(s, 2) == (
+            11.219999999999999, 1.07, -0.5499999999999994, -2.9549999999999996,
+            -2.349999999999999)
+        assert newton_eigenvalues(s, 5) == (
+            -3.774758283725532e-15, 6.661338147750939e-16, 1.5543122344752192e-15,
+            1.5543122344752192e-15, -1.509903313490213e-14)
+        rep = invariants(s)
+        assert rep.Hr == (1.0, 0.9099999999999999, 0.2145, -1.00475,
+                          -1.8177500000000002, -1.6274999999999997)
+        assert rep.R == 0.5145
+        assert rep.mu == (-2.41, -0.6599999999999999, -0.20999999999999996, 1.09,
+                          2.1900000000000004)
+        assert (rep.norm_a2, rep.norm_phi2, rep.tr_phi3, rep.tr_a3) == (
+            16.4125, 12.272000000000002, -2.495789999999996, 34.774625)
+
+
 class TestOkumura:
     def test_equality_configuration_exact(self):
         # mu = (-1, 1/3, 1/3, 1/3): n-1 values coincide, bound is attained
