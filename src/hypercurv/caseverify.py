@@ -49,12 +49,12 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedCaseError
 from .scalars import (
+    JsonRecord,
     Regime,
     Scalar,
     coerce,
     common_regime,
     promote,
-    scalar_to_json,
 )
 from .spectrum import sigma
 
@@ -84,7 +84,7 @@ class Relation(str, Enum):
 
 
 @dataclass(frozen=True)
-class SignConstraint:
+class SignConstraint(JsonRecord):
     """Sign condition on one labeled coordinate (1-based index)."""
 
     index: int
@@ -92,7 +92,7 @@ class SignConstraint:
 
 
 @dataclass(frozen=True)
-class SymmetricSignConstraint:
+class SymmetricSignConstraint(JsonRecord):
     """Sign condition on sigma_r of the whole vector."""
 
     r: int
@@ -104,7 +104,7 @@ class SymmetricSignConstraint:
 
 
 @dataclass(frozen=True)
-class ConstraintSystem:
+class ConstraintSystem(JsonRecord):
     """A pinned limit configuration of ordered principal curvatures."""
 
     n: int
@@ -162,23 +162,8 @@ class ConstraintSystem:
         return self.trace_target * self.trace_target - 2 * self.sigma2_target
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "n": self.n,
-            "regime": self.regime.value,
-            "traceTarget": scalar_to_json(self.trace_target),
-            "sigma2Target": scalar_to_json(self.sigma2_target),
-            "fixedZeros": sorted(self.fixed_zeros),
-            "ordering": self.ordering,
-            "signConstraints": [
-                {"index": sc.index, "relation": sc.relation.value}
-                for sc in self.sign_constraints
-            ],
-            "extraSymmetric": [
-                {"r": ex.r, "relation": ex.relation.value}
-                for ex in self.extra_symmetric
-            ],
-        }
+        return {**super().to_json_dict(), "regime": self.regime.value,
+                "fixedZeros": sorted(self.fixed_zeros)}
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "ConstraintSystem":
@@ -275,7 +260,7 @@ class ScanBudget:
 
 
 @dataclass(frozen=True)
-class FeasibilityVerdict:
+class FeasibilityVerdict(JsonRecord):
     """Outcome of a scan: a validated witness, or the best failure found."""
 
     status: str
@@ -284,16 +269,6 @@ class FeasibilityVerdict:
     best_point: Tuple[float, ...]
     violations: Mapping[str, float]
     stats: Mapping[str, object]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "witness": list(self.witness) if self.witness is not None else None,
-            "residual": self.residual,
-            "bestPoint": list(self.best_point),
-            "violations": dict(self.violations),
-            "stats": dict(self.stats),
-        }
 
 
 class _PenaltyEvaluator:
@@ -705,7 +680,7 @@ def builtin_case(name: str, H: Scalar = 1, R: Optional[Scalar] = None) -> Constr
 
 
 @dataclass(frozen=True)
-class ExpectedOutcome:
+class ExpectedOutcome(JsonRecord):
     """What the recorded analysis says a canonical built-in scan must find."""
 
     status: str
@@ -715,12 +690,6 @@ class ExpectedOutcome:
         """Same status, and any witness within ``_WITNESS_MATCH`` of the recorded one."""
         return verdict.status == self.status and (self.witness is None or max(
             abs(a - promote(b)) for a, b in zip(verdict.witness, self.witness)) <= _WITNESS_MATCH)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "witness": [scalar_to_json(v) for v in self.witness] if self.witness else None,
-        }
 
 
 def expected_outcome(system: ConstraintSystem) -> Optional[ExpectedOutcome]:
@@ -774,7 +743,7 @@ def closed_form_contradiction(system: ConstraintSystem, point: Sequence[Scalar])
 
 
 @dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(JsonRecord):
     """Cross-examination of a certificate against equality-feasible samples."""
 
     case: str
@@ -785,19 +754,6 @@ class CertificateReport:
     margin: float
     passed: bool
     detail: str
-
-    def to_json_dict(self) -> dict:
-        # With no sample drawn the margin stays inf; JSON has no infinity.
-        return {
-            "case": self.case,
-            "kind": self.kind,
-            "samples": self.samples,
-            "feasibleSamples": self.feasible_samples,
-            "maxIdentityResidual": self.max_identity_residual,
-            "margin": self.margin if math.isfinite(self.margin) else None,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
 
 
 def _pair_completions(total: float, product: float) -> Optional[Tuple[float, float]]:
@@ -897,17 +853,14 @@ def certificate_check(system: ConstraintSystem, seed: int = 0, count: int = 1000
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SetSummary:
+class SetSummary(JsonRecord):
     count: int
     infimum: Optional[float]
     supremum: Optional[float]
 
-    def to_json_dict(self) -> dict:
-        return {"count": self.count, "infimum": self.infimum, "supremum": self.supremum}
-
 
 @dataclass(frozen=True)
-class PctReport:
+class PctReport(JsonRecord):
     """Sample classification against the two-sided/one-sided alternative."""
 
     verdict: str
@@ -920,35 +873,23 @@ class PctReport:
     max_gap: Optional[float]
     detail: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "condition": self.condition,
-            "plus": self.plus.to_json_dict(),
-            "minus": self.minus.to_json_dict(),
-            "zeroCount": self.zero_count,
-            "zeroTolerance": self.zero_tolerance,
-            "approachTolerance": self.approach_tolerance,
-            "maxGap": self.max_gap,
-            "detail": self.detail,
-        }
-
 
 def pct_sets(values: Sequence[Scalar], zero_tol: float = 1e-12,
              approach_tol: float = 1e-8) -> PctReport:
     """Split sampled principal-curvature values into signed sets and classify.
 
-    Values within ``zero_tol`` of zero count as zero.  With both signs
-    present, consistency demands each signed set approach zero within
-    ``approach_tol``.  With one sign present, a finite sample cannot refute
-    connectedness of the closure, so the verdict is CONSISTENT and the
-    largest adjacent gap is reported as a diagnostic.
+    Values within ``zero_tol`` of zero count as zero; a non-finite value or
+    tolerance raises ``DomainError``.  With both signs present, consistency
+    demands each signed set approach zero within ``approach_tol``.  With one
+    sign present, a finite sample cannot refute connectedness of the
+    closure, so the verdict is CONSISTENT and the largest adjacent gap is
+    reported as a diagnostic.
     """
-    vals = [promote(v) for v in values]
+    vals = [coerce(v, Regime.FLOAT) for v in values]
     if not vals:
         raise DomainError("pct_sets needs a non-empty sample")
-    if zero_tol < 0 or approach_tol < 0:
-        raise DomainError("tolerances must be non-negative")
+    if not (0 <= zero_tol < math.inf and 0 <= approach_tol < math.inf):
+        raise DomainError("tolerances must be finite and non-negative")
     plus = sorted(v for v in vals if v > zero_tol)
     minus = sorted(v for v in vals if v < -zero_tol)
     zero_count = len(vals) - len(plus) - len(minus)

@@ -23,13 +23,12 @@ import io
 import json
 import os
 import sys
-from enum import Enum
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import caseverify, cylinders, immersion, simons, spectrum, verify
 from .errors import DomainError, HypercurvError
-from .scalars import Regime, parse_scalar, promote, scalar_to_json
+from .scalars import Regime, parse_scalar, promote, to_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -67,23 +66,9 @@ def _load_json(path: str):
         ) from exc
 
 
-def _jsonable(obj):
-    if isinstance(obj, Fraction):
-        return scalar_to_json(obj)
-    if isinstance(obj, Enum):
-        return obj.value
-    if isinstance(obj, dict):
-        return {key: _jsonable(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(value) for value in obj]
-    if hasattr(obj, "item") and type(obj).__module__ == "numpy":
-        return obj.item()
-    return obj
-
-
 def _emit(payload: dict, headers: List[str], rows: List[List[object]], fmt: str):
     if fmt == "json":
-        sys.stdout.write(json.dumps(_jsonable(payload), indent=2, sort_keys=True))
+        sys.stdout.write(json.dumps(to_json(payload), indent=2, sort_keys=True))
         sys.stdout.write("\n")
         return
     cells = [[_format_cell(v) for v in row] for row in rows]
@@ -104,7 +89,7 @@ def _emit(payload: dict, headers: List[str], rows: List[List[object]], fmt: str)
 
 
 def _format_cell(value) -> str:
-    value = _jsonable(value)
+    value = to_json(value)
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, (dict, list)):
@@ -241,8 +226,7 @@ def _cmd_invariants(args) -> Tuple[dict, List[str], List[list], int]:
         spec = spectrum.CurvatureSpectrum(lams, parse_scalar(args.c, regime),
                                           regime=regime)
     report = spectrum.invariants(spec)
-    payload = {"command": "invariants", "spectrum": spec.to_json_dict(),
-               "report": report.to_json_dict()}
+    payload = {"command": "invariants", "spectrum": spec, "report": report}
     rows = [["n", report.n], ["c", report.c], ["H", report.H], ["R", report.R],
             ["normA2", report.norm_a2], ["normPhi2", report.norm_phi2],
             ["trA3", report.tr_a3], ["trPhi3", report.tr_phi3]]
@@ -259,8 +243,8 @@ def _cmd_ladder(args) -> Tuple[dict, List[str], List[list], int]:
         note = cylinders.rigidity_annotation(args.n, k) if args.n >= 3 else None
         entries.append({
             "k": k,
-            "ratio": scalar_to_json(ratio),
-            "radiusTimesH": scalar_to_json(Fraction(k, args.n)),
+            "ratio": ratio,
+            "radiusTimesH": Fraction(k, args.n),
             "status": note.status if note else None,
             "note": note.text if note else None,
         })
@@ -277,7 +261,7 @@ def _cmd_classify(args) -> Tuple[dict, List[str], List[list], int]:
         h = parse_scalar(args.mean, Regime.FLOAT)
         r = parse_scalar(args.scalar, Regime.FLOAT)
     verdict = cylinders.classify(args.n, h, r, tol=args.tol)
-    payload = {"command": "classify", "verdict": verdict.to_json_dict()}
+    payload = {"command": "classify", "verdict": verdict}
     rows = [
         ["onLadder", verdict.on_ladder],
         ["ratio", verdict.ratio],
@@ -315,11 +299,11 @@ def _cmd_scan(args) -> Tuple[dict, List[str], List[list], int]:
     agrees = expected.agrees(verdict) if expected is not None else None
     payload = {
         "command": "scan",
-        "system": system.to_json_dict(),
-        "verdict": verdict.to_json_dict(),
-        "expected": expected.to_json_dict() if expected else None,
+        "system": system,
+        "verdict": verdict,
+        "expected": expected,
         "agreesWithExpected": agrees,
-        "certificate": certificate.to_json_dict() if certificate else None,
+        "certificate": certificate,
     }
     rows = [["status", verdict.status], ["residual", verdict.residual]]
     if verdict.witness is not None:
@@ -377,11 +361,11 @@ def _cmd_simons(args) -> Tuple[dict, List[str], List[list], int]:
             1.0, abs(promote(general)))
     payload = {
         "command": "simons",
-        "data": data.to_json_dict(),
-        "general": scalar_to_json(general),
-        "spaceForm": scalar_to_json(space_form),
+        "data": data,
+        "general": general,
+        "spaceForm": space_form,
         "formsAgree": equal,
-        "normPhi2": scalar_to_json(rep.norm_phi2),
+        "normPhi2": rep.norm_phi2,
         "bracket": bracket,
         "bracketSign": sign,
     }
@@ -421,7 +405,7 @@ def _cmd_immersion(args) -> Tuple[dict, List[str], List[list], int]:
         else:
             patch = immersion.finite_difference_lift(shape, point, h=args.h)
         label = {"kind": args.shape, "n": args.dim,
-                 "radius": scalar_to_json(radius), "k": args.k}
+                 "radius": radius, "k": args.k}
     forms = immersion.fundamental_forms(patch)
     spec = immersion.principal_curvatures(patch)
     report = spectrum.invariants(spec)
@@ -432,8 +416,8 @@ def _cmd_immersion(args) -> Tuple[dict, List[str], List[list], int]:
         "point": [float(v) for v in patch.point],
         "source": patch.source.value,
         "conditionNumber": forms.condition_number,
-        "spectrum": spec.to_json_dict(),
-        "invariants": report.to_json_dict(),
+        "spectrum": spec,
+        "invariants": report,
     }
     rows = [["lambda", list(spec.lambdas)], ["H", report.H], ["R", report.R],
             ["normA2", report.norm_a2], ["cond(J)", forms.condition_number]]
@@ -449,7 +433,7 @@ def _cmd_verify_all(args) -> Tuple[dict, List[str], List[list], int]:
     failed = len(results) - passed
     payload = {
         "command": "verify-all",
-        "checks": [r.to_json_dict() for r in results],
+        "checks": results,
         "passed": passed,
         "failed": failed,
     }

@@ -24,23 +24,24 @@ from typing import List, Optional, Tuple
 
 from .errors import DomainError, RegimeError, VerificationError
 from .scalars import (
+    JsonRecord,
     Regime,
     Scalar,
     coerce,
     common_regime,
     promote,
     regime_of,
-    scalar_to_json,
 )
 from .spectrum import CurvatureSpectrum, InvariantReport, invariants
 
 
 @dataclass(frozen=True)
-class CylinderModel:
+class CylinderModel(JsonRecord):
     """The product R^{n-k} x S^k(radius) as a hypersurface of R^{n+1}.
 
     ``k = 0`` is the degenerate hyperplane (radius unused); ``k = n`` the
-    round sphere.
+    round sphere.  ``radius`` is coerced into its regime, so an integer
+    becomes a ``Fraction`` and NaN or infinity raises ``DomainError``.
     """
 
     n: int
@@ -52,15 +53,17 @@ class CylinderModel:
             raise DomainError(f"cylinders need n >= 2, got n={self.n}")
         if not 0 <= self.k <= self.n:
             raise DomainError(f"k must lie in [0, {self.n}], got k={self.k}")
-        if promote(self.radius) <= 0:
+        regime = regime_of(self.radius) or Regime.EXACT
+        object.__setattr__(self, "radius", coerce(self.radius, regime))
+        if self.radius <= 0:
             raise DomainError(f"radius must be positive, got {self.radius}")
 
     @property
     def regime(self) -> Regime:
-        return regime_of(self.radius) or Regime.EXACT
+        return regime_of(self.radius)
 
     def _kappa(self) -> Scalar:
-        return coerce(1, self.regime) / coerce(self.radius, self.regime)
+        return 1 / self.radius
 
     def spectrum(self) -> CurvatureSpectrum:
         zero = coerce(0, self.regime)
@@ -89,12 +92,7 @@ class CylinderModel:
         return f"R^{self.n - self.k} x S^{self.k}({self.radius})"
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "radius": scalar_to_json(self.radius),
-            "shape": self.describe(),
-        }
+        return {**super().to_json_dict(), "shape": self.describe()}
 
 
 def cylinder_from_H(n: int, k: int, H: Scalar) -> CylinderModel:
@@ -130,7 +128,7 @@ EXAMPLE_ONLY = "example-only"
 
 
 @dataclass(frozen=True)
-class RigidityNote:
+class RigidityNote(JsonRecord):
     """Recorded rigidity status of one ladder rung.
 
     ``status`` is one of ``rigid`` (the cylinder is the unique closed CMC
@@ -145,15 +143,6 @@ class RigidityNote:
     status: str
     text: str
     hypotheses: Tuple[str, ...] = ()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "status": self.status,
-            "text": self.text,
-            "hypotheses": list(self.hypotheses),
-        }
 
 
 def _general_note(n: int, k: int) -> RigidityNote:
@@ -236,7 +225,7 @@ def rigidity_annotation(n: int, k: int) -> RigidityNote:
 
 
 @dataclass(frozen=True)
-class ClassificationVerdict:
+class ClassificationVerdict(JsonRecord):
     """Answer to: which cylinder realizes the pair (H, R) in dimension n?"""
 
     n: int
@@ -249,20 +238,6 @@ class ClassificationVerdict:
     gap: Scalar
     annotation: RigidityNote
     tolerance: Optional[float]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "H": scalar_to_json(self.H),
-            "ratio": scalar_to_json(self.ratio),
-            "onLadder": self.on_ladder,
-            "k": self.k,
-            "model": self.model.to_json_dict() if self.model else None,
-            "nearestK": self.nearest_k,
-            "gap": scalar_to_json(self.gap),
-            "annotation": self.annotation.to_json_dict(),
-            "tolerance": self.tolerance,
-        }
 
 
 def classify(n: int, H: Scalar, R: Scalar, tol: Optional[float] = None) -> ClassificationVerdict:

@@ -11,13 +11,18 @@ Plain integers are accepted in either regime (an integer is exact, and it
 converts losslessly to a double at the magnitudes handled here).  Mixing a
 ``Fraction`` with a ``float`` raises :class:`~hypercurv.errors.RegimeError`;
 the only road between regimes is the explicit, one-way :func:`promote`.
+
+JSON has one rule, stated here by :func:`to_json` and :class:`JsonRecord`:
+a record's fields appear under their camelCase names (``norm_phi2`` ->
+``normPhi2``), rationals as canonical ``"p/q"`` strings, enums by value,
+and a non-finite float as ``null``.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Union
@@ -107,13 +112,41 @@ def scalar_to_json(value: Scalar):
     return float(value)
 
 
-def format_scalar(value: Scalar) -> str:
-    """Short human-readable form for tables."""
+def to_json(value):
+    """JSON-ready form of ``value`` under the package's one wire format.
+
+    Records go through their ``to_json_dict``, enums to their value, a
+    ``Fraction`` to ``"p/q"``, a non-finite float to ``None``, dicts, lists
+    and tuples recursively, and a numpy scalar to its Python value.  Ints,
+    strings, bools and ``None`` come back as they are.
+    """
+    if hasattr(value, "to_json_dict"):
+        return value.to_json_dict()
+    if isinstance(value, Enum):
+        return value.value
     if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, numbers.Integral):
-        return str(int(value))
-    return repr(float(value))
+        return scalar_to_json(value)
+    if type(value).__module__ == "numpy" and hasattr(value, "item"):
+        value = value.item()
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: to_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [to_json(item) for item in value]
+    return value
+
+
+def _camel(name: str) -> str:
+    head, *rest = name.split("_")
+    return head + "".join(part[:1].upper() + part[1:] for part in rest)
+
+
+class JsonRecord:
+    """Mixin for dataclass records: JSON is each field under its camelCase name."""
+
+    def to_json_dict(self) -> dict:
+        return {_camel(f.name): to_json(getattr(self, f.name)) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -123,21 +156,5 @@ class Tolerance:
     rel: float = 1e-9
     abs: float = 1e-12
 
-    def close(self, a: float, b: float) -> bool:
-        a = float(a)
-        b = float(b)
-        return abs(a - b) <= max(self.abs, self.rel * max(abs(a), abs(b)))
-
-    def is_zero(self, a: float, scale: float = 1.0) -> bool:
-        return abs(float(a)) <= max(self.abs, self.rel * abs(scale))
-
 
 DEFAULT_TOLERANCE = Tolerance()
-
-
-def scalars_equal(a: Scalar, b: Scalar, regime: Regime,
-                  tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-    """Regime-appropriate equality: literal in EXACT, tolerant in FLOAT."""
-    if regime is Regime.EXACT:
-        return a == b
-    return tol.close(a, b)

@@ -40,7 +40,7 @@ from .scalars import (
     coerce,
     common_regime,
     promote,
-    scalar_to_json,
+    to_json,
 )
 from .spectrum import CurvatureSpectrum, _lift
 
@@ -120,13 +120,8 @@ class SimonsPointData:
                    hess_h=tuple(hess_h), k_table=table, gauss=True)
 
     def to_json_dict(self) -> dict:
-        return {
-            "spectrum": self.spectrum.to_json_dict(),
-            "gradA2": scalar_to_json(self.grad_a2),
-            "hessH": [scalar_to_json(v) for v in self.hess_h],
-            "Kij": [[scalar_to_json(v) for v in row] for row in self.k_table],
-            "gauss": self.gauss,
-        }
+        return to_json({"spectrum": self.spectrum, "gradA2": self.grad_a2,
+                        "hessH": self.hess_h, "Kij": self.k_table, "gauss": self.gauss})
 
 
 def simons_rhs_general(data: SimonsPointData) -> Scalar:
@@ -165,12 +160,13 @@ def simons_rhs_space_form(spectrum: CurvatureSpectrum, grad_a2: Scalar = 0,
 
 
 def cmc_bracket(n: int, c, H, norm_phi) -> float:
-    """FLOAT value of nc + nH^2 - n(n-2)/sqrt(n(n-1)) |H| |phi| - |phi|^2."""
+    """FLOAT value of nc + nH^2 - n(n-2)/sqrt(n(n-1)) |H| |phi| - |phi|^2.
+
+    NaN or infinity among the inputs raises ``DomainError``.
+    """
     if n < 3:
         raise DomainError(f"the CMC bracket needs n >= 3, got n={n}")
-    c = promote(c)
-    H = promote(H)
-    norm_phi = promote(norm_phi)
+    c, H, norm_phi = (coerce(v, Regime.FLOAT) for v in (c, H, norm_phi))
     if norm_phi < 0:
         raise DomainError("|phi| cannot be negative")
     coeff = n * (n - 2) / sqrt(n * (n - 1))
@@ -181,13 +177,12 @@ def cmc_bracket_sign(n: int, c, H, norm_phi_squared) -> int:
     """Exact sign (-1, 0, +1) of the CMC bracket, radical free.
 
     Takes |phi|^2 rather than |phi| so all inputs stay rational; the
-    irrational middle term is handled by comparing squares.
+    irrational middle term is handled by comparing squares.  A float input
+    raises ``RegimeError``: promotion is one-way.
     """
     if n < 3:
         raise DomainError(f"the CMC bracket needs n >= 3, got n={n}")
-    c = Fraction(c)
-    H = Fraction(H)
-    phi2 = Fraction(norm_phi_squared)
+    c, H, phi2 = (coerce(v, Regime.EXACT) for v in (c, H, norm_phi_squared))
     if phi2 < 0:
         raise DomainError("|phi|^2 cannot be negative")
     # bracket = a - t with a rational, t = n(n-2)/sqrt(n(n-1)) |H| |phi| >= 0

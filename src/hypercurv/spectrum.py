@@ -39,6 +39,7 @@ from typing import Optional, Sequence, Tuple
 from .errors import DomainError, RegimeError
 from .scalars import (
     DEFAULT_TOLERANCE,
+    JsonRecord,
     Regime,
     Scalar,
     Tolerance,
@@ -47,7 +48,7 @@ from .scalars import (
     parse_scalar,
     promote,
     regime_of,
-    scalar_to_json,
+    to_json,
 )
 
 
@@ -93,12 +94,8 @@ class CurvatureSpectrum:
         return f"CurvatureSpectrum({list(self.lambdas)!r}, c={self.c!r}, regime={self.regime.value!r})"
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "lambdas": [scalar_to_json(v) for v in self.lambdas],
-            "c": scalar_to_json(self.c),
-            "regime": self.regime.value,
-        }
+        return to_json({"n": self.n, "lambdas": self.lambdas, "c": self.c,
+                        "regime": self.regime})
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "CurvatureSpectrum":
@@ -179,7 +176,7 @@ def sigma_recursion_residual(values: Sequence[Scalar], r: int, i: int) -> Scalar
 
 
 @dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(JsonRecord):
     """Every pointwise invariant derived from one spectrum."""
 
     n: int
@@ -194,22 +191,6 @@ class InvariantReport:
     norm_phi2: Scalar
     tr_phi3: Scalar
     tr_a3: Scalar
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "c": scalar_to_json(self.c),
-            "regime": self.regime.value,
-            "H": scalar_to_json(self.H),
-            "S": [scalar_to_json(v) for v in self.S],
-            "Hr": [scalar_to_json(v) for v in self.Hr],
-            "R": scalar_to_json(self.R),
-            "normA2": scalar_to_json(self.norm_a2),
-            "mu": [scalar_to_json(v) for v in self.mu],
-            "normPhi2": scalar_to_json(self.norm_phi2),
-            "trPhi3": scalar_to_json(self.tr_phi3),
-            "trA3": scalar_to_json(self.tr_a3),
-        }
 
 
 def invariants(spectrum: CurvatureSpectrum) -> InvariantReport:
@@ -299,7 +280,7 @@ def newton_eigenvalues(spectrum: CurvatureSpectrum, r: int) -> Tuple[Scalar, ...
 
 
 @dataclass(frozen=True)
-class OkumuraBound:
+class OkumuraBound(JsonRecord):
     """Result of the zero-trace cubic bound |sum mu^3| <= bound.
 
     ``bound_squared`` = (n-2)^2/(n(n-1)) * (sum mu^2)^3 is regime-exact and
@@ -319,20 +300,6 @@ class OkumuraBound:
     holds: bool
     equality: bool
     equality_tolerance: Optional[float]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "regime": self.regime.value,
-            "sum3": scalar_to_json(self.sum3),
-            "betaSquared": scalar_to_json(self.beta_squared),
-            "boundSquared": scalar_to_json(self.bound_squared),
-            "lower": self.lower,
-            "upper": self.upper,
-            "holds": self.holds,
-            "equality": self.equality,
-            "equalityTolerance": self.equality_tolerance,
-        }
 
 
 def okumura_bound(mu: Sequence[Scalar], tol: Tolerance = DEFAULT_TOLERANCE) -> OkumuraBound:

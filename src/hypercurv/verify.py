@@ -18,17 +18,14 @@ import numpy as np
 
 from . import caseverify, cylinders, immersion, simons, spectrum
 from .errors import DomainError
-from .scalars import Regime
+from .scalars import JsonRecord, Regime
 
 
 @dataclass(frozen=True)
-class CheckResult:
+class CheckResult(JsonRecord):
     name: str
     passed: bool
     detail: str
-
-    def to_json_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
 def _check(results: List[CheckResult], name: str, predicate, detail: str):

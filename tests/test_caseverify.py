@@ -454,6 +454,21 @@ class TestPctSets:
         with pytest.raises(DomainError):
             pct_sets([1.0], zero_tol=-1.0)
 
+    def test_nan_value_is_rejected_not_counted_as_zero(self):
+        with pytest.raises(DomainError):
+            pct_sets([math.nan, 0.5])
+        with pytest.raises(DomainError):
+            pct_sets([math.inf, 0.5])
+
+    def test_nan_zero_tolerance_is_rejected(self):
+        with pytest.raises(DomainError):
+            pct_sets([0.5, -0.5], zero_tol=math.nan)
+
+    def test_non_finite_approach_tolerance_is_rejected(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                pct_sets([-1e-10, 1e-10], approach_tol=bad)
+
     def test_cylinder_value_set_is_one_sided(self):
         rng = random.Random(401)
         sample = [0.0] * 5 + [2.0 + 1e-12 * rng.random() for _ in range(5)]

@@ -14,6 +14,7 @@ from hypercurv.cylinders import (
     scalar_ladder,
 )
 from hypercurv.errors import DomainError, RegimeError, VerificationError
+from hypercurv.scalars import Regime
 from hypercurv.spectrum import invariants
 
 
@@ -66,6 +67,16 @@ class TestCylinderModel:
             CylinderModel(3, 4, Fraction(1))
         with pytest.raises(DomainError):
             CylinderModel(3, 2, Fraction(0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_radius_is_rejected(self, bad):
+        with pytest.raises(DomainError):
+            CylinderModel(4, 2, bad)
+
+    def test_int_radius_is_exact(self):
+        m = CylinderModel(4, 2, 3)
+        assert type(m.radius) is Fraction and m.regime is Regime.EXACT
+        assert m.to_json_dict()["radius"] == "3/1"
 
     def test_from_H_radius(self):
         for h in (1, 2, Fraction(1, 3)):

@@ -1,7 +1,11 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hypercurv.caseverify import ConstraintSystem
@@ -9,17 +13,15 @@ from hypercurv.cylinders import cylinder_from_H
 from hypercurv.errors import DomainError, RegimeError
 from hypercurv.scalars import (
     Regime,
-    Tolerance,
     coerce,
     common_regime,
-    format_scalar,
     parse_scalar,
     promote,
     regime_of,
     scalar_to_json,
-    scalars_equal,
+    to_json,
 )
-from hypercurv.spectrum import CurvatureSpectrum, sigma
+from hypercurv.spectrum import CurvatureSpectrum, invariants, sigma
 
 
 def test_regime_of_basic():
@@ -96,9 +98,6 @@ def test_json_and_format_forms():
     assert scalar_to_json(Fraction(-3, 7)) == "-3/7"
     assert scalar_to_json(5) == "5/1"
     assert scalar_to_json(0.25) == 0.25
-    assert format_scalar(Fraction(3, 4)) == "3/4"
-    assert format_scalar(4) == "4"
-    assert format_scalar(0.1) == "0.1"
 
 
 def test_parse_round_trip_random():
@@ -109,19 +108,57 @@ def test_parse_round_trip_random():
         assert parse_scalar(encoded, Regime.EXACT) == value
 
 
-def test_tolerance_close_and_zero():
-    tol = Tolerance(rel=1e-9, abs=1e-12)
-    assert tol.close(1.0, 1.0 + 5e-10)
-    assert not tol.close(1.0, 1.0 + 5e-9)
-    assert tol.close(0.0, 5e-13)
-    assert tol.is_zero(1e-13)
-    assert not tol.is_zero(1e-6)
-    assert tol.is_zero(1e-6, scale=1e4)
+class TestToJson:
+    def test_fraction_as_p_over_q(self):
+        assert to_json(Fraction(-3, 7)) == "-3/7"
+        assert to_json(Fraction(4)) == "4/1"
+
+    def test_int_str_bool_none_pass_through(self):
+        assert to_json(5) == 5 and type(to_json(5)) is int
+        assert to_json(True) is True
+        assert to_json("p/q") == "p/q"
+        assert to_json(None) is None
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_float_is_null(self, bad):
+        assert to_json(bad) is None
+        assert to_json([0.5, bad]) == [0.5, None]
+
+    def test_finite_float_unchanged(self):
+        assert to_json(-0.0) == 0.0 and math.copysign(1.0, to_json(-0.0)) == -1.0
+        assert to_json(0.1) == 0.1
+
+    def test_enum_by_value(self):
+        assert to_json(Regime.EXACT) == "exact"
+        assert to_json({"regime": Regime.FLOAT}) == {"regime": "float"}
+
+    def test_tuples_become_lists_recursively(self):
+        assert to_json((Fraction(1, 2), (2, 0.5))) == ["1/2", [2, 0.5]]
+        assert to_json({"a_b": (Fraction(1, 3),)}) == {"a_b": ["1/3"]}
+
+    def test_nested_records(self):
+        spec = CurvatureSpectrum([Fraction(1, 2), 2])
+        payload = to_json({"spectrum": spec, "reports": [invariants(spec)]})
+        assert payload["spectrum"] == spec.to_json_dict()
+        assert payload["reports"][0] == invariants(spec).to_json_dict()
+        assert payload["reports"][0]["normA2"] == "17/4"
+
+    def test_numpy_scalars(self):
+        for value, expected in ((np.float64(0.5), 0.5), (np.int64(3), 3),
+                                (np.bool_(True), True)):
+            out = to_json(value)
+            assert out == expected and type(out) is type(expected)
+        assert to_json(np.float64("inf")) is None
 
 
-def test_scalars_equal_by_regime():
-    assert scalars_equal(Fraction(1, 3), Fraction(2, 6), Regime.EXACT)
-    assert not scalars_equal(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**30),
-                             Regime.EXACT)
-    assert scalars_equal(1.0, 1.0 + 1e-13, Regime.FLOAT)
-    assert not scalars_equal(1.0, 1.001, Regime.FLOAT)
+def test_scalars_module_loads_no_numpy():
+    # Load hypercurv.scalars without the package __init__, which imports
+    # the numpy-backed modules.
+    package_dir = os.path.dirname(os.path.abspath(sys.modules["hypercurv.scalars"].__file__))
+    code = ("import sys, types; pkg = types.ModuleType('hypercurv'); "
+            f"pkg.__path__ = [{package_dir!r}]; "
+            "sys.modules['hypercurv'] = pkg; import hypercurv.scalars; "
+            "print('numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

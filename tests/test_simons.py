@@ -123,6 +123,19 @@ class TestBracket:
             assert cmc_bracket_sign(4, 0, h, Fraction(4, 3) * h * h) == 0
             assert cmc_bracket_sign(5, 0, h, Fraction(5, 4) * h * h) == 0
 
+    def test_sign_rejects_float_inputs(self):
+        with pytest.raises(RegimeError):
+            cmc_bracket_sign(4, 0.5, 1, 1.0)
+        with pytest.raises(RegimeError):
+            cmc_bracket_sign(4, 0, 1.0, Fraction(4, 3))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_float_bracket_rejects_non_finite_inputs(self, bad):
+        with pytest.raises(DomainError):
+            cmc_bracket(4, 0, 1, bad)
+        with pytest.raises(DomainError):
+            cmc_bracket(4, bad, 1, 0.5)
+
     def test_signs_around_zero(self):
         assert cmc_bracket_sign(4, 0, 1, Fraction(4, 3) - Fraction(1, 100)) == 1
         assert cmc_bracket_sign(4, 0, 1, Fraction(4, 3) + Fraction(1, 100)) == -1
