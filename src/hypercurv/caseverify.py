@@ -20,8 +20,10 @@ trivially, and sigma_r through sigma_r(x) = x_j sigma_{r-1}(x without j) +
 sigma_r(x without j).  So the excess at x_j = 0 and x_j = 1 gives each
 term's slope and offset along x_j.  The penalty is the sum of squares with
 inequality terms clipped at zero, each coordinate section of it is convex
-piecewise-quadratic (so ternary line search on slope * t + offset is
-exact), and the slopes over all coordinates are the Gauss-Newton Jacobian.
+piecewise-quadratic with knots at the inequality breakpoints (so the
+descent minimises it in closed form: the best of the knots and of each
+piece's clipped stationary point), and the slopes over all coordinates are
+the Gauss-Newton Jacobian.
 
 For the built-in named cases, ``closed_form_contradiction`` evaluates the
 registered one-line certificate whose sign settles the case without any
@@ -354,35 +356,70 @@ def _sum_squares(ex: np.ndarray) -> np.ndarray:
     return ex.sum(axis=1)
 
 
+def _line_minimum(slope: np.ndarray, offset: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """First minimiser on [lo, hi] of each row's section f(t) = sum of (slope t + offset)^2.
+
+    Columns 0 and 1 are equalities; the rest are inequalities, clipped at
+    zero, whose breakpoints -offset/slope cut [lo, hi] into pieces with a
+    fixed active set.  f is convex and quadratic on each piece, so its
+    minimum over [lo, hi] is at a knot or at a piece's stationary point
+    -sum(slope offset)/sum(slope^2) over the active terms, clipped to the
+    piece.  f is evaluated at every such candidate, knots first in
+    ascending order, and the first argmin is returned.
+    """
+    m = len(slope)
+    # Rows last: numpy then runs each step over the long axis.
+    s, o = np.ascontiguousarray(slope.T), np.ascontiguousarray(offset.T)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        breaks = -o[2:] / s[2:]
+    # A zero slope has no breakpoint (inf or nan); park it at a bound.
+    breaks = np.clip(np.where(np.isnan(breaks), lo, breaks), lo, hi)
+    knots = np.sort(np.vstack([np.full(m, lo), breaks, np.full(m, hi)]), axis=0)
+    left, right = knots[:-1], knots[1:]
+    probe = s * (0.5 * (left + right))[:, None, :]
+    probe += o
+    active = probe > 0.0
+    active[:, :2] = True
+    curvature = (active * (s * s)).sum(axis=1)
+    moment = (active * (s * o)).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stationary = np.clip(-moment / curvature, left, right)
+    # A piece with no curvature is flat: its knots already cover it.
+    stationary = np.where(curvature > 0.0, stationary, left)
+    cand = np.vstack([knots, stationary])
+    vals = s * cand[:, None, :]
+    vals += o
+    np.maximum(vals[:, 2:], 0.0, out=vals[:, 2:])
+    np.square(vals, out=vals)
+    return cand[vals.sum(axis=1).argmin(axis=0), np.arange(m)]
+
+
+_ROW_CHUNK = 1024  # descent rows per block: bounds the rows x candidates x terms tensor
+
+
 def _lockstep_descent(ev: _PenaltyEvaluator, x: np.ndarray, rounds: int,
-                      iters: int, lo: float, hi: float) -> np.ndarray:
+                      lo: float, hi: float) -> np.ndarray:
     # Along one coordinate every term is affine, so each coordinate section
-    # of the penalty is convex piecewise-quadratic and ternary search on
-    # slope * t + offset is an exact line minimization.
+    # of the penalty is convex piecewise-quadratic and ``_line_minimum``
+    # minimises it exactly.  A row takes the new value only when its section
+    # value, evaluated the same way for both, is lower than at its current
+    # one; rounding near the float floor can otherwise raise a penalty.
+    # Rows never interact, so they run in blocks of ``_ROW_CHUNK``.
     x = x.copy()
-    for _ in range(rounds):
-        for col in range(x.shape[1]):
-            slope, offset = (a[0] for a in ev.sections(x, [col]))
-
-            def section(t):
-                return _sum_squares(slope * t[:, None] + offset)
-
-            lo_v = np.full(x.shape[0], lo)
-            hi_v = np.full(x.shape[0], hi)
-            for _ in range(iters):
-                third = (hi_v - lo_v) / 3.0
-                m1 = lo_v + third
-                m2 = hi_v - third
-                better1 = section(m1) < section(m2)
-                hi_v = np.where(better1, m2, hi_v)
-                lo_v = np.where(better1, lo_v, m1)
-            mid = 0.5 * (lo_v + hi_v)
-            improve = section(mid) < section(x[:, col])
-            x[improve, col] = mid[improve]
+    for start in range(0, len(x), _ROW_CHUNK):
+        block = x[start:start + _ROW_CHUNK]
+        for _ in range(rounds):
+            for col in range(x.shape[1]):
+                slope, offset = (a[0] for a in ev.sections(block, [col]))
+                t = _line_minimum(slope, offset, lo, hi)
+                improve = (_sum_squares(slope * t[:, None] + offset)
+                           < _sum_squares(slope * block[:, col, None] + offset))
+                block[improve, col] = t[improve]
     return x
 
 
 _HALVINGS = 0.5 ** np.arange(25)  # Gauss-Newton step scales, tried in order
+_ROUNDING_GAIN = 4 * np.finfo(float).eps  # a relative decrease this small is rounding
 
 
 def _gauss_newton(ev: _PenaltyEvaluator, x: np.ndarray, iters: int = 40) -> np.ndarray:
@@ -394,7 +431,8 @@ def _gauss_newton(ev: _PenaltyEvaluator, x: np.ndarray, iters: int = 40) -> np.n
     # one stacked pseudo-inverse and one penalty call however many rows are
     # live or how many halvings they need; a row takes the first halving of
     # its step that lowers its penalty, and stops at penalty 0, at a
-    # non-finite step, or when no halving helps.
+    # non-finite step, when no halving helps, or when the halving it takes
+    # lowers its penalty by no more than rounding (a row at the float floor).
     x = x.copy()
     fx = ev.penalty(x)
     live = fx != 0.0
@@ -421,8 +459,9 @@ def _gauss_newton(ev: _PenaltyEvaluator, x: np.ndarray, iters: int = 40) -> np.n
         live[rows[~moved]] = False
         pick = np.flatnonzero(moved), better.argmax(axis=1)[moved]
         rows = rows[moved]
+        threshold = fx[rows] * (1.0 - _ROUNDING_GAIN)
         x[rows], fx[rows] = trial[pick], ft[pick]
-        live[rows] = fx[rows] != 0.0
+        live[rows] = (fx[rows] != 0.0) & (fx[rows] < threshold)
     return x
 
 
@@ -537,12 +576,12 @@ def scan(system: ConstraintSystem, budget: Optional[ScanBudget] = None,
     pen, flat, x_top = _merge_top(parts, keep)
 
     lo, hi = -box - 0.05 * box - 1e-3, box + 0.05 * box + 1e-3
-    x_top = _lockstep_descent(ev, x_top, budget.descent_rounds, iters=36, lo=lo, hi=hi)
+    x_top = _lockstep_descent(ev, x_top, budget.descent_rounds, lo=lo, hi=hi)
     pen = ev.penalty(x_top)
     order = np.lexsort((flat, pen))[:budget.polish_starts]
     x_polish, flat_polish = x_top[order], flat[order]
 
-    x_polish = _lockstep_descent(ev, x_polish, budget.polish_rounds, iters=84, lo=lo, hi=hi)
+    x_polish = _lockstep_descent(ev, x_polish, budget.polish_rounds, lo=lo, hi=hi)
     x_polish = _gauss_newton(ev, x_polish)
     pen = ev.penalty(x_polish)
     best_idx = np.lexsort((flat_polish, pen))[0]
@@ -558,7 +597,7 @@ def scan(system: ConstraintSystem, budget: Optional[ScanBudget] = None,
         i = int(np.argmin(cloud_pen))
         if cloud_pen[i] < best_pen:
             best, best_pen = cloud[i].copy(), float(cloud_pen[i])
-    best = _lockstep_descent(ev, best[None, :], rounds=2, iters=84, lo=lo, hi=hi)[0]
+    best = _lockstep_descent(ev, best[None, :], rounds=2, lo=lo, hi=hi)[0]
     best = _gauss_newton(ev, best[None, :])[0]
     best, snapped = _exact_snap(ev, best)
     stats["snappedExact"] = snapped

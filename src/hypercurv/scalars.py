@@ -4,8 +4,8 @@ Every quantity in this package lives in one of two regimes:
 
 * ``EXACT``: arbitrary-precision rationals (:class:`fractions.Fraction`).
   Algebraic identities hold literally, so callers may compare with ``==``.
-* ``FLOAT``: double precision.  Comparisons go through an explicit
-  :class:`Tolerance`.
+* ``FLOAT``: double precision.  Comparisons take an explicit relative
+  bound: a :class:`Tolerance` in ``okumura_bound``, inline elsewhere.
 
 Plain integers are accepted in either regime (an integer is exact, and it
 converts losslessly to a double at the magnitudes handled here).  Mixing a
@@ -62,12 +62,13 @@ def coerce(value: Scalar, regime: Regime) -> Scalar:
 
     Coercing a float into EXACT raises: promotion is one-way and must go
     through :func:`promote` on purpose; a ``Fraction`` is immutable and comes
-    back as it is, an integer as a ``Fraction``.  In FLOAT, NaN and infinity raise
-    ``DomainError``; computed results pass through here too, so a float
-    overflow raises rather than returning ``inf``.
+    back as it is, an integer as a ``Fraction``.  In FLOAT, NaN, infinity and
+    an exact value past the double range raise ``DomainError``; computed
+    results pass through here too, so a float overflow raises rather than
+    returning ``inf``.
     """
     if regime is Regime.FLOAT:
-        value = float(value)
+        value = promote(value)
         if not math.isfinite(value):
             raise DomainError(f"not a finite number: {value!r}")
         return value
@@ -79,8 +80,14 @@ def coerce(value: Scalar, regime: Regime) -> Scalar:
 
 
 def promote(value: Scalar) -> float:
-    """Explicit one-way EXACT -> FLOAT promotion."""
-    return float(value)
+    """Explicit one-way EXACT -> FLOAT promotion.
+
+    An exact value too large for a double raises ``DomainError``.
+    """
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError("not a finite number: an exact value exceeds the float range") from None
 
 
 def parse_scalar(raw, regime: Regime) -> Scalar:
@@ -97,10 +104,7 @@ def parse_scalar(raw, regime: Regime) -> Scalar:
             value = Fraction(raw.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"not a rational literal: {raw!r}") from exc
-    try:
-        return coerce(value, regime)
-    except OverflowError as exc:
-        raise DomainError(f"not a finite number: {raw!r}") from exc
+    return coerce(value, regime)
 
 
 def scalar_to_json(value: Scalar):
@@ -151,7 +155,13 @@ class JsonRecord:
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Relative/absolute tolerance pair used by every FLOAT comparison."""
+    """Relative/absolute tolerance pair of ``spectrum.okumura_bound``.
+
+    The other FLOAT comparisons (the canonical-R test of
+    ``caseverify.expected_outcome``, the cylinder invariant check, the
+    symmetry check of a Simons K table and the CLI's ``formsAgree``) state
+    their own relative bound inline.
+    """
 
     rel: float = 1e-9
     abs: float = 1e-12

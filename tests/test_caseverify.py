@@ -11,6 +11,8 @@ from hypercurv.caseverify import (
     BUILTIN_CASES,
     _PenaltyEvaluator,
     _gauss_newton,
+    _line_minimum,
+    _lockstep_descent,
     STRICT_MARGIN,
     ConstraintSystem,
     Relation,
@@ -315,6 +317,76 @@ class TestExcessKernel:
         for start, end in zip(x, batch):
             np.testing.assert_array_equal(_gauss_newton(ev, start[None, :])[0], end)
         assert np.all(ev.penalty(batch) <= ev.penalty(x))
+
+
+def _section_values(slope, offset, t):
+    # Dense oracle of a coordinate section: f at every t[:, k], one row each.
+    terms = slope[:, None, :] * t[:, :, None] + offset[:, None, :]
+    terms[:, :, 2:] = np.maximum(terms[:, :, 2:], 0.0)
+    return (terms ** 2).sum(axis=2)
+
+
+def _section_rows(kind, rng, m=40, terms=9):
+    slope = rng.normal(size=(m, terms)) * rng.choice([0.1, 1.0, 10.0], size=(m, 1))
+    offset = rng.normal(size=(m, terms)) * 3.0
+    if kind == "zero-slopes":
+        slope[rng.random((m, terms)) < 0.4] = 0.0
+        slope[:4] = 0.0  # whole rows flat
+        offset[:2, 2:] = -1.0  # ... and some of them with no active inequality
+    elif kind == "equalities-only":
+        slope, offset = slope[:, :2], offset[:, :2]
+    elif kind == "breakpoints-outside":
+        # -offset/slope far outside [lo, hi] on both sides
+        offset[:, 2:] = np.sign(rng.normal(size=(m, terms - 2))) * 100.0 * np.abs(slope[:, 2:])
+    elif kind == "tied-breakpoints":
+        # inequality terms sharing one breakpoint, some with opposite slopes
+        slope[:, 3:] = slope[:, 2:3] * rng.choice([-2.0, 0.5, 1.0], size=(m, terms - 3))
+        offset[:, 3:] = offset[:, 2:3] * (slope[:, 3:] / slope[:, 2:3])
+    return slope, offset
+
+
+class TestLineMinimum:
+    LO, HI = -4.0, 3.0
+
+    @pytest.mark.parametrize("seed, kind", enumerate(
+        ["random", "zero-slopes", "equalities-only", "breakpoints-outside", "tied-breakpoints"]))
+    def test_no_point_of_a_dense_sweep_is_lower(self, seed, kind):
+        # Zero slopes divide by zero; the suite turns a RuntimeWarning into an error.
+        slope, offset = _section_rows(kind, np.random.default_rng(seed))
+        t = _line_minimum(slope, offset, self.LO, self.HI)
+        assert np.all((self.LO <= t) & (t <= self.HI))
+        sweep = np.broadcast_to(np.linspace(self.LO, self.HI, 20001), (len(t), 20001))
+        dense = _section_values(slope, offset, sweep).min(axis=1)
+        found = _section_values(slope, offset, t[:, None])[:, 0]
+        assert np.all(found <= dense + 1e-12 * (1.0 + dense))
+
+    def test_flat_rows_take_the_first_candidate(self):
+        # Constant sections tie everywhere; the first argmin is the lower bound.
+        slope = np.zeros((2, 4))
+        offset = np.array([[1.0, -2.0, -1.0, 0.5], [0.0, 0.0, -3.0, -1.0]])
+        np.testing.assert_array_equal(_line_minimum(slope, offset, self.LO, self.HI),
+                                      [self.LO, self.LO])
+
+    @pytest.mark.parametrize("system", [builtin_case("thm2-claim"), builtin_case("thm1-lambda2"),
+                                        planted_system()],
+                             ids=["thm2-claim", "thm1-lambda2", "float-custom"])
+    def test_descent_never_raises_a_penalty(self, system):
+        ev = _PenaltyEvaluator(system)
+        box = math.sqrt(float(system.norm_a2_target))
+        lo, hi = -1.05 * box - 1e-3, 1.05 * box + 1e-3
+        x = np.random.default_rng(5).uniform(-box, box, size=(50, len(ev.free0)))
+        before = ev.penalty(x)
+        for rounds in (1, 3):
+            after = ev.penalty(_lockstep_descent(ev, x, rounds, lo, hi))
+            assert np.all(after <= before)
+        assert np.all(after < before)
+
+    def test_descent_keeps_an_exact_witness(self):
+        system = builtin_case("thm1-lambda2")
+        ev = _PenaltyEvaluator(system)
+        x = np.array([[0.0, 2.0, 2.0]])  # (0, 0, 2, 2) with x_2 pinned
+        assert ev.penalty(x)[0] == 0.0
+        np.testing.assert_array_equal(_lockstep_descent(ev, x, 2, -3.0, 3.0), x)
 
 
 class TestCertificates:

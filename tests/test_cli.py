@@ -300,6 +300,18 @@ class TestErrors:
                         "--budget", "1000"]) == 1
         assert "not a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--case", "thm1-claim", "--H", "1e200", "--seed", "1", "--budget", "1000"],
+        ["simons", "--lambdas", "1e200,0,-1e200", "--gauss"],
+    ], ids=["scan-H", "simons-norm-phi2"])
+    def test_exact_value_past_float_range(self, capsys, argv):
+        # Both inputs are exact; the overflow comes when the scan's targets
+        # or the reported |phi|^2 are promoted to doubles.
+        assert cli.run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceeds the float range" in captured.err
+
     @pytest.mark.parametrize("argv, message", [
         (["scan", "--case", "thm1-lambda2", "--seed", "1", "--budget", "20000",
           "--tol", "nan"], "tol must be finite"),

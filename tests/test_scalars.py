@@ -74,6 +74,17 @@ def test_float_overflow_in_a_computation_raises():
         sigma([1e200, 1e200], 2)
 
 
+def test_exact_value_past_float_range_raises():
+    huge = Fraction(10) ** 400
+    for convert in (promote, lambda v: coerce(v, Regime.FLOAT)):
+        with pytest.raises(DomainError, match="exceeds the float range"):
+            convert(huge)
+        with pytest.raises(DomainError, match="exceeds the float range"):
+            convert(-(10 ** 400))
+    with pytest.raises(DomainError, match="exceeds the float range"):
+        parse_scalar("1e400", Regime.FLOAT)
+
+
 def test_parse_scalar_strings():
     assert parse_scalar("3/4", Regime.EXACT) == Fraction(3, 4)
     assert parse_scalar(" -7 ", Regime.EXACT) == Fraction(-7)
