@@ -11,7 +11,9 @@ uniform grid, keeps the best cells of a squared-violation penalty, runs
 lockstep coordinate descent and Gauss-Newton, and finishes with a seeded
 random-perturbation polish.  A returned WITNESS is always re-validated by
 an independent pure-Python constraint evaluator; NO_WITNESS is
-exhaustive-search evidence, not a proof.
+exhaustive-search evidence, not a proof.  A system whose penalty could
+overflow a double over that box is refused with ``DomainError`` before the
+grid, rather than ranked by inf.
 
 The scan encodes its constraint terms once, as a matrix of signed excess
 (one column per term, positive when violated).  Every term is affine in
@@ -332,6 +334,20 @@ class _PenaltyEvaluator:
     def penalty(self, x_free: np.ndarray) -> np.ndarray:
         return _sum_squares(self.excess(x_free))
 
+    def excess_bound(self, reach: float) -> float:
+        """Upper bound on any term's |excess| while every |x_i| <= reach.
+
+        |sigma_r| <= C(n, r) reach^r, and r = 1 also covers the ordering
+        steps and the sign bounds.  Products only, so a bound past the double
+        range reads as inf rather than raising.
+        """
+        power, largest = 1.0, 0.0
+        for r in range(1, self.top + 1):
+            power *= reach
+            largest = max(largest, comb(self.n, r) * power)
+        return largest + max(abs(self.trace), abs(self.sigma2),
+                             float(np.abs(self.t).max(initial=0.0)))
+
     def sections(self, x_free: np.ndarray, cols) -> Tuple[np.ndarray, np.ndarray]:
         """Slope and offset of every term along each coordinate in ``cols``.
 
@@ -536,6 +552,17 @@ def scan(system: ConstraintSystem, budget: Optional[ScanBudget] = None,
             violations=viols, stats=stats,
         )
 
+    box = math.sqrt(max(norm_a2, 0.0))
+    lo, hi = -box - 0.05 * box - 1e-3, box + 0.05 * box + 1e-3
+    # The penalty squares every term, and the descent squares slopes (the
+    # difference of two excess values, probed at x_j = 1) and sums them over
+    # the terms; refuse a box where that can overflow rather than rank
+    # points by inf.
+    bound = 2.0 * ev.excess_bound(max(hi, 1.0))
+    if not math.isfinite(ev.terms * bound * bound):
+        raise DomainError(
+            f"the scan's penalty can overflow a double over the search box [{lo:.3g}, {hi:.3g}]; "
+            "rescale the system")
     if norm_a2 < 0:
         # sum x_i^2 = trace^2 - 2 sigma_2 < 0 is unsatisfiable outright.
         stats.update({"gridCells": 0, "note": "equalities force a negative sum of squares"})
@@ -544,7 +571,6 @@ def scan(system: ConstraintSystem, budget: Optional[ScanBudget] = None,
         stats["gridCells"] = 1
         return finish(np.zeros((1, 0)))
 
-    box = math.sqrt(norm_a2)
     axis_points = max(2, int(budget.grid_points ** (1.0 / d)))
     while axis_points ** d > budget.grid_points and axis_points > 2:
         axis_points -= 1
@@ -575,7 +601,6 @@ def scan(system: ConstraintSystem, budget: Optional[ScanBudget] = None,
             parts = list(pool.map(eval_range, ranges))
     pen, flat, x_top = _merge_top(parts, keep)
 
-    lo, hi = -box - 0.05 * box - 1e-3, box + 0.05 * box + 1e-3
     x_top = _lockstep_descent(ev, x_top, budget.descent_rounds, lo=lo, hi=hi)
     pen = ev.penalty(x_top)
     order = np.lexsort((flat, pen))[:budget.polish_starts]
@@ -862,7 +887,7 @@ def certificate_check(system: ConstraintSystem, seed: int = 0, count: int = 1000
         viol = max_violation(system, x)
         if viol <= tol:
             feasible += 1
-        value = promote(closed_form_contradiction(system, x))
+        value = case.value(x, trace, s2)
         identity, gap = case.audit(x, value, s2, h)
         identity_residual = max(identity_residual, identity)
         margin = min(margin, gap)
@@ -932,40 +957,30 @@ def pct_sets(values: Sequence[Scalar], zero_tol: float = 1e-12,
     plus = sorted(v for v in vals if v > zero_tol)
     minus = sorted(v for v in vals if v < -zero_tol)
     zero_count = len(vals) - len(plus) - len(minus)
-    plus_summary = SetSummary(len(plus), plus[0] if plus else None,
-                              plus[-1] if plus else None)
-    minus_summary = SetSummary(len(minus), minus[0] if minus else None,
-                               minus[-1] if minus else None)
     if not plus and not minus:
-        return PctReport(
-            verdict="PLANAR", condition="planar", plus=plus_summary,
-            minus=minus_summary, zero_count=zero_count, zero_tolerance=zero_tol,
-            approach_tolerance=approach_tol, max_gap=None,
-            detail="planar sample: every value is zero within tolerance",
-        )
-    if plus and minus:
+        verdict, condition, max_gap = "PLANAR", "planar", None
+        detail = "planar sample: every value is zero within tolerance"
+    elif plus and minus:
+        condition, max_gap = "two-sided", None
         ok_plus = plus[0] <= approach_tol
         ok_minus = minus[-1] >= -approach_tol
         if ok_plus and ok_minus:
-            verdict, detail = "CONSISTENT", (
-                "both signed sets approach zero within tolerance")
+            verdict, detail = "CONSISTENT", "both signed sets approach zero within tolerance"
         else:
             side = [] if ok_plus else [f"inf of positive values is {plus[0]!r}"]
             if not ok_minus:
                 side.append(f"sup of negative values is {minus[-1]!r}")
             verdict, detail = "VIOLATED", "; ".join(side) + ", not 0"
-        return PctReport(
-            verdict=verdict, condition="two-sided", plus=plus_summary,
-            minus=minus_summary, zero_count=zero_count, zero_tolerance=zero_tol,
-            approach_tolerance=approach_tol, max_gap=None, detail=detail,
-        )
-    side_vals = sorted(set(plus or minus) | ({0.0} if zero_count else set()))
-    max_gap = max(
-        (b - a for a, b in zip(side_vals, side_vals[1:])), default=0.0)
+    else:
+        verdict, condition = "CONSISTENT", "one-sided"
+        side_vals = sorted(set(plus or minus) | ({0.0} if zero_count else set()))
+        max_gap = max((b - a for a, b in zip(side_vals, side_vals[1:])), default=0.0)
+        detail = ("one-sided sample; a finite sample cannot refute a connected "
+                  f"closure (largest adjacent gap {max_gap!r})")
     return PctReport(
-        verdict="CONSISTENT", condition="one-sided", plus=plus_summary,
-        minus=minus_summary, zero_count=zero_count, zero_tolerance=zero_tol,
-        approach_tolerance=approach_tol, max_gap=max_gap,
-        detail="one-sided sample; a finite sample cannot refute a connected "
-               f"closure (largest adjacent gap {max_gap!r})",
+        verdict=verdict, condition=condition,
+        plus=SetSummary(len(plus), plus[0] if plus else None, plus[-1] if plus else None),
+        minus=SetSummary(len(minus), minus[0] if minus else None, minus[-1] if minus else None),
+        zero_count=zero_count, zero_tolerance=zero_tol, approach_tolerance=approach_tol,
+        max_gap=max_gap, detail=detail,
     )

@@ -100,22 +100,16 @@ class SimonsPointData:
         n = spectrum.n
         if hess_h is None:
             hess_h = (coerce(0, regime),) * n
-        if regime is Regime.EXACT:
-            # K_ij = (c_num D^2 + c_den a_i a_j) / (c_den D^2) with a_i = lambda_i D,
-            # built once per pair i <= j and mirrored.
-            a, D = _lift(lam)
-            c_den = spectrum.c.denominator
-            base = spectrum.c.numerator * D * D
-            den = c_den * D * D
-            rows = [[None] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i, n):
-                    rows[i][j] = rows[j][i] = Fraction(base + c_den * a[i] * a[j], den)
-            table = tuple(tuple(row) for row in rows)
-        else:
-            table = tuple(
-                tuple(spectrum.c + a * b for b in lam) for a in lam
-            )
+        # Lifted together, lambda_i = a_i / D and c = c' / D, so
+        # K_ij = (c' D + a_i a_j) / D^2, built once per pair i <= j and mirrored.
+        a, D, over = _lift((*lam, spectrum.c), regime)
+        base = a.pop() * D
+        den = D * D
+        rows = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = over(base + a[i] * a[j], den)
+        table = tuple(tuple(row) for row in rows)
         return cls(spectrum=spectrum, grad_a2=coerce(grad_a2, regime),
                    hess_h=tuple(hess_h), k_table=table, gauss=True)
 

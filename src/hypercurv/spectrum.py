@@ -18,14 +18,17 @@ All operations accept either numeric regime.  In EXACT the classical
 identities hold literally, e.g. n^2 H^2 = |A|^2 + n(n-1)(R - c) and
 tr A^3 = tr phi^3 + 3 H |phi|^2 + n H^3, and tests compare with ``==``.
 
-EXACT values are computed fraction free.  A spectrum is lifted once to
-integer numerators a_i = lambda_i D over the common denominator D (the lcm
-of the lambda_i denominators); every sum, product and recursion then runs
-in plain ``int`` arithmetic, and each output value is built as one
-``Fraction`` over the matching power of D, so it is normalized exactly
-once.  For example sigma_r = e_r(a) / D^r, and the traceless eigenvalues
-are mu_i = (n a_i - e_1(a)) / (n D).  The results are the same rationals
-the direct ``Fraction`` arithmetic gives.
+One lifted kernel serves both regimes.  A spectrum is lifted once to
+numerators a_i = lambda_i D over a common denominator D; every sum, product
+and recursion runs on the a_i, and each output value is built once as a
+numerator over the matching power of D.  In EXACT, D is the lcm of the
+lambda_i denominators, the a_i are plain ``int`` values, and each output is
+one ``Fraction``, normalized exactly once: sigma_r = e_r(a) / D^r, and the
+traceless eigenvalues are mu_i = (n a_i - e_1(a)) / (n D).  These are the
+same rationals the direct ``Fraction`` arithmetic gives.  In FLOAT the
+values pass through with D = 1, so every division is exact and each output
+is the double the plain float arithmetic gives, checked finite on the way
+out: an overflow raises ``DomainError`` rather than returning ``inf``.
 """
 
 from __future__ import annotations
@@ -34,9 +37,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm, sqrt
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
-from .errors import DomainError, RegimeError
+from .errors import DomainError
 from .scalars import (
     DEFAULT_TOLERANCE,
     JsonRecord,
@@ -47,7 +50,6 @@ from .scalars import (
     common_regime,
     parse_scalar,
     promote,
-    regime_of,
     to_json,
 )
 
@@ -113,12 +115,20 @@ class CurvatureSpectrum:
         return spectrum
 
 
-def _lift(values: Sequence[Scalar]) -> Tuple[list, int]:
-    # Integer numerators a_i = v_i * D over D = lcm of the denominators, for
-    # exact values (Fractions and plain integers).
+def _float_over(num: Scalar, den: int) -> float:
+    return coerce(num / den, Regime.FLOAT)
+
+
+def _lift(values: Sequence[Scalar], regime: Regime) -> Tuple[list, int, Callable]:
+    # Numerators a_i = v_i * D over a common denominator D, and the function
+    # ``over(num, den)`` that builds an output value.  EXACT: integer
+    # numerators over D = lcm of the denominators, outputs one Fraction each.
+    # FLOAT: the values themselves over D = 1, outputs checked finite.
+    if regime is Regime.FLOAT:
+        return list(values), 1, _float_over
     pairs = [(int(v.numerator), int(v.denominator)) for v in values]
     D = lcm(*(q for _, q in pairs))
-    return [p * (D // q) for p, q in pairs], D
+    return [p * (D // q) for p, q in pairs], D, Fraction
 
 
 def _sigma_coefficients(values: Sequence[Scalar], top: int) -> list:
@@ -136,19 +146,15 @@ def sigma(values: Sequence[Scalar], r: int) -> Scalar:
     values = tuple(values)
     if not 0 <= r <= len(values):
         raise DomainError(f"sigma_{r} undefined for {len(values)} values")
-    if common_regime(values) is Regime.EXACT:
-        a, D = _lift(values)
-        return Fraction(_sigma_coefficients(a, r)[r], D ** r)
-    return coerce(_sigma_coefficients(values, r)[r], Regime.FLOAT)
+    a, D, over = _lift(values, common_regime(values))
+    return over(_sigma_coefficients(a, r)[r], D ** r)
 
 
 def sigma_all(values: Sequence[Scalar]) -> Tuple[Scalar, ...]:
     """All of (sigma_0, ..., sigma_n) in one pass."""
     values = tuple(values)
-    if common_regime(values) is Regime.EXACT:
-        a, D = _lift(values)
-        return tuple(Fraction(e, D ** r) for r, e in enumerate(_sigma_coefficients(a, len(a))))
-    return tuple(coerce(cf, Regime.FLOAT) for cf in _sigma_coefficients(values, len(values)))
+    a, D, over = _lift(values, common_regime(values))
+    return tuple(over(e, D ** r) for r, e in enumerate(_sigma_coefficients(a, len(a))))
 
 
 def _sigma_or_zero(values: Sequence[Scalar], r: int) -> Scalar:
@@ -197,33 +203,27 @@ def invariants(spectrum: CurvatureSpectrum) -> InvariantReport:
     """Compute the full invariant report for one spectrum."""
     lam = spectrum.lambdas
     n = spectrum.n
-    if spectrum.regime is Regime.EXACT:
-        a, D = _lift(lam)
-        E = _sigma_coefficients(a, n)
-        S = tuple(Fraction(e, D ** r) for r, e in enumerate(E))
-        Hr = tuple(Fraction(e, D ** r * comb(n, r)) for r, e in enumerate(E))
-        H = Hr[1]
-        # mu_i = lambda_i - H = (n a_i - E_1) / (n D)
-        b = [n * v - E[1] for v in a]
-        nD = n * D
-        mu = tuple(Fraction(v, nD) for v in b)
-        norm_a2 = Fraction(sum(v * v for v in a), D * D)
-        tr_a3 = Fraction(sum(v * v * v for v in a), D ** 3)
-        norm_phi2 = Fraction(sum(v * v for v in b), nD * nD)
-        tr_phi3 = Fraction(sum(v * v * v for v in b), nD ** 3)
+    regime = spectrum.regime
+    a, D, over = _lift(lam, regime)
+    E = _sigma_coefficients(a, n)
+    S = tuple(over(e, D ** r) for r, e in enumerate(E))
+    Hr = tuple(over(e, D ** r * comb(n, r)) for r, e in enumerate(E))
+    H = Hr[1]
+    # mu_i = b_i / m.  EXACT stays in ints, b_i = n a_i - E_1 over m = n D;
+    # FLOAT subtracts H itself, since (n lambda_i - E_1) / n rounds
+    # differently from lambda_i - E_1 / n.
+    if regime is Regime.EXACT:
+        b, m = [n * v - E[1] for v in a], n * D
     else:
-        S = sigma_all(lam)
-        Hr = tuple(S[r] / comb(n, r) for r in range(n + 1))
-        H = Hr[1]
-        norm_a2 = sum(v * v for v in lam)
-        mu = tuple(v - H for v in lam)
-        norm_phi2 = sum(m * m for m in mu)
-        tr_phi3 = sum(m * m * m for m in mu)
-        tr_a3 = sum(v * v * v for v in lam)
-    R = spectrum.c + Hr[2]
+        b, m = [v - H for v in lam], 1
     return InvariantReport(
-        n=n, c=spectrum.c, regime=spectrum.regime, H=H, S=S, Hr=Hr, R=R,
-        norm_a2=norm_a2, mu=mu, norm_phi2=norm_phi2, tr_phi3=tr_phi3, tr_a3=tr_a3,
+        n=n, c=spectrum.c, regime=regime, H=H, S=S, Hr=Hr,
+        R=coerce(spectrum.c + Hr[2], regime),
+        norm_a2=over(sum(v * v for v in a), D * D),
+        mu=tuple(over(v, m) for v in b),
+        norm_phi2=over(sum(v * v for v in b), m * m),
+        tr_phi3=over(sum(v * v * v for v in b), m ** 3),
+        tr_a3=over(sum(v * v * v for v in a), D ** 3),
     )
 
 
@@ -233,21 +233,16 @@ def tr_a3_sides(spectrum: CurvatureSpectrum) -> Tuple[Scalar, Scalar]:
     Returns ``(lhs, rhs)``; they agree identically, so EXACT callers can
     assert literal equality.  For n = 2 the S_3 term vanishes.
     """
-    lam = spectrum.lambdas
-    if spectrum.regime is Regime.EXACT:
-        # Both sides over 2 D^3: sum a^3 and a1 (3 sum a^2 - a1^2) + 6 e_3(a).
-        a, D = _lift(lam)
-        a1 = sum(a)
-        e3 = _sigma_coefficients(a, 3)[3]
-        lhs = Fraction(sum(v * v * v for v in a), D ** 3)
-        rhs = Fraction(a1 * (3 * sum(v * v for v in a) - a1 * a1) + 6 * e3, 2 * D ** 3)
-        return lhs, rhs
-    s1 = sum(lam)
-    s3 = _sigma_or_zero(lam, 3)
-    norm_a2 = sum(v * v for v in lam)
-    lhs = sum(v * v * v for v in lam)
-    rhs = s1 * (3 * norm_a2 - s1 * s1) / 2 + 3 * s3
-    return lhs, rhs
+    # Over D^3: sum a^3, and a1 (3 sum a^2 - a1^2) / 2 + 3 e_3(a).  The rhs
+    # stays two terms: in FLOAT, one quotient (a1 (...) + 6 e_3) / 2 rounds
+    # differently at subnormals and can overflow where the sum does not.
+    regime = spectrum.regime
+    a, D, over = _lift(spectrum.lambdas, regime)
+    a1 = sum(a)
+    D3 = D ** 3
+    lhs = over(sum(v * v * v for v in a), D3)
+    half = over(a1 * (3 * sum(v * v for v in a) - a1 * a1), 2 * D3)
+    return lhs, coerce(half + over(3 * _sigma_coefficients(a, 3)[3], D3), regime)
 
 
 def newton_eigenvalues(spectrum: CurvatureSpectrum, r: int) -> Tuple[Scalar, ...]:
@@ -261,22 +256,14 @@ def newton_eigenvalues(spectrum: CurvatureSpectrum, r: int) -> Tuple[Scalar, ...
     n = spectrum.n
     if not 0 <= r <= n:
         raise DomainError(f"Newton transformation P_{r} undefined for n={n}")
-    lam = spectrum.lambdas
-    if spectrum.regime is Regime.EXACT:
-        # q_{r,i} = p_{r,i} D^r obeys q_{r,i} = E_r - a_i q_{r-1,i} in ints.
-        a, D = _lift(lam)
-        E = _sigma_coefficients(a, r)
-        q = [1] * n
-        for j in range(1, r + 1):
-            q = [E[j] - a[i] * q[i] for i in range(n)]
-        den = D ** r
-        return tuple(Fraction(v, den) for v in q)
-    S = sigma_all(lam)
-    one = coerce(1, spectrum.regime)
-    p = [one] * n
+    # q_{r,i} = p_{r,i} D^r obeys q_{r,i} = E_r - a_i q_{r-1,i}.
+    a, D, over = _lift(spectrum.lambdas, spectrum.regime)
+    E = _sigma_coefficients(a, r)
+    q = [1] * n
     for j in range(1, r + 1):
-        p = [S[j] - lam[i] * p[i] for i in range(n)]
-    return tuple(p)
+        q = [E[j] - a[i] * q[i] for i in range(n)]
+    den = D ** r
+    return tuple(over(v, den) for v in q)
 
 
 @dataclass(frozen=True)
@@ -317,7 +304,7 @@ def okumura_bound(mu: Sequence[Scalar], tol: Tolerance = DEFAULT_TOLERANCE) -> O
     if regime is Regime.EXACT:
         # Lifted to a_i = mu_i D: beta^2 = P2 / D^2, sum3 = P3 / D^3, and the
         # verdict sum3^2 <= bound^2 is n(n-1) P3^2 <= (n-2)^2 P2^3 in ints.
-        a, D = _lift(mu)
+        a, D, _ = _lift(mu, regime)
         if sum(a) != 0:
             raise DomainError(f"mu must be traceless, got sum {Fraction(sum(a), D)}")
         p2 = sum(m * m for m in a)

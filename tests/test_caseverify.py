@@ -257,6 +257,23 @@ class TestScan:
         with pytest.raises(DomainError):
             ScanBudget(grid_points=0)
 
+    def test_penalty_overflow_refused_before_the_grid(self):
+        # thm1-claim has sigma_2 terms only, whose squares fit at H = 1e50;
+        # thm2-claim's sigma_4 term squares past the double range.
+        v = scan(builtin_case("thm1-claim", H=10 ** 50), budget=small_budget(1000), seed=1)
+        assert math.isfinite(v.stats["bestPenalty"])
+        with pytest.raises(DomainError, match="penalty can overflow a double"):
+            scan(builtin_case("thm2-claim", H=10 ** 50), budget=small_budget(1000), seed=1)
+
+    @pytest.mark.parametrize("name", ["thm1-claim", "thm2-claim", "thm2-lambda2"])
+    def test_excess_bound_covers_the_box(self, name):
+        ev = _PenaltyEvaluator(builtin_case(name, H=Fraction(7, 3)))
+        reach = 5.0
+        rng = np.random.default_rng(11)
+        x = rng.uniform(-reach, reach, size=(4000, len(ev.free0)))
+        x[:8] = np.sign(x[:8]) * reach  # corners, where the sigma_r peak
+        assert np.abs(ev.excess(x)).max() <= ev.excess_bound(reach)
+
     def test_stats_shape(self):
         v = scan(builtin_case("thm1-lambda2"), budget=small_budget(), seed=0)
         stats = v.stats

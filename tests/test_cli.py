@@ -312,6 +312,23 @@ class TestErrors:
         assert captured.out == ""
         assert "exceeds the float range" in captured.err
 
+    def test_float_overflow_in_invariants(self, capsys):
+        # every S_r is finite; |A|^2 = 2e308 is not
+        assert cli.run(["invariants", "--regime", "float", "--lambdas", "1e154,1e154,0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not a finite number" in captured.err
+
+    def test_scan_penalty_past_float_range(self, capsys):
+        # H = 1e100 fits a double, but sigma_2 over the search box squares
+        # past it; the scan refuses before the grid, so no overflow warning
+        # is raised (tier-1 turns a RuntimeWarning into an error).
+        assert cli.run(["scan", "--case", "thm1-claim", "--H", "1e100", "--seed", "1",
+                        "--budget", "1000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "penalty can overflow a double" in captured.err
+
     @pytest.mark.parametrize("argv, message", [
         (["scan", "--case", "thm1-lambda2", "--seed", "1", "--budget", "20000",
           "--tol", "nan"], "tol must be finite"),

@@ -21,7 +21,14 @@ from hypercurv.scalars import (
     scalar_to_json,
     to_json,
 )
-from hypercurv.spectrum import CurvatureSpectrum, invariants, sigma
+from hypercurv.simons import SimonsPointData
+from hypercurv.spectrum import (
+    CurvatureSpectrum,
+    invariants,
+    newton_eigenvalues,
+    sigma,
+    tr_a3_sides,
+)
 
 
 def test_regime_of_basic():
@@ -72,6 +79,24 @@ def test_coerce_rejects_non_finite_floats(bad):
 def test_float_overflow_in_a_computation_raises():
     with pytest.raises(DomainError, match="not a finite number"):
         sigma([1e200, 1e200], 2)
+    # |A|^2 and tr A^3 overflow although every S_r is finite.
+    s = CurvatureSpectrum([1e154, 1e154, 0.0])
+    for compute in (invariants, tr_a3_sides):
+        with pytest.raises(DomainError, match="not a finite number"):
+            compute(s)
+    # Every Newton eigenvalue and K_ij of that spectrum is finite (1e308 at
+    # most); one step larger, S_2 and K_23 = lambda_2 lambda_3 overflow.
+    t = CurvatureSpectrum([1e155, 1e155, 0.0])
+    with pytest.raises(DomainError, match="not a finite number"):
+        newton_eigenvalues(t, 2)
+    with pytest.raises(DomainError, match="not a finite number"):
+        SimonsPointData.with_gauss_curvatures(t)
+
+
+def test_float_newton_eigenvalues_need_only_their_own_sigmas():
+    # S_2 of this spectrum overflows, but P_1 = S_1 I - A reads only S_1.
+    t = CurvatureSpectrum([1e155, 1e155, 0.0])
+    assert newton_eigenvalues(t, 1) == (2e155, 1e155, 1e155)
 
 
 def test_exact_value_past_float_range_raises():

@@ -7,6 +7,7 @@ import pytest
 import oracles
 from hypercurv.errors import DomainError, RegimeError
 from hypercurv.scalars import Regime, Tolerance
+from hypercurv.simons import SimonsPointData
 from hypercurv.spectrum import (
     CurvatureSpectrum,
     invariants,
@@ -290,6 +291,29 @@ class TestLiftedKernel:
                           2.1900000000000004)
         assert (rep.norm_a2, rep.norm_phi2, rep.tr_phi3, rep.tr_a3) == (
             16.4125, 12.272000000000002, -2.495789999999996, 34.774625)
+        assert tr_a3_sides(s) == (34.774625, 34.774625000000015)
+        assert SimonsPointData.with_gauss_curvatures(s).k_table == (
+            (2.55, -0.07500000000000001, -0.7499999999999998, -2.7, -4.3500000000000005),
+            (-0.07500000000000001, 0.3625, 0.475, 0.8, 1.075),
+            (-0.7499999999999998, 0.475, 0.7899999999999999, 1.7, 2.4699999999999998),
+            (-2.7, 0.8, 1.7, 4.3, 6.5),
+            (-4.3500000000000005, 1.075, 2.4699999999999998, 6.5, 9.910000000000002))
+
+    def test_float_paths_pinned_n2_signed_zero(self):
+        # n = 2, where the S_3 term of tr_a3_sides vanishes; repr tells -0.0
+        # from 0.0, which == does not.
+        s = CurvatureSpectrum([1.3, -0.0], c=-0.0)
+        assert repr(sigma_all(s.lambdas)) == "(1.0, 1.3, 0.0)"
+        assert repr(tr_a3_sides(s)) == "(2.1970000000000005, 2.197)"
+        assert repr([newton_eigenvalues(s, r) for r in range(3)]) == (
+            "[(1.0, 1.0), (1.3, 0.0), (0.0, 0.0)]")
+        rep = invariants(s)
+        assert repr((rep.H, rep.S, rep.Hr, rep.R, rep.norm_a2, rep.mu, rep.norm_phi2,
+                     rep.tr_phi3, rep.tr_a3)) == (
+            "(0.65, (1.0, 1.3, 0.0), (1.0, 0.65, 0.0), 0.0, 1.6900000000000002, "
+            "(-0.65, 0.65), 0.8450000000000001, 0.0, 2.1970000000000005)")
+        assert repr(SimonsPointData.with_gauss_curvatures(s).k_table) == (
+            "((0.0, -0.0), (-0.0, 1.6900000000000002))")
 
 
 class TestOkumura:
