@@ -7,9 +7,10 @@ b_ij = <d^2 f / du_i du_j, normal>.  Principal curvatures solve the
 generalized symmetric eigenproblem b v = lambda g v.
 
 Derivatives come from one of two sources: ``ANALYTIC`` patches carry exact
-derivatives (the built-in shapes differentiate symbolically and compile the
-result), while ``finite_difference_lift`` builds a patch from any embedding
-callback with central differences of step h (default eps^(1/3) (1 + |u|)).
+derivatives (the built-in shapes are sums of coefficient times sin, cos, u
+and u^2 factors, differentiated in closed form when the shape is built),
+while ``finite_difference_lift`` builds a patch from any embedding callback
+with central differences of step h (default eps^(1/3) (1 + |u|)).
 
 Orientation: the normal's sign is first fixed canonically (largest-magnitude
 component positive) and then flipped, if needed, so the mean curvature is
@@ -30,6 +31,7 @@ import subprocess
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -181,58 +183,81 @@ def finite_difference_lift(embedding: Callable[[np.ndarray], Sequence[float]],
 
 
 class SymbolicShape:
-    """A built-in embedding with compiled exact derivatives.
+    """A built-in embedding with closed-form exact derivatives.
 
     Callable on a parameter vector (for the finite-difference path) and able
-    to produce an ANALYTIC :class:`PatchSample` with symbolically exact
-    Jacobian and second derivatives.
+    to produce an ANALYTIC :class:`PatchSample`.  Row r is a sum of terms
+    (coefficient, factors), factor f being sin, cos, u or u**2 of u_(f % n)
+    for f // n = 0..3.  A term is its coefficient times its factors in
+    ascending order, left to right; a sum adds its terms in order.
     """
 
-    def __init__(self, name: str, symbols, expressions):
-        import sympy as sp
+    def __init__(self, name: str, n: int, rows):
+        self.name, self.n = name, n
+        value = [((r,), coef, factors) for r, row in enumerate(rows) for coef, factors in row]
+        jacobian = _derivatives(value, n)
+        second = [((i, j, r), coef, f) for (r, i, j), coef, f in _derivatives(jacobian, n)]
+        self._compiled = [_compile(terms, shape) for terms, shape in (
+            (value, (n + 1,)), (jacobian, (n + 1, n)), (second, (n, n, n + 1)))]
 
-        self.name = name
-        self.n = len(symbols)
-        if len(expressions) != self.n + 1:
+    def _factors(self, point: Sequence[float]) -> Tuple[np.ndarray, list]:
+        u = np.asarray(point, dtype=float)
+        if u.shape != (self.n,):
             raise DomainError(
-                f"shape {name!r} must embed R^{self.n} into R^{self.n + 1}")
-        self._value = sp.lambdify([symbols], sp.Matrix(expressions), "numpy")
-        self._jacobian = sp.lambdify(
-            [symbols], sp.Matrix(expressions).jacobian(sp.Matrix(symbols)), "numpy")
-        flat_second = [sp.diff(e, si, sj)
-                       for si in symbols for sj in symbols for e in expressions]
-        self._second = sp.lambdify([symbols], flat_second, "numpy")
+                f"shape {self.name!r} expects {self.n} parameters, got {u.shape}")
+        # Python's float ** 2 is not always u * u; squares are taken that way.
+        return u, (np.sin(u).tolist() + np.cos(u).tolist() + u.tolist()
+                   + [v ** 2 for v in u.tolist()])
 
     def __call__(self, point: Sequence[float]) -> np.ndarray:
-        u = [float(v) for v in np.asarray(point, dtype=float)]
-        return np.asarray(self._value(u), dtype=float).reshape(-1)
+        return _evaluate(self._factors(point)[1], *self._compiled[0])
 
     def patch(self, point: Sequence[float]) -> PatchSample:
-        u_arr = np.asarray(point, dtype=float)
-        if u_arr.shape != (self.n,):
-            raise DomainError(
-                f"shape {self.name!r} expects {self.n} parameters, got {u_arr.shape}")
-        u = [float(v) for v in u_arr]
-        value = np.asarray(self._value(u), dtype=float).reshape(-1)
-        jac = np.asarray(self._jacobian(u), dtype=float)
-        second = np.asarray(self._second(u), dtype=float).reshape(
-            self.n, self.n, self.n + 1)
-        return PatchSample(point=u_arr, value=value, jacobian=jac,
-                           second=second, source=PatchSource.ANALYTIC)
+        u, factors = self._factors(point)
+        value, jac, second = (_evaluate(factors, *c) for c in self._compiled)
+        return PatchSample(point=u, value=value, jacobian=jac, second=second,
+                           source=PatchSource.ANALYTIC)
 
 
-def _spherical_coordinates(symbols, radius):
-    # Round k-sphere of the given radius in R^{k+1}:
-    # (cos t1, sin t1 cos t2, ..., sin t1 ... sin tk).
-    import sympy as sp
+def _derivatives(terms, n: int):
+    # d/du_i of each term, keyed key + (i,); u_i is in at most one factor of a term.
+    out = []
+    for key, coef, factors in terms:
+        for f in factors:  # d sin = cos, d cos = -sin, d u = 1, d u**2 = 2 u
+            scale, kind = ((1, 1), (-1, 0), (1, None), (2, 2))[f // n]
+            rest = [g for g in factors if g != f] + ([] if kind is None else [kind * n + f % n])
+            out.append((key + (f % n,), scale * coef, sorted(rest)))
+    return out
 
-    components = []
-    prefix = sp.Integer(1)
-    for t in symbols:
-        components.append(prefix * sp.cos(t))
-        prefix = prefix * sp.sin(t)
-    components.append(prefix)
-    return [radius * comp for comp in components]
+
+def _compile(terms, shape):
+    # Flat positions and float coefficients; a sum starts at -0.0, as -0.0 + v is v.
+    terms = [(int(np.ravel_multi_index(key, shape)), float(coef), tuple(factors))
+             for key, coef, factors in terms]
+    used = {position for position, _, _ in terms}
+    return shape, [-0.0 if p in used else 0.0 for p in range(math.prod(shape))], terms
+
+
+def _evaluate(factors: list, shape, start: list, terms) -> np.ndarray:
+    out = list(start)
+    for position, value, term_factors in terms:
+        for f in term_factors:
+            value *= factors[f]
+        out[position] += value
+    return np.array(out).reshape(shape)
+
+
+def _parameter(value, what: str):
+    # A float is used as given; anything else must be an exact rational.
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float(value)
+    else:
+        try:
+            return Fraction(value)
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+            pass
+    raise DomainError(f"{what} must be a finite number, got {value!r}")
 
 
 def make_shape(name: str, n: int, radius=1, k: Optional[int] = None,
@@ -245,34 +270,27 @@ def make_shape(name: str, n: int, radius=1, k: Optional[int] = None,
     * ``graph``: the graph of the quadratic (1/2) sum c_i u_i^2 over R^n,
       with unit coefficients by default.
     """
-    import sympy as sp
-
     if n < 2:
         raise DomainError(f"shapes need n >= 2, got n={n}")
-    radius_expr = sp.Rational(radius) if not isinstance(radius, float) else sp.Float(radius)
-    if radius_expr <= 0 and name in ("sphere", "cylinder"):
+    radius = _parameter(radius, "radius")
+    if radius <= 0 and name in ("sphere", "cylinder"):
         raise DomainError(f"radius must be positive, got {radius}")
-    symbols = sp.symbols(f"u1:{n + 1}", real=True)
-    if name == "sphere":
-        return SymbolicShape("sphere", symbols,
-                             _spherical_coordinates(symbols, radius_expr))
-    if name == "cylinder":
-        if k is None or not 1 <= k <= n - 1:
-            raise DomainError(
-                f"cylinder needs a sphere dimension k in [1, {n - 1}], got {k}")
-        flat = list(symbols[: n - k])
-        sphere_part = _spherical_coordinates(symbols[n - k:], radius_expr)
-        return SymbolicShape("cylinder", symbols, flat + sphere_part)
+    identity = [[(1, [2 * n + i])] for i in range(n)]
     if name == "graph":
-        if coefficients is None:
-            coefficients = (1,) * n
+        coefficients = (1,) * n if coefficients is None else coefficients
         if len(coefficients) != n:
             raise DomainError(f"graph needs {n} coefficients, got {len(coefficients)}")
-        coeff_exprs = [sp.Rational(c) if not isinstance(c, float) else sp.Float(c)
-                       for c in coefficients]
-        height = sum(c * u ** 2 for c, u in zip(coeff_exprs, symbols)) / 2
-        return SymbolicShape("graph", symbols, list(symbols) + [height])
-    raise DomainError(f"unknown shape {name!r}; known: cylinder, graph, sphere")
+        halves = [_parameter(c, "graph coefficient") / 2 for c in coefficients]
+        return SymbolicShape("graph", n, identity + [
+            [(h, [3 * n + i]) for i, h in enumerate(halves) if h]])
+    if name not in ("sphere", "cylinder"):
+        raise DomainError(f"unknown shape {name!r}; known: {', '.join(SHAPE_NAMES)}")
+    if name == "cylinder" and (k is None or not 1 <= k <= n - 1):
+        raise DomainError(f"cylinder needs a sphere dimension k in [1, {n - 1}], got {k}")
+    m = n - k if name == "cylinder" else 0  # flat coordinates before the angles
+    return SymbolicShape(name, n, identity[:m] + [
+        [(radius, list(range(m, m + j)) + ([n + m + j] if j < n - m else []))]
+        for j in range(n - m + 1)])  # r sin t1 ... sin t(j-1) cos tj, the last without cos
 
 
 SHAPE_NAMES = ("cylinder", "graph", "sphere")
@@ -288,7 +306,9 @@ def default_point(shape_name: str, n: int, k: Optional[int] = None) -> Tuple[flo
         flat = tuple(0.3 * (i + 1) for i in range(n - k))
         angles = tuple(0.9 + 0.07 * i for i in range(k))
         return flat + angles
-    return (0.0,) * n
+    if shape_name == "graph":
+        return (0.0,) * n
+    raise DomainError(f"unknown shape {shape_name!r}; known: {', '.join(SHAPE_NAMES)}")
 
 
 READ_TIMEOUT_S = 30.0  # longest wait for one answer line from a shape process

@@ -54,3 +54,48 @@ def scalar_curvature(values, c):
                 acc += values[i] * values[j]
     return c + acc * Fraction(1, n * (n - 1)) if isinstance(acc, (int, Fraction)) \
         else c + acc / (n * (n - 1))
+
+
+def sympy_shape(name, n, radius=1, k=None, coefficients=None):
+    """The registry shape built symbolically: sympy differentiates the
+    embedding and lambdify compiles value, Jacobian and second derivatives.
+
+    Returns ``(value, jacobian, second)``, each a function of a parameter
+    vector returning a float array shaped like the matching ``PatchSample``
+    field.  Floats pass through ``sp.Float``, so only radii and coefficients
+    that print exactly in 15 significant digits give the library's doubles.
+    """
+    import numpy as np
+    import sympy as sp
+
+    def exact(x):
+        return sp.Float(x) if isinstance(x, float) else sp.Rational(x)
+
+    def spherical(angles, r):
+        # r (cos t1, sin t1 cos t2, ..., sin t1 ... sin tk)
+        components, prefix = [], sp.Integer(1)
+        for t in angles:
+            components.append(r * prefix * sp.cos(t))
+            prefix = prefix * sp.sin(t)
+        return components + [r * prefix]
+
+    u = sp.symbols(f"u1:{n + 1}", real=True)
+    if name == "sphere":
+        exprs = spherical(u, exact(radius))
+    elif name == "cylinder":
+        exprs = list(u[: n - k]) + spherical(u[n - k:], exact(radius))
+    else:
+        coefficients = coefficients or (1,) * n
+        exprs = list(u) + [sum(exact(c) * v ** 2 for c, v in zip(coefficients, u)) / 2]
+    matrix = sp.Matrix(exprs)
+    value = sp.lambdify([u], matrix, "numpy")
+    jacobian = sp.lambdify([u], matrix.jacobian(sp.Matrix(u)), "numpy")
+    second = sp.lambdify([u], [sp.diff(e, si, sj) for si in u for sj in u for e in exprs],
+                         "numpy")
+
+    def floats(point):
+        return [float(v) for v in point]
+
+    return (lambda p: np.asarray(value(floats(p)), dtype=float).reshape(-1),
+            lambda p: np.asarray(jacobian(floats(p)), dtype=float),
+            lambda p: np.asarray(second(floats(p)), dtype=float).reshape(n, n, n + 1))

@@ -381,6 +381,15 @@ class TestErrors:
         assert proc.returncode == 1
         assert b"Traceback" not in proc.stderr
 
+    def test_fd_point_of_wrong_arity(self, capsys):
+        # the finite-difference path checks the point as the analytic one does
+        assert cli.run(["immersion-eval", "--shape", "sphere", "--dim", "3",
+                        "--point", "0.5,0.6", "--method", "fd"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "shape 'sphere' expects 3 parameters" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_silent_shape_process_times_out(self, capsys, monkeypatch, tmp_path):
         silent = tmp_path / "silent.py"
         silent.write_text("import sys\nfor line in sys.stdin:\n    pass\n")

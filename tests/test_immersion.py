@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +23,8 @@ from hypercurv.immersion import (
     principal_curvatures,
 )
 from hypercurv.spectrum import invariants
+
+import oracles
 
 
 class TestPatchSample:
@@ -117,6 +121,89 @@ class TestMakeShape:
         with pytest.raises(DomainError):
             make_shape("sphere", n=3, radius=0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "nan", "inf"],
+                             ids=["nan", "inf", "-inf", "str-nan", "str-inf"])
+    def test_non_finite_radius(self, bad):
+        for name, k in (("sphere", None), ("cylinder", 1), ("graph", None)):
+            with pytest.raises(DomainError, match="radius must be a finite number"):
+                make_shape(name, n=2, radius=bad, k=k)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "nan", "-inf"],
+                             ids=["nan", "inf", "-inf", "str-nan", "str-minus-inf"])
+    def test_non_finite_coefficient(self, bad):
+        with pytest.raises(DomainError, match="coefficient must be a finite number"):
+            make_shape("graph", n=3, coefficients=[1, bad, 2])
+
+    def test_accepted_parameter_types(self):
+        # int, Fraction, float and rational strings all build the same sphere
+        pt = default_point("sphere", 3)
+        want = make_shape("sphere", n=3, radius=Fraction(3, 2)).patch(pt)
+        for radius in (1.5, "3/2", "1.5"):
+            got = make_shape("sphere", n=3, radius=radius).patch(pt)
+            assert np.array_equal(got.second, want.second)
+        graph = make_shape("graph", n=3, coefficients=[2, "-1/3", 0.5])
+        assert np.array_equal(np.diagonal(graph.patch([0.1, 0.2, 0.3]).second[:, :, 3]),
+                              [2.0, -1 / 3, 0.5])
+
+    def test_float_radius_at_full_precision(self):
+        # 0.1 + 0.2 is 0.30000000000000004, not the 15-digit 0.3
+        u = [0.7, 1.1]
+        shape = make_shape("sphere", n=2, radius=0.1 + 0.2)
+        assert shape(u)[0] == (0.1 + 0.2) * np.cos(0.7)
+        assert shape.patch(u).value[0] == (0.1 + 0.2) * np.cos(0.7)
+
+    def test_float_coefficient_at_full_precision(self):
+        shape = make_shape("graph", 2, coefficients=[1 / 3, 1.0])
+        assert shape.patch([0.1, 0.2]).second[0, 0, 2] == 1 / 3
+
+    def test_call_checks_arity(self):
+        shape = make_shape("sphere", n=3)
+        with pytest.raises(DomainError, match="expects 3 parameters"):
+            shape([0.5, 0.6])
+        with pytest.raises(DomainError, match="expects 3 parameters"):
+            finite_difference_lift(shape, [0.5, 0.6])
+
+    def test_default_point_unknown_name(self):
+        with pytest.raises(DomainError, match="unknown shape 'torus'"):
+            default_point("torus", 3)
+
+
+def _oracle_specs():
+    rng = random.Random(2016)
+    specs = [("sphere", n, None) for n in range(2, 10)]
+    specs += [("cylinder", n, k) for n in range(3, 8) for k in range(1, n)]
+    specs += [("graph", n, None) for n in range(2, 10)]
+    out = []
+    for name, n, k in specs:
+        radius = rng.choice([1, 2, Fraction(3, 7), Fraction(5, 2), "4/3", 0.75])
+        coefficients = None
+        if name == "graph":
+            # mixed signs and zeros, at least one of each
+            coefficients = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n)]
+            coefficients[0], coefficients[-1] = Fraction(-2, 3), 0
+        out.append(pytest.param(name, n, k, radius, coefficients,
+                                id=f"{name}-n{n}" + (f"-k{k}" if k else "")))
+    return out
+
+
+class TestClosedFormMatchesSympy:
+    """The closed-form derivatives against the symbolic build, bit for bit."""
+
+    @pytest.mark.parametrize("name, n, k, radius, coefficients", _oracle_specs())
+    def test_bit_identical(self, name, n, k, radius, coefficients):
+        shape = make_shape(name, n, radius=radius, k=k, coefficients=coefficients)
+        value, jacobian, second = oracles.sympy_shape(name, n, radius, k, coefficients)
+        rng = random.Random(n * 100 + (k or 0))
+        points = [[rng.uniform(-4.0, 4.0) for _ in range(n)] for _ in range(4)]
+        points.append(list(default_point(name, n, k=k)))
+        points.append([0.0] * n)
+        for u in points:
+            patch = shape.patch(u)
+            for got, want in ((patch.value, value(u)), (patch.jacobian, jacobian(u)),
+                              (patch.second, second(u)), (shape(u), value(u))):
+                assert np.array_equal(got, want), (u, got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want)), (u, got, want)
+
 
 class TestFiniteDifferences:
     def test_fd_matches_analytic(self):
@@ -179,9 +266,18 @@ class TestNumpyOnly:
     CHILD = (
         "import sys\n"
         "sys.modules['scipy'] = None  # any scipy import now fails\n"
-        "from hypercurv import make_shape, principal_curvatures\n"
+        "sys.modules['sympy'] = None  # and so does any sympy import\n"
+        "from hypercurv import finite_difference_lift, make_shape, principal_curvatures\n"
+        "for name, k, want in (('sphere', None, [2] * 4), ('cylinder', 2, [0, 0, 2, 2])):\n"
+        "    shape = make_shape(name, 4, radius='1/2', k=k)\n"
+        "    u = [0.3, 0.9, 1.1, 1.3]\n"
+        "    a = sorted(principal_curvatures(shape.patch(u)).lambdas)\n"
+        "    b = sorted(principal_curvatures(finite_difference_lift(shape, u)).lambdas)\n"
+        "    assert max(abs(x - y) for x, y in zip(a, want)) <= 1e-8, (name, a)\n"
+        "    assert max(abs(x - y) for x, y in zip(b, want)) <= 1e-5, (name, b)\n"
         "shape = make_shape('graph', 2, coefficients=(1, 3))\n"
-        "print(*principal_curvatures(shape.patch([0.3, -0.2])).lambdas)\n"
+        "fd = principal_curvatures(finite_difference_lift(shape, [0.3, -0.2])).lambdas\n"
+        "print(*principal_curvatures(shape.patch([0.3, -0.2])).lambdas, *fd)\n"
     )
 
     def test_principal_curvatures_without_scipy(self):
@@ -192,7 +288,8 @@ class TestNumpyOnly:
         proc = subprocess.run([sys.executable, "-c", self.CHILD], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        k1, k2 = (float(v) for v in proc.stdout.split())
+        k1, k2, fd1, fd2 = (float(v) for v in proc.stdout.split())
+        assert (fd1, fd2) == pytest.approx((k1, k2), abs=1e-5)
         w2 = 1.0 + 0.3 ** 2 + 0.6 ** 2
         assert k1 * k2 == pytest.approx(3.0 / w2 ** 2, rel=1e-12)
         assert (k1 + k2) / 2 == pytest.approx(
