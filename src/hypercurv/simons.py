@@ -17,6 +17,20 @@ side reads
 Both forms are implemented; they agree identically whenever the curvature
 table comes from the Gauss equation, which EXACT tests check literally.
 
+Both run on the integer lift of ``spectrum``: the lambda_i, the Hess H
+diagonal, |grad A|^2 (and c, in the space form) become numerators over one
+common denominator D, the K_ij of the upper triangle numerators over their
+own lcm E.  Every sum then runs on ``int`` values in EXACT, and each form
+builds a single output value, over D^4 for the space form and over D^2 E for
+the curvature-table form.  In FLOAT the values pass through with D = E = 1,
+so each result is the double the plain float expression gives, and a result
+that overflows raises ``DomainError`` instead of returning ``inf`` or NaN.
+
+The curvature-table form stays a sum over the pairs i < j of
+(a_i - a_j)^2 K_ij, never rewritten through power sums: the space form is
+the power-sum side, and the two can only check each other while they are
+computed independently.
+
 For constant mean curvature the classical zero-trace estimate turns the
 space-form right-hand side into |phi|^2 times the bracket
 
@@ -62,25 +76,17 @@ class SimonsPointData:
     gauss: bool = False
 
     def __post_init__(self):
+        self._check_point()
         n = self.spectrum.n
         regime = self.spectrum.regime
-        flat = [self.grad_a2, *self.hess_h]
-        if len(self.hess_h) != n:
-            raise DomainError(f"hess_h needs {n} diagonal entries, got {len(self.hess_h)}")
         if len(self.k_table) != n or any(len(row) != n for row in self.k_table):
             raise DomainError(f"k_table must be {n}x{n}")
-        for row in self.k_table:
-            flat.extend(row)
-        if common_regime(flat, default=regime) is not regime:
+        if common_regime((v for row in self.k_table for v in row), default=regime) is not regime:
             raise DomainError("simons data must share the spectrum's regime")
-        object.__setattr__(self, "grad_a2", coerce(self.grad_a2, regime))
-        object.__setattr__(self, "hess_h", tuple(coerce(v, regime) for v in self.hess_h))
         object.__setattr__(
             self, "k_table",
             tuple(tuple(coerce(v, regime) for v in row) for row in self.k_table),
         )
-        if promote(self.grad_a2) < 0:
-            raise DomainError("|grad A|^2 cannot be negative")
         for i in range(n):
             for j in range(i + 1, n):
                 a, b = self.k_table[i][j], self.k_table[j][i]
@@ -90,6 +96,19 @@ class SimonsPointData:
                     symmetric = abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
                 if not symmetric:
                     raise DomainError(f"k_table must be symmetric, K[{i}][{j}] != K[{j}][{i}]")
+
+    def _check_point(self):
+        # Arity, regime and sign of the caller's grad_a2 and hess_h.
+        n = self.spectrum.n
+        regime = self.spectrum.regime
+        if len(self.hess_h) != n:
+            raise DomainError(f"hess_h needs {n} diagonal entries, got {len(self.hess_h)}")
+        if common_regime((self.grad_a2, *self.hess_h), default=regime) is not regime:
+            raise DomainError("simons data must share the spectrum's regime")
+        object.__setattr__(self, "grad_a2", coerce(self.grad_a2, regime))
+        object.__setattr__(self, "hess_h", tuple(coerce(v, regime) for v in self.hess_h))
+        if promote(self.grad_a2) < 0:
+            raise DomainError("|grad A|^2 cannot be negative")
 
     @classmethod
     def with_gauss_curvatures(cls, spectrum: CurvatureSpectrum, grad_a2: Scalar = 0,
@@ -109,9 +128,14 @@ class SimonsPointData:
         for i in range(n):
             for j in range(i, n):
                 rows[i][j] = rows[j][i] = over(base + a[i] * a[j], den)
-        table = tuple(tuple(row) for row in rows)
-        return cls(spectrum=spectrum, grad_a2=coerce(grad_a2, regime),
-                   hess_h=tuple(hess_h), k_table=table, gauss=True)
+        # ``over`` leaves every entry in the regime (finite, in FLOAT) and the
+        # table is symmetric by construction, so only the caller's grad_a2
+        # and hess_h are checked; ``__post_init__`` would re-check all n^2.
+        data = object.__new__(cls)
+        vars(data).update(spectrum=spectrum, grad_a2=grad_a2, hess_h=tuple(hess_h),
+                          k_table=tuple(tuple(row) for row in rows), gauss=True)
+        data._check_point()
+        return data
 
     def to_json_dict(self) -> dict:
         return to_json({"spectrum": self.spectrum, "gradA2": self.grad_a2,
@@ -120,21 +144,29 @@ class SimonsPointData:
 
 def simons_rhs_general(data: SimonsPointData) -> Scalar:
     """Curvature-table form: |grad A|^2 + n sum lambda_i h_i + pair sum."""
-    lam = data.spectrum.lambdas
-    n = data.spectrum.n
-    total = data.grad_a2 + n * sum(l * h for l, h in zip(lam, data.hess_h))
+    spectrum = data.spectrum
+    n = spectrum.n
+    regime = spectrum.regime
+    # lambda_i = a_i / D, h_i = b_i / D and |grad A|^2 = g / D over one D, the
+    # pairs' K_ij = k_ij / E over their own E; the value is
+    # (g D E + n E sum a_i b_i + sum_{i<j} (a_i - a_j)^2 k_ij) / (D^2 E).
+    a, D, over = _lift((*spectrum.lambdas, *data.hess_h, data.grad_a2), regime)
+    g = a.pop()
+    lam, b = a[:n], a[n:]
+    k, E, _ = _lift([v for i, row in enumerate(data.k_table) for v in row[i + 1:]], regime)
+    total = (g * D + n * sum(x * y for x, y in zip(lam, b))) * E
+    pairs = iter(k)
     for i in range(n):
         for j in range(i + 1, n):
             diff = lam[i] - lam[j]
-            total = total + diff * diff * data.k_table[i][j]
-    return total
+            total = total + diff * diff * next(pairs)
+    return over(total, D * D * E)
 
 
 def simons_rhs_space_form(spectrum: CurvatureSpectrum, grad_a2: Scalar = 0,
                           hess_h: Optional[Sequence[Scalar]] = None) -> Scalar:
     """Space-form collapse: nc(|A|^2 - nH^2) + nH tr A^3 - |A|^4 plus gradient terms."""
     regime = spectrum.regime
-    lam = spectrum.lambdas
     n = spectrum.n
     grad_a2 = coerce(grad_a2, regime)
     if promote(grad_a2) < 0:
@@ -144,13 +176,24 @@ def simons_rhs_space_form(spectrum: CurvatureSpectrum, grad_a2: Scalar = 0,
     hess_h = tuple(coerce(v, regime) for v in hess_h)
     if len(hess_h) != n:
         raise DomainError(f"hess_h needs {n} diagonal entries, got {len(hess_h)}")
-    s1 = sum(lam)
-    norm_a2 = sum(v * v for v in lam)
-    tr_a3 = sum(v * v * v for v in lam)
-    hess_term = n * sum(l * h for l, h in zip(lam, hess_h))
-    return (grad_a2 + hess_term
-            + n * spectrum.c * (norm_a2 - s1 * s1 / n)
-            + s1 * tr_a3 - norm_a2 * norm_a2)
+    # lambda_i = a_i / D, h_i = b_i / D, |grad A|^2 = g / D and c = c' / D over
+    # one D.  With p_k = sum a_i^k the value is
+    # (g D^3 + n sum a_i b_i D^2 + n c' (p2 - p1^2 / n) D + p1 p3 - p2^2) / D^4.
+    a, D, over = _lift((*spectrum.lambdas, *hess_h, grad_a2, spectrum.c), regime)
+    c = a.pop()
+    g = a.pop()
+    lam, b = a[:n], a[n:]
+    p1 = sum(lam)
+    p2 = sum(v * v for v in lam)
+    p3 = sum(v * v * v for v in lam)
+    hess_term = n * sum(x * y for x, y in zip(lam, b))
+    # EXACT writes n c' (p2 - p1^2 / n) as c' (n p2 - p1^2) to stay in ints;
+    # FLOAT keeps the division, since the two round differently.
+    if regime is Regime.EXACT:
+        c_term = c * (n * p2 - p1 * p1)
+    else:
+        c_term = n * c * (p2 - p1 * p1 / n)
+    return over(((g * D + hess_term) * D + c_term) * D + p1 * p3 - p2 * p2, D ** 4)
 
 
 def cmc_bracket(n: int, c, H, norm_phi) -> float:

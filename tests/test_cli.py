@@ -16,6 +16,15 @@ def run_json(capsys, argv):
     return code, json.loads(out)
 
 
+def package_env():
+    # the environment of a child interpreter that imports this hypercurv
+    src = os.path.dirname(os.path.dirname(hypercurv.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
 class TestInvariants:
     def test_report_values(self, capsys):
         code, payload = run_json(capsys, ["invariants", "--lambdas", "1,2,3"])
@@ -52,6 +61,15 @@ class TestInvariants:
     def test_needs_source(self, capsys):
         assert cli.run(["invariants"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_run_as_module(self, capsys):
+        proc = subprocess.run(
+            [sys.executable, "-m", "hypercurv.cli", "invariants", "--lambdas", "0,0,2,2"],
+            capture_output=True, env=package_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        cli.run(["invariants", "--lambdas", "0,0,2,2"])
+        assert proc.stdout.decode() == capsys.readouterr().out
+        assert json.loads(proc.stdout)["report"]["H"] == "1/1"
 
 
 class TestLadderAndClassify:
@@ -364,11 +382,16 @@ class TestErrors:
         assert captured.out == ""
         assert "must be >= 1" in captured.err
 
+    def test_float_overflow_in_simons_forms(self, capsys):
+        # the K table is finite, the pair sum and |A|^4 are not
+        assert cli.run(["simons", "--regime", "float", "--lambdas", "1e100,-1e100,3",
+                        "--gauss"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not a finite number" in captured.err
+
     def test_closed_stdout_exits_one_without_traceback(self):
-        src = os.path.dirname(os.path.dirname(hypercurv.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        env = package_env()
         read_end, write_end = os.pipe()
         os.close(read_end)  # the reader is gone before the first write
         try:

@@ -19,6 +19,36 @@ def random_exact(rng, n, span=9):
     return [Fraction(rng.randint(-span, span), rng.randint(1, span)) for _ in range(n)]
 
 
+def naive_general(lam, grad, hess, table):
+    # term-by-term Fraction loop of the curvature-table form
+    n = len(lam)
+    total = grad + n * sum(l * h for l, h in zip(lam, hess))
+    for i in range(n):
+        for j in range(i + 1, n):
+            total += (lam[i] - lam[j]) ** 2 * table[i][j]
+    return total
+
+
+def naive_space_form(lam, c, grad, hess):
+    # term-by-term Fraction loop of the space-form collapse
+    n = len(lam)
+    s1 = sum(lam)
+    norm_a2 = sum(l * l for l in lam)
+    tr_a3 = sum(l ** 3 for l in lam)
+    return (grad + n * sum(l * h for l, h in zip(lam, hess))
+            + n * c * (norm_a2 - s1 * s1 / n) + s1 * tr_a3 - norm_a2 ** 2)
+
+
+def primes(count):
+    found = []
+    k = 2
+    while len(found) < count:
+        if all(k % p for p in found):
+            found.append(k)
+        k += 1
+    return found
+
+
 class TestSimonsPointData:
     def test_gauss_table_entries(self):
         s = CurvatureSpectrum([1, 2, 3], c=Fraction(1, 2))
@@ -51,6 +81,34 @@ class TestSimonsPointData:
         bad = ((0, 1, 0), (2, 0, 0), (0, 0, 0))
         with pytest.raises(DomainError):
             SimonsPointData(s, Fraction(0), (0, 0, 0), bad)
+
+    def test_validation_kept_around_the_gauss_table(self):
+        # a table handed to the constructor is checked even with gauss=True;
+        # with_gauss_curvatures skips the checks of its own table only
+        s = CurvatureSpectrum([1, 2, 3])
+        asymmetric = ((0, 1, 0), (2, 0, 0), (0, 0, 0))
+        with pytest.raises(DomainError, match="symmetric"):
+            SimonsPointData(s, Fraction(0), (0, 0, 0), asymmetric, gauss=True)
+        mixed = ((0, 0.5, 0), (Fraction(1, 2), 0, 0), (0, 0, 0))
+        with pytest.raises(DomainError):
+            SimonsPointData(s, Fraction(0), (0, 0, 0), mixed, gauss=True)
+        with pytest.raises(DomainError, match="hess_h needs 3"):
+            SimonsPointData.with_gauss_curvatures(s, 0, (1, 2))
+        with pytest.raises(DomainError):
+            SimonsPointData.with_gauss_curvatures(s, 0, (Fraction(1), 0.5, 0))
+        with pytest.raises(DomainError):
+            SimonsPointData.with_gauss_curvatures(s, 0.5)
+        with pytest.raises(DomainError, match="cannot be negative"):
+            SimonsPointData.with_gauss_curvatures(s, Fraction(-1, 3))
+        f = CurvatureSpectrum([1.0, 2.0, 3.0])
+        with pytest.raises(DomainError, match="cannot be negative"):
+            SimonsPointData.with_gauss_curvatures(f, -0.5)
+        with pytest.raises(DomainError):
+            SimonsPointData.with_gauss_curvatures(f, 0.0, (0.0, math.nan, 0.0))
+        d = SimonsPointData.with_gauss_curvatures(s, 2, [1, 0, 3])
+        assert d.grad_a2 == 2 and isinstance(d.grad_a2, Fraction)
+        assert d.hess_h == (1, 0, 3) and all(isinstance(v, Fraction) for v in d.hess_h)
+        assert d == SimonsPointData(s, 2, (1, 0, 3), d.k_table, gauss=True)
 
     def test_regime_uniformity(self):
         s = CurvatureSpectrum([1, 2, 3])
@@ -106,6 +164,71 @@ class TestRightHandSides:
                 d = SimonsPointData.with_gauss_curvatures(spec)
                 assert simons_rhs_general(d) == 0
                 assert simons_rhs_space_form(spec) == 0
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_lifted_forms_match_naive_loop(self, n):
+        # every value over its own prime, so the lcms are products of
+        # distinct primes; the user table's primes do not divide D^2
+        rng = random.Random(n)
+        dens = iter(primes(2 * n + 2 + n * (n - 1) // 2))
+
+        def value():
+            p, num = next(dens), rng.randint(1, 40)
+            return Fraction(rng.choice([-1, 1]) * (num + (num % p == 0)), p)
+
+        lam = [value() for _ in range(n)]
+        hess = tuple(value() for _ in range(n))
+        grad, c = abs(value()), value()
+        s = CurvatureSpectrum(lam, c)
+        lam = s.lambdas
+        gauss = SimonsPointData.with_gauss_curvatures(s, grad, hess)
+        table = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                table[i][j] = table[j][i] = value()
+        user = SimonsPointData(s, grad, hess, tuple(map(tuple, table)))
+        expected = naive_space_form(lam, c, grad, hess)
+        assert simons_rhs_general(gauss) == naive_general(lam, grad, hess, gauss.k_table)
+        assert simons_rhs_general(gauss) == expected
+        assert simons_rhs_space_form(s, grad, hess) == expected
+        assert simons_rhs_general(user) == naive_general(lam, grad, hess, table)
+        for out in (simons_rhs_general(gauss), simons_rhs_general(user),
+                    simons_rhs_space_form(s, grad, hess)):
+            assert type(out) is Fraction
+
+    def test_float_forms_pinned(self):
+        # bit-for-bit FLOAT values of both forms, the spectrum of
+        # test_spectrum's test_float_paths_pinned
+        s = CurvatureSpectrum([3.1, -1.5, 0.7, 0.25, 2.0], c=0.3)
+        hess = (0.4, -1.25, 2.5, 0.125, -0.75)
+        d = SimonsPointData.with_gauss_curvatures(s, 1.75, hess)
+        assert simons_rhs_general(d) == -97.1751125
+        assert simons_rhs_space_form(s, 1.75, hess) == -97.17511250000004
+        assert simons_rhs_general(SimonsPointData.with_gauss_curvatures(s)) == -92.73761249999997
+        assert simons_rhs_space_form(s) == -92.73761250000001
+        # a user table that is not the Gauss one
+        entries = iter([0.3, -1.7, 2.25, 0.1, -0.6, 1.9, 0.45, -2.2, 0.8, 1.1])
+        table = [[0.0] * 5 for _ in range(5)]
+        for i in range(5):
+            for j in range(i + 1, 5):
+                table[i][j] = table[j][i] = next(entries)
+        user = SimonsPointData(s, 1.75, hess, tuple(map(tuple, table)))
+        assert simons_rhs_general(user) == 29.505125
+
+    def test_float_forms_pinned_n2_signed_zero(self):
+        # repr tells -0.0 from 0.0, which == does not
+        s = CurvatureSpectrum([1.3, -0.0], c=-0.0)
+        assert repr(simons_rhs_general(SimonsPointData.with_gauss_curvatures(s))) == "0.0"
+        assert repr(simons_rhs_space_form(s)) == "4.440892098500626e-16"
+        d = SimonsPointData.with_gauss_curvatures(s, 0.25, (-0.0, -0.5))
+        assert repr(simons_rhs_general(d)) == "-1.05"
+        assert repr(simons_rhs_space_form(s, 0.25, (-0.0, -0.5))) == "-1.0499999999999996"
+        user = SimonsPointData(s, -0.0, (-0.0, 0.5), ((-0.0, 2.5), (2.5, -0.0)))
+        assert repr(simons_rhs_general(user)) == "5.525"
+        zero = CurvatureSpectrum([-0.0, -0.0], c=-0.0)
+        d = SimonsPointData.with_gauss_curvatures(zero, -0.0, (-0.0, -0.0))
+        assert repr(simons_rhs_general(d)) == "0.0"
+        assert repr(simons_rhs_space_form(zero, -0.0, (-0.0, -0.0))) == "0.0"
 
     def test_space_form_validation(self):
         s = CurvatureSpectrum([1, 2, 3])
