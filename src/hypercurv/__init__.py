@@ -13,6 +13,8 @@ literally) or FLOAT (compared under tolerances).  Promotion to float is
 explicit and one-way; mixing regimes raises ``RegimeError``.
 """
 
+from importlib import import_module
+
 from .errors import (
     DomainError,
     EigenSolverError,
@@ -64,40 +66,60 @@ from .cylinders import (
     rigidity_annotation,
     scalar_ladder,
 )
-from .caseverify import (
-    BUILTIN_CASES,
-    CertificateReport,
-    ConstraintSystem,
-    FeasibilityVerdict,
-    PctReport,
-    Relation,
-    ScanBudget,
-    SignConstraint,
-    SymmetricSignConstraint,
-    builtin_case,
-    certificate_check,
-    certificate_samples,
-    closed_form_contradiction,
-    constraint_violations,
-    expected_outcome,
-    has_certificate,
-    pct_sets,
-    scan,
-)
-from .immersion import (
-    FundamentalForms,
-    PatchSample,
-    PatchSource,
-    SHAPE_NAMES,
-    SubprocessShape,
-    SymbolicShape,
-    default_point,
-    finite_difference_lift,
-    fundamental_forms,
-    make_shape,
-    principal_curvatures,
-)
-from .verify import CheckResult, run_builtin_suite
+# The scan, immersion and fixture modules need numpy; they load on first
+# use of one of their names (PEP 562), so the exact kernel and the light
+# CLI commands start without it.
+_LAZY = {
+    "caseverify": (
+        "BUILTIN_CASES",
+        "CertificateReport",
+        "ConstraintSystem",
+        "FeasibilityVerdict",
+        "PctReport",
+        "Relation",
+        "ScanBudget",
+        "SignConstraint",
+        "SymmetricSignConstraint",
+        "builtin_case",
+        "certificate_check",
+        "certificate_samples",
+        "closed_form_contradiction",
+        "constraint_violations",
+        "expected_outcome",
+        "has_certificate",
+        "pct_sets",
+        "scan",
+    ),
+    "immersion": (
+        "FundamentalForms",
+        "PatchSample",
+        "PatchSource",
+        "SHAPE_NAMES",
+        "SubprocessShape",
+        "SymbolicShape",
+        "default_point",
+        "finite_difference_lift",
+        "fundamental_forms",
+        "make_shape",
+        "principal_curvatures",
+    ),
+    "verify": ("CheckResult", "run_builtin_suite"),
+}
+_LAZY_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    module = _LAZY_HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY_HOME))
+
 
 __version__ = "0.1.0"
 

@@ -9,11 +9,16 @@ together with sign constraints on higher symmetric values sigma_r.
 ``scan`` searches the box |x_i| <= |A| = sqrt(trace^2 - 2 sigma_2) with a
 uniform grid, keeps the best cells of a squared-violation penalty, runs
 lockstep coordinate descent and Gauss-Newton, and finishes with a seeded
-random-perturbation polish.  A returned WITNESS is always re-validated by
-an independent pure-Python constraint evaluator; NO_WITNESS is
-exhaustive-search evidence, not a proof.  A system whose penalty could
-overflow a double over that box is refused with ``DomainError`` before the
-grid, rather than ranked by inf.
+random-perturbation polish.  The grid is pruned branch-and-bound style
+(Land & Doig 1960): cells grow one coordinate at a time, and a partial
+cell whose cheap separable terms (trace, ordering, sign bounds) already
+exceed a threshold above the kept set's worst penalty is never completed.
+The full penalty runs only on cells that can still enter the kept set, and
+the kept set is the one a full evaluation would keep.  A returned WITNESS
+is always re-validated by an independent pure-Python constraint evaluator;
+NO_WITNESS is exhaustive-search evidence, not a proof.  A system whose
+penalty could overflow a double over that box is refused with
+``DomainError`` before the grid, rather than ranked by inf.
 
 The scan encodes its constraint terms once, as a matrix of signed excess
 (one column per term, positive when violated).  Every term is affine in
@@ -42,6 +47,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -512,12 +518,163 @@ def _exact_snap(ev: _PenaltyEvaluator, x: np.ndarray) -> Tuple[np.ndarray, bool]
     return np.array([float(exact[j]) for j in ev.free0]), True
 
 
-def _merge_top(parts: List[Tuple[np.ndarray, np.ndarray, np.ndarray]], keep: int):
-    pen = np.concatenate([p[0] for p in parts])
-    flat = np.concatenate([p[1] for p in parts])
-    rows = np.vstack([p[2] for p in parts])
+def _clipped_square(v):
+    return np.square(np.maximum(v, 0.0))
+
+
+class _PrefixBound:
+    """Lower bound on the penalty of every grid cell that extends a prefix.
+
+    A prefix fixes the first k free coordinates.  The penalty is a sum of
+    non-negative terms, so the terms a prefix already fixes bound it from
+    below: the ordering steps within it and against pinned zeros, the sign
+    bounds on its coordinates, and the constant terms of the pinned
+    coordinates.  The trace term adds the distance of trace - (prefix sum)
+    from [r axes[0], r axes[-1]], the sums the r coordinates still free can
+    reach.  sigma_2 and the sigma_r bounds are left out.
+
+    The bound must never exceed the float penalty of a completion, or the
+    grid could drop a cell that belongs in its top set:
+
+    - Each ordering and sign term is computed with the float operations of
+      ``excess`` and ``_sum_squares``, so it is bit-equal to the penalty's.
+    - The prefix sum is accumulated in the order ``excess`` accumulates
+      sigma_1, so with all d coordinates it is the penalty's sum.  With u =
+      eps/2 and M = |trace| + d reach, the penalty's sum is within
+      gamma_d d reach of the exact sum, its excess within u M of the exact
+      difference, and the computed gap within (gamma_d + 4u) M of the
+      exact distance.  ``slack`` = (d + 4) eps M covers the total, so the
+      shrunk gap is at most the penalty's |trace excess|; squaring rounds
+      monotonically, so its square is at most the penalty's trace term.
+    - The penalty and the bound are float sums of at most ``terms``
+      non-negative summands, the bound's over a subset of the penalty's
+      (or smaller).  Any summation order is within gamma_terms of the
+      exact sum, so bound <= (1 + gamma)/(1 - gamma) penalty, and scaling
+      by 1 - (terms + 1) eps (exact in a double) absorbs that ratio and the
+      rounding of the product.  Sums in the subnormal range are exact.
+    """
+
+    def __init__(self, ev: _PenaltyEvaluator, axes: np.ndarray):
+        eps = float(np.finfo(float).eps)
+        self.axes, self.trace, self.d = axes, ev.trace, len(ev.free0)
+        self.lo, self.hi = float(axes[0]), float(axes[-1])
+        reach = max(abs(self.lo), abs(self.hi))
+        self.slack = (self.d + 4) * eps * (abs(ev.trace) + self.d * reach)
+        self.shrink = 1.0 - (ev.terms + 1) * eps
+        depth = {c: k for k, c in enumerate(ev.free0)}
+        self.const = 0.0
+        self.unary = [np.zeros(len(axes)) for _ in ev.free0]
+        for c, sense, t in zip(ev.coords, ev.sense, ev.t):
+            if c in depth:
+                self.unary[depth[c]] += _clipped_square((axes - t) * sense)
+            else:
+                self.const += float(_clipped_square((0.0 - t) * sense))
+        self.linked = [False] * self.d
+        if ev.steps:
+            for k, c in enumerate(ev.free0):
+                # step x_{c-1} - x_c: against a pinned zero, or against the
+                # previous free coordinate (``linked``); two pinned zeros give 0
+                if c > 0 and c - 1 not in depth:
+                    self.unary[k] += _clipped_square(0.0 - axes)
+                self.linked[k] = c > 0 and c - 1 in depth
+                if c < ev.n - 1 and c + 1 not in depth:
+                    self.unary[k] += _clipped_square(axes - 0.0)
+
+    def extend(self, k: int, sep, psum, last, j):
+        """Append axis value ``j`` as free coordinate ``k`` to prefixes (broadcast).
+
+        ``sep`` is a prefix's separable part, ``psum`` its coordinate sum and
+        ``last`` its coordinate k - 1.  Returns the extended ``sep``,
+        ``psum`` and ``last``, and the bound on every completion's penalty.
+        """
+        x = self.axes[j]
+        sep = sep + self.unary[k][j]
+        if self.linked[k]:
+            sep = sep + _clipped_square(last - x)
+        psum = psum + x
+        r = self.d - k - 1
+        need = self.trace - psum
+        gap = np.maximum(np.maximum(need - r * self.hi, r * self.lo - need), 0.0)
+        gap = np.maximum(gap - self.slack, 0.0)
+        return sep, psum, x, (sep + gap * gap) * self.shrink
+
+
+_GRID_SLICE = 1 << 17  # candidate rows per slice of the pruned grid
+_SAMPLE_CELLS = 20_000  # least size of the strided sample that sets the first threshold
+_SAMPLE_MARGIN = 1.25  # first threshold: this times the sample's keep/total quantile
+
+
+def _grid_cells(axes: np.ndarray, d: int, flat: np.ndarray) -> np.ndarray:
+    return axes[np.stack(np.unravel_index(flat, (len(axes),) * d), axis=1)]
+
+
+def _cells_at_most(ev: _PenaltyEvaluator, axes: np.ndarray, cap: float, mapper=map):
+    """Penalty and flat index of every grid cell whose penalty is <= ``cap``.
+
+    Prefixes grow one free axis at a time, in the C order of the flat index,
+    and a prefix survives while its ``_PrefixBound`` is <= ``cap``.  Each
+    level expands in slices of at most ``_GRID_SLICE`` candidate rows; on
+    the last axis a slice's surviving cells are evaluated at once, so only
+    the cells within ``cap`` are kept.  ``mapper`` maps a function over the
+    slices.
+    """
+    bound = _PrefixBound(ev, axes)
+    size, d = len(axes), bound.d
+    cols = np.arange(size)
+    width = max(1, _GRID_SLICE // size)
+    level = (np.zeros(1, np.int64), np.full(1, bound.const), np.zeros(1), np.zeros(1))
+
+    def grow(k: int, part):
+        flat, sep, psum, last = part
+        sep, psum, x, low = bound.extend(k, sep[:, None], psum[:, None], last[:, None], cols)
+        i, j = np.nonzero(low <= cap)
+        flat = flat[i] * size + j
+        if k < d - 1:
+            return flat, sep[i, j], psum[i, j], x[j]
+        pen = ev.penalty(_grid_cells(axes, d, flat))
+        within = pen <= cap
+        return pen[within], flat[within]
+
+    for k in range(d):
+        slices = [tuple(a[s:s + width] for a in level)
+                  for s in range(0, max(len(level[0]), 1), width)]
+        parts = list(mapper(lambda part: grow(k, part), slices))
+        level = tuple(np.concatenate(column) for column in zip(*parts))
+    return level
+
+
+def _grid_top(ev: _PenaltyEvaluator, axes: np.ndarray, keep: int, jobs: int):
+    """The ``keep`` best grid cells by (penalty, flat index): penalties, flat
+    indices and coordinates, as if every cell were evaluated and sorted.
+
+    A strided sample sets the first threshold, ``_SAMPLE_MARGIN`` times its
+    keep/total quantile, and ``_cells_at_most`` finds every cell within it.
+    Fewer than ``keep`` such cells doubles the threshold and starts again.
+    A sample that covers the whole grid is the answer itself.
+    """
+    d = len(ev.free0)
+    total = len(axes) ** d
+    keep = min(keep, total)
+    stride = max(1, total // _SAMPLE_CELLS)
+    while math.gcd(stride, len(axes)) > 1:  # a stride sharing a factor with
+        stride -= 1                         # the axis would skip axis values
+    flat = np.arange(0, total, stride, dtype=np.int64)
+    cells = _grid_cells(axes, d, flat)
+    sample = ev.penalty(cells)
+    if stride == 1:
+        order = np.lexsort((flat, sample))[:keep]
+        return sample[order], flat[order], cells[order]
+    rank = min(len(sample) - 1, keep * len(sample) // total)
+    cap = _SAMPLE_MARGIN * float(np.partition(sample, rank)[rank])
+    with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        while True:
+            pen, flat = _cells_at_most(ev, axes, cap, pool.map if pool else map)
+            if len(pen) >= keep:
+                break
+            # a zero cap cannot double: restart from the least positive penalty seen
+            cap = 2.0 * cap if cap > 0 else float(np.min(sample[sample > 0], initial=1.0))
     order = np.lexsort((flat, pen))[:keep]
-    return pen[order], flat[order], rows[order]
+    return pen[order], flat[order], _grid_cells(axes, d, flat[order])
 
 
 def scan(system: ConstraintSystem, budget: Optional[ScanBudget] = None,
@@ -527,8 +684,12 @@ def scan(system: ConstraintSystem, budget: Optional[ScanBudget] = None,
     The grid and descent stages are fully deterministic; ``seed`` drives only
     the final perturbation polish.  Ties are broken by penalty first, then by
     lexicographic grid cell index, so identical inputs and seed reproduce the
-    identical verdict.  A WITNESS is re-validated with the independent
-    evaluator; NO_WITNESS reports the best point found and its violations.
+    identical verdict.  The grid keeps the same cells as evaluating all of
+    them would, but evaluates only the cells a separable lower bound cannot
+    rule out (``_grid_top``); ``stats["gridCells"]`` is the grid's size, not
+    the number of cells evaluated.  ``jobs`` threads share the grid's slices.
+    A WITNESS is re-validated with the independent evaluator; NO_WITNESS
+    reports the best point found and its violations.
     """
     budget = budget or ScanBudget()
     if jobs < 1:
@@ -581,25 +742,7 @@ def scan(system: ConstraintSystem, budget: Optional[ScanBudget] = None,
     keep = min(max(budget.polish_starts, int(total * 0.01)), 16384)
     stats.update({"gridCells": total, "axisPoints": axis_points, "coarseStarts": keep})
 
-    chunk = 1 << 17
-    ranges = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
-
-    def eval_range(bounds: Tuple[int, int]):
-        start, stop = bounds
-        flat = np.arange(start, stop, dtype=np.int64)
-        grid_idx = np.stack(np.unravel_index(flat, (axis_points,) * d), axis=1)
-        x_free = axes[grid_idx]
-        pen = ev.penalty(x_free)
-        top = min(keep, len(pen))
-        sel = np.argpartition(pen, top - 1)[:top] if top < len(pen) else np.arange(len(pen))
-        return pen[sel], flat[sel], x_free[sel]
-
-    if jobs == 1:
-        parts = [eval_range(r) for r in ranges]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(eval_range, ranges))
-    pen, flat, x_top = _merge_top(parts, keep)
+    pen, flat, x_top = _grid_top(ev, axes, keep, jobs)
 
     x_top = _lockstep_descent(ev, x_top, budget.descent_rounds, lo=lo, hi=hi)
     pen = ev.penalty(x_top)

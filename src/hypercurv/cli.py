@@ -26,7 +26,7 @@ import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import caseverify, cylinders, immersion, simons, spectrum, verify
+from . import cylinders, simons, spectrum
 from .errors import DomainError, HypercurvError
 from .scalars import Regime, parse_scalar, promote, to_json
 
@@ -138,7 +138,7 @@ def build_parser() -> _Parser:
                    help="float comparison tolerance (omit for exact match)")
 
     p = sub.add_parser("scan", help="feasibility scan of a constraint system")
-    p.add_argument("--case", choices=caseverify.BUILTIN_CASES)
+    p.add_argument("--case", help="built-in case name")
     p.add_argument("--system", metavar="FILE", help="system JSON file")
     p.add_argument("--H", default="1", dest="mean", metavar="H")
     p.add_argument("--R", default=None, dest="scalar", metavar="R")
@@ -161,7 +161,7 @@ def build_parser() -> _Parser:
     p.add_argument("--input", metavar="FILE", help="point-data JSON file")
 
     p = sub.add_parser("immersion-eval", help="principal curvatures of a patch")
-    p.add_argument("--shape", choices=immersion.SHAPE_NAMES)
+    p.add_argument("--shape", help="registry shape name")
     p.add_argument("--shape-cmd", dest="shape_cmd", metavar="ARGV",
                    help="external embedding command (line JSON protocol)")
     p.add_argument("--dim", type=int, default=None, help="parameter dimension n")
@@ -276,6 +276,8 @@ def _cmd_classify(args) -> Tuple[dict, List[str], List[list], int]:
 
 
 def _cmd_scan(args) -> Tuple[dict, List[str], List[list], int]:
+    from . import caseverify
+
     if bool(args.case) == bool(args.system):
         raise _UsageError("scan needs exactly one of --case or --system")
     if args.seed is None:
@@ -376,6 +378,8 @@ def _cmd_simons(args) -> Tuple[dict, List[str], List[list], int]:
 
 
 def _cmd_immersion(args) -> Tuple[dict, List[str], List[list], int]:
+    from . import immersion
+
     if bool(args.shape) == bool(args.shape_cmd):
         raise _UsageError("immersion-eval needs exactly one of --shape or --shape-cmd")
     method = args.method
@@ -425,6 +429,8 @@ def _cmd_immersion(args) -> Tuple[dict, List[str], List[list], int]:
 
 
 def _cmd_verify_all(args) -> Tuple[dict, List[str], List[list], int]:
+    from . import verify
+
     results = verify.run_builtin_suite(
         seed=args.seed if args.seed is not None else 0,
         scan_grid_points=200_000 if args.budget is None else args.budget,

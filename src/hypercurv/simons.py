@@ -53,7 +53,6 @@ from .scalars import (
     Scalar,
     coerce,
     common_regime,
-    promote,
     to_json,
 )
 from .spectrum import CurvatureSpectrum, _lift
@@ -107,7 +106,7 @@ class SimonsPointData:
             raise DomainError("simons data must share the spectrum's regime")
         object.__setattr__(self, "grad_a2", coerce(self.grad_a2, regime))
         object.__setattr__(self, "hess_h", tuple(coerce(v, regime) for v in self.hess_h))
-        if promote(self.grad_a2) < 0:
+        if self.grad_a2 < 0:
             raise DomainError("|grad A|^2 cannot be negative")
 
     @classmethod
@@ -169,7 +168,7 @@ def simons_rhs_space_form(spectrum: CurvatureSpectrum, grad_a2: Scalar = 0,
     regime = spectrum.regime
     n = spectrum.n
     grad_a2 = coerce(grad_a2, regime)
-    if promote(grad_a2) < 0:
+    if grad_a2 < 0:
         raise DomainError("|grad A|^2 cannot be negative")
     if hess_h is None:
         hess_h = (coerce(0, regime),) * n

@@ -7,10 +7,15 @@ import numpy as np
 import pytest
 
 import oracles
+from hypercurv import caseverify
 from hypercurv.caseverify import (
     BUILTIN_CASES,
     _PenaltyEvaluator,
+    _PrefixBound,
+    _cells_at_most,
     _gauss_newton,
+    _grid_cells,
+    _grid_top,
     _line_minimum,
     _lockstep_descent,
     STRICT_MARGIN,
@@ -404,6 +409,167 @@ class TestLineMinimum:
         x = np.array([[0.0, 2.0, 2.0]])  # (0, 0, 2, 2) with x_2 pinned
         assert ev.penalty(x)[0] == 0.0
         np.testing.assert_array_equal(_lockstep_descent(ev, x, 2, -3.0, 3.0), x)
+
+
+def _random_float_system(rng, free):
+    # A FLOAT system with ``free`` free coordinates and random pinned zeros,
+    # ordering, sign bounds and sigma_r bounds, its targets at a random point.
+    n = max(2, free + rng.randint(0, 3))
+    fixed = set(rng.sample(range(1, n + 1), n - free))
+    x = sorted(0.0 if i + 1 in fixed else rng.uniform(-2.0, 3.0) for i in range(n))
+    x = [0.0 if i + 1 in fixed else v for i, v in enumerate(x)]
+    relations = [Relation.GE_ZERO, Relation.LE_ZERO, Relation.GT_ZERO, Relation.LT_ZERO,
+                 Relation.GE_H]
+    signs = []
+    for i in rng.sample(sorted(set(range(1, n + 1)) - fixed), rng.randint(0, min(free, 3))):
+        signs.append(SignConstraint(i, rng.choice(relations)))
+    extra = tuple(SymmetricSignConstraint(r, rng.choice([Relation.GE_ZERO, Relation.LE_ZERO]))
+                  for r in rng.sample(range(2, n + 1), rng.randint(0, min(2, n - 1))))
+    return ConstraintSystem(n, math.fsum(x) + rng.uniform(-0.5, 0.5),
+                            oracles.sigma_subsets(x, 2) + rng.uniform(-1.0, 1.0),
+                            fixed_zeros=fixed, ordering=rng.random() < 0.7,
+                            sign_constraints=tuple(signs), extra_symmetric=extra)
+
+
+def _grid(system, points):
+    # the scan's axes: `points` values across [-|A|, |A|]
+    ev = _PenaltyEvaluator(system)
+    box = math.sqrt(max(float(system.norm_a2_target), 0.0))
+    return ev, np.linspace(-box, box, points)
+
+
+def _every_cell(ev, axes):
+    # penalty and flat index of every grid cell, by brute force
+    total = len(axes) ** len(ev.free0)
+    flat = np.arange(total, dtype=np.int64)
+    return ev.penalty(_grid_cells(axes, len(ev.free0), flat)), flat
+
+
+def _top_oracle(ev, axes, keep):
+    pen, flat = _every_cell(ev, axes)
+    order = np.lexsort((flat, pen))[:keep]
+    return pen[order], flat[order]
+
+
+def _assert_top(ev, axes, keep, jobs=1):
+    pen, flat, cells = _grid_top(ev, axes, keep, jobs)
+    want_pen, want_flat = _top_oracle(ev, axes, keep)
+    np.testing.assert_array_equal(flat, want_flat)
+    np.testing.assert_array_equal(pen, want_pen)
+    np.testing.assert_array_equal(cells, _grid_cells(axes, len(ev.free0), want_flat))
+
+
+class TestPrunedGrid:
+    """The pruned grid keeps the same cells as evaluating and sorting all of them."""
+
+    @pytest.mark.parametrize("H", [Fraction(1, 2), Fraction(1), Fraction(7, 5), Fraction(2)])
+    @pytest.mark.parametrize("name", BUILTIN_CASES)
+    def test_builtins_match_the_full_grid(self, name, H):
+        system = builtin_case(name, H=H)
+        points = {3: 58, 4: 21}[len(_PenaltyEvaluator(system).free0)]  # ~200 000 cells
+        ev, axes = _grid(system, points)
+        _assert_top(ev, axes, keep=len(axes) ** len(ev.free0) // 100)
+
+    @pytest.mark.parametrize("free", range(1, 10))
+    def test_custom_systems_match_the_full_grid(self, free):
+        rng = random.Random(100 + free)
+        for keep in (64, 777):
+            ev, axes = _grid(_random_float_system(rng, free),
+                             max(3, round(100_000 ** (1 / free))))
+            _assert_top(ev, axes, keep)
+
+    def test_ties_straddling_keep_break_by_flat_index(self):
+        # No ordering and no sign terms: the penalty is symmetric in the four
+        # coordinates, so cells that permute each other tie.  An odd keep is
+        # chosen where a tie straddles the cut.
+        system = ConstraintSystem(4, 3, Fraction(5, 2), ordering=False)
+        ev, axes = _grid(system, 17)
+        pen, _ = _every_cell(ev, axes)
+        ranked = np.sort(pen)
+        keep = next(k for k in range(501, len(ranked), 2) if ranked[k - 1] == ranked[k])
+        assert ranked[keep - 2] <= ranked[keep - 1] == ranked[keep]
+        _assert_top(ev, axes, keep)
+        _assert_top(ev, axes, keep, jobs=3)
+
+    @pytest.mark.parametrize("margin", [1e-6, 0.0])
+    def test_a_low_first_threshold_doubles_until_keep_fit(self, monkeypatch, margin):
+        caps = []
+
+        def counting(ev, axes, cap, mapper=map):
+            caps.append(cap)
+            return _cells_at_most(ev, axes, cap, mapper)
+
+        monkeypatch.setattr(caseverify, "_SAMPLE_MARGIN", margin)
+        monkeypatch.setattr(caseverify, "_cells_at_most", counting)
+        ev, axes = _grid(builtin_case("thm2-lambda3", H=Fraction(3, 2)), 21)
+        _assert_top(ev, axes, keep=1944)
+        assert len(caps) > 2 and caps == sorted(caps)
+
+    @pytest.mark.parametrize("name", BUILTIN_CASES)
+    def test_cells_at_most_finds_every_cell_within_the_cap(self, name):
+        ev, axes = _grid(builtin_case(name, H=Fraction(5, 4)), 13)
+        pen, flat = _every_cell(ev, axes)
+        for cap in np.quantile(pen, [0.0, 0.003, 0.05, 0.4]):
+            got_pen, got_flat = _cells_at_most(ev, axes, float(cap))
+            order = np.argsort(got_flat)
+            np.testing.assert_array_equal(got_flat[order], flat[pen <= cap])
+            np.testing.assert_array_equal(got_pen[order], pen[pen <= cap])
+
+
+def _tight_system(rng, free):
+    # A random system whose trace and sigma_2 targets are the float sums of
+    # one grid cell, so at that cell the penalty is its ordering and sign
+    # terms alone: the prefix bound at full depth meets it to rounding.
+    system = _random_float_system(rng, free)
+    ev, axes = _grid(system, 9)
+    cell = np.array([rng.randrange(9) for _ in range(free)])
+    ex = ev.excess(axes[cell][None, :])[0]
+    system = ConstraintSystem(
+        system.n, ev.trace + ex[0], ev.sigma2 + ex[1], fixed_zeros=system.fixed_zeros,
+        ordering=system.ordering, sign_constraints=system.sign_constraints,
+        extra_symmetric=system.extra_symmetric)
+    return system, axes, cell
+
+
+class TestPrefixBound:
+    """The separable prefix bound never exceeds the float penalty."""
+
+    @staticmethod
+    def assert_bounds(ev, axes, idx):
+        bound = _PrefixBound(ev, axes)
+        pen = ev.penalty(axes[idx])
+        m = len(idx)
+        sep, psum, last = np.full(m, bound.const), np.zeros(m), np.zeros(m)
+        for k in range(len(ev.free0)):
+            sep, psum, last, low = bound.extend(k, sep, psum, last, idx[:, k])
+            assert np.all(low <= pen), (k, np.max(low - pen))
+        return low, pen
+
+    @pytest.mark.parametrize("name", BUILTIN_CASES)
+    def test_builtin_cells(self, name):
+        rng = np.random.default_rng(7)
+        for H in (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(1000)):
+            ev, axes = _grid(builtin_case(name, H=H), 31)
+            self.assert_bounds(ev, axes, rng.integers(0, 31, size=(5000, len(ev.free0))))
+
+    def test_random_float_system_cells(self):
+        rng = random.Random(5)
+        for free in range(1, 10):
+            for _ in range(3):
+                ev, axes = _grid(_random_float_system(rng, free), 25)
+                cells = np.random.default_rng(free).integers(0, 25, size=(2000, free))
+                self.assert_bounds(ev, axes, cells)
+
+    def test_cells_where_only_separable_terms_remain(self):
+        # the bound is not slack here: it meets the penalty up to the
+        # rounding allowance, and must still stay at or below it
+        rng = random.Random(9)
+        met = 0
+        for trial in range(400):
+            system, axes, cell = _tight_system(rng, 1 + trial % 9)
+            low, pen = self.assert_bounds(_PenaltyEvaluator(system), axes, cell[None, :])
+            met += bool(pen[0] > 0 and low[0] >= pen[0] * (1 - 1e-12))
+        assert met > 50
 
 
 class TestCertificates:

@@ -71,6 +71,37 @@ class TestInvariants:
         assert proc.stdout.decode() == capsys.readouterr().out
         assert json.loads(proc.stdout)["report"]["H"] == "1/1"
 
+    def test_light_commands_start_without_numpy(self):
+        # caseverify, immersion and verify load on first use, so importing
+        # the CLI and running the exact commands never imports numpy
+        script = (
+            "import sys\n"
+            "import hypercurv.cli\n"
+            "assert 'numpy' not in sys.modules, 'import'\n"
+            "for argv in (['invariants', '--lambdas', '0,0,2,2'], ['ladder', '--n', '4'],\n"
+            "             ['classify', '--n', '4', '--H', '1', '--R', '2/3'],\n"
+            "             ['simons', '--lambdas', '1,2,3', '--gauss']):\n"
+            "    assert hypercurv.cli.run(argv) == 0, argv\n"
+            "    assert 'numpy' not in sys.modules, argv\n"
+            "import hypercurv\n"
+            "assert hypercurv.scan is hypercurv.caseverify.scan\n"
+            "assert 'numpy' in sys.modules\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              env=package_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+
+    def test_every_reexport_resolves(self):
+        from hypercurv import caseverify, immersion, verify
+
+        for name in hypercurv.__all__:
+            assert name in dir(hypercurv)
+            value = getattr(hypercurv, name)
+            for module in (caseverify, immersion, verify):
+                if hasattr(module, name):
+                    assert value is getattr(module, name)
+        with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+            hypercurv.not_a_name
+
 
 class TestLadderAndClassify:
     def test_ladder_rungs(self, capsys):

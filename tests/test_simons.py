@@ -230,6 +230,24 @@ class TestRightHandSides:
         assert repr(simons_rhs_general(d)) == "0.0"
         assert repr(simons_rhs_space_form(zero, -0.0, (-0.0, -0.0))) == "0.0"
 
+    def test_exact_grad_past_the_double_range(self):
+        # the sign check compares in the value's own regime, so an EXACT
+        # |grad A|^2 no double can hold goes through both forms exactly
+        s = CurvatureSpectrum([1, 2, 3])
+        hess = (Fraction(1, 3), 0, -2)
+        grad = Fraction(10 ** 400, 7)
+        expected = naive_space_form(s.lambdas, 0, grad, hess)
+        d = SimonsPointData.with_gauss_curvatures(s, grad, hess)
+        assert d.grad_a2 == grad
+        assert simons_rhs_general(d) == expected
+        assert simons_rhs_space_form(s, grad, hess) == expected
+        assert simons_rhs_general(SimonsPointData(s, grad, hess, d.k_table)) == expected
+        for bad in (-grad, Fraction(-1, 10 ** 400)):
+            with pytest.raises(DomainError, match="cannot be negative"):
+                simons_rhs_space_form(s, bad)
+            with pytest.raises(DomainError, match="cannot be negative"):
+                SimonsPointData.with_gauss_curvatures(s, bad)
+
     def test_space_form_validation(self):
         s = CurvatureSpectrum([1, 2, 3])
         with pytest.raises(DomainError):
