@@ -416,8 +416,7 @@ def _random_float_system(rng, free):
     # ordering, sign bounds and sigma_r bounds, its targets at a random point.
     n = max(2, free + rng.randint(0, 3))
     fixed = set(rng.sample(range(1, n + 1), n - free))
-    x = sorted(0.0 if i + 1 in fixed else rng.uniform(-2.0, 3.0) for i in range(n))
-    x = [0.0 if i + 1 in fixed else v for i, v in enumerate(x)]
+    x = [0.0 if i + 1 in fixed else rng.uniform(-2.0, 3.0) for i in range(n)]
     relations = [Relation.GE_ZERO, Relation.LE_ZERO, Relation.GT_ZERO, Relation.LT_ZERO,
                  Relation.GE_H]
     signs = []
@@ -487,7 +486,6 @@ class TestPrunedGrid:
         pen, _ = _every_cell(ev, axes)
         ranked = np.sort(pen)
         keep = next(k for k in range(501, len(ranked), 2) if ranked[k - 1] == ranked[k])
-        assert ranked[keep - 2] <= ranked[keep - 1] == ranked[keep]
         _assert_top(ev, axes, keep)
         _assert_top(ev, axes, keep, jobs=3)
 
@@ -518,8 +516,9 @@ class TestPrunedGrid:
 
 def _tight_system(rng, free):
     # A random system whose trace and sigma_2 targets are the float sums of
-    # one grid cell, so at that cell the penalty is its ordering and sign
-    # terms alone: the prefix bound at full depth meets it to rounding.
+    # one grid cell, so at that cell the penalty is its ordering, sign and
+    # sigma_r terms alone: without sigma_r terms, the prefix bound at full
+    # depth meets it to rounding.
     system = _random_float_system(rng, free)
     ev, axes = _grid(system, 9)
     cell = np.array([rng.randrange(9) for _ in range(free)])
