@@ -620,15 +620,17 @@ def _cells_at_most(ev: _PenaltyEvaluator, axes: np.ndarray, cap: float, mapper=m
     """
     bound = _PrefixBound(ev, axes)
     size, d = len(axes), bound.d
-    cols = np.arange(size)
-    width = max(1, _GRID_SLICE // size)
+    # a slice is ``width`` prefixes by ``step`` axis values, at most _GRID_SLICE rows
+    step = min(size, _GRID_SLICE)
+    width = _GRID_SLICE // step
     level = (np.zeros(1, np.int64), np.full(1, bound.const), np.zeros(1), np.zeros(1))
 
-    def grow(k: int, part):
+    def grow(k: int, part, start: int):
         flat, sep, psum, last = part
+        cols = np.arange(start, min(start + step, size))
         sep, psum, x, low = bound.extend(k, sep[:, None], psum[:, None], last[:, None], cols)
         i, j = np.nonzero(low <= cap)
-        flat = flat[i] * size + j
+        flat = flat[i] * size + cols[j]
         if k < d - 1:
             return flat, sep[i, j], psum[i, j], x[j]
         pen = ev.penalty(_grid_cells(axes, d, flat))
@@ -636,9 +638,10 @@ def _cells_at_most(ev: _PenaltyEvaluator, axes: np.ndarray, cap: float, mapper=m
         return pen[within], flat[within]
 
     for k in range(d):
-        slices = [tuple(a[s:s + width] for a in level)
-                  for s in range(0, max(len(level[0]), 1), width)]
-        parts = list(mapper(lambda part: grow(k, part), slices))
+        slices = [(tuple(a[s:s + width] for a in level), start)
+                  for s in range(0, max(len(level[0]), 1), width)
+                  for start in range(0, size, step)]
+        parts = list(mapper(lambda job: grow(k, *job), slices))
         level = tuple(np.concatenate(column) for column in zip(*parts))
     return level
 

@@ -477,6 +477,22 @@ class TestPrunedGrid:
                              max(3, round(100_000 ** (1 / free))))
             _assert_top(ev, axes, keep)
 
+    @pytest.mark.parametrize("free, points", [(1, 60_001), (2, 251), (3, 41)])
+    def test_slices_hold_at_most_grid_slice_rows(self, monkeypatch, free, points):
+        # an axis longer than a slice is split across slices, so no penalty
+        # call sees more than _GRID_SLICE rows, even when every cell survives
+        monkeypatch.setattr(caseverify, "_GRID_SLICE", 64)
+        ev, axes = _grid(_random_float_system(random.Random(free), free), points)
+        pen, flat = _every_cell(ev, axes)
+        rows = []
+        penalty = ev.penalty
+        ev.penalty = lambda x: rows.append(len(x)) or penalty(x)
+        got_pen, got_flat = _cells_at_most(ev, axes, float(pen.max()))
+        order = np.argsort(got_flat)
+        np.testing.assert_array_equal(got_flat[order], flat)
+        np.testing.assert_array_equal(got_pen[order], pen)
+        assert max(rows) <= 64
+
     def test_ties_straddling_keep_break_by_flat_index(self):
         # No ordering and no sign terms: the penalty is symmetric in the four
         # coordinates, so cells that permute each other tie.  An odd keep is
