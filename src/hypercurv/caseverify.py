@@ -46,8 +46,6 @@ closure of the value set is connected.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -608,15 +606,14 @@ def _grid_cells(axes: np.ndarray, d: int, flat: np.ndarray) -> np.ndarray:
     return axes[np.stack(np.unravel_index(flat, (len(axes),) * d), axis=1)]
 
 
-def _cells_at_most(ev: _PenaltyEvaluator, axes: np.ndarray, cap: float, mapper=map):
+def _cells_at_most(ev: _PenaltyEvaluator, axes: np.ndarray, cap: float):
     """Penalty and flat index of every grid cell whose penalty is <= ``cap``.
 
     Prefixes grow one free axis at a time, in the C order of the flat index,
     and a prefix survives while its ``_PrefixBound`` is <= ``cap``.  Each
     level expands in slices of at most ``_GRID_SLICE`` candidate rows; on
     the last axis a slice's surviving cells are evaluated at once, so only
-    the cells within ``cap`` are kept.  ``mapper`` maps a function over the
-    slices.
+    the cells within ``cap`` are kept.
     """
     bound = _PrefixBound(ev, axes)
     size, d = len(axes), bound.d
@@ -638,15 +635,14 @@ def _cells_at_most(ev: _PenaltyEvaluator, axes: np.ndarray, cap: float, mapper=m
         return pen[within], flat[within]
 
     for k in range(d):
-        slices = [(tuple(a[s:s + width] for a in level), start)
-                  for s in range(0, max(len(level[0]), 1), width)
-                  for start in range(0, size, step)]
-        parts = list(mapper(lambda job: grow(k, *job), slices))
+        parts = [grow(k, tuple(a[s:s + width] for a in level), start)
+                 for s in range(0, max(len(level[0]), 1), width)
+                 for start in range(0, size, step)]
         level = tuple(np.concatenate(column) for column in zip(*parts))
     return level
 
 
-def _grid_top(ev: _PenaltyEvaluator, axes: np.ndarray, keep: int, jobs: int):
+def _grid_top(ev: _PenaltyEvaluator, axes: np.ndarray, keep: int):
     """The ``keep`` best grid cells by (penalty, flat index): penalties, flat
     indices and coordinates, as if every cell were evaluated and sorted.
 
@@ -669,19 +665,18 @@ def _grid_top(ev: _PenaltyEvaluator, axes: np.ndarray, keep: int, jobs: int):
         return sample[order], flat[order], cells[order]
     rank = min(len(sample) - 1, keep * len(sample) // total)
     cap = _SAMPLE_MARGIN * float(np.partition(sample, rank)[rank])
-    with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        while True:
-            pen, flat = _cells_at_most(ev, axes, cap, pool.map if pool else map)
-            if len(pen) >= keep:
-                break
-            # a zero cap cannot double: restart from the least positive penalty seen
-            cap = 2.0 * cap if cap > 0 else float(np.min(sample[sample > 0], initial=1.0))
+    while True:
+        pen, flat = _cells_at_most(ev, axes, cap)
+        if len(pen) >= keep:
+            break
+        # a zero cap cannot double: restart from the least positive penalty seen
+        cap = 2.0 * cap if cap > 0 else float(np.min(sample[sample > 0], initial=1.0))
     order = np.lexsort((flat, pen))[:keep]
     return pen[order], flat[order], _grid_cells(axes, d, flat[order])
 
 
 def scan(system: ConstraintSystem, budget: Optional[ScanBudget] = None,
-         seed: int = 0, tol: float = 1e-8, jobs: int = 1) -> FeasibilityVerdict:
+         seed: int = 0, tol: float = 1e-8) -> FeasibilityVerdict:
     """Search for a point satisfying ``system``; deterministic per seed.
 
     The grid and descent stages are fully deterministic; ``seed`` drives only
@@ -690,19 +685,17 @@ def scan(system: ConstraintSystem, budget: Optional[ScanBudget] = None,
     identical verdict.  The grid keeps the same cells as evaluating all of
     them would, but evaluates only the cells a separable lower bound cannot
     rule out (``_grid_top``); ``stats["gridCells"]`` is the grid's size, not
-    the number of cells evaluated.  ``jobs`` threads share the grid's slices.
+    the number of cells evaluated.
     A WITNESS is re-validated with the independent evaluator; NO_WITNESS
     reports the best point found and its violations.
     """
     budget = budget or ScanBudget()
-    if jobs < 1:
-        raise DomainError(f"jobs must be >= 1, got {jobs}")
     if not 0 < tol < math.inf:
         raise DomainError(f"tol must be finite and positive, got {tol}")
     ev = _PenaltyEvaluator(system)
     norm_a2 = promote(system.norm_a2_target)
     d = len(ev.free0)
-    stats: Dict[str, object] = {"seed": seed, "jobs": jobs, "freeCoordinates": d}
+    stats: Dict[str, object] = {"seed": seed, "freeCoordinates": d}
 
     def finish(x_free: np.ndarray) -> FeasibilityVerdict:
         point = tuple(float(v) for v in ev.full(np.atleast_2d(x_free))[0])
@@ -745,7 +738,7 @@ def scan(system: ConstraintSystem, budget: Optional[ScanBudget] = None,
     keep = min(max(budget.polish_starts, int(total * 0.01)), 16384)
     stats.update({"gridCells": total, "axisPoints": axis_points, "coarseStarts": keep})
 
-    pen, flat, x_top = _grid_top(ev, axes, keep, jobs)
+    pen, flat, x_top = _grid_top(ev, axes, keep)
 
     x_top = _lockstep_descent(ev, x_top, budget.descent_rounds, lo=lo, hi=hi)
     pen = ev.penalty(x_top)

@@ -49,7 +49,7 @@ class _Parser(argparse.ArgumentParser):
 # Each config key with the rule of its flag: the flag's type, or its choices.
 _CONFIG_KEYS = {
     "format": ("json", "csv", "table"), "regime": ("exact", "float"),
-    "method": ("analytic", "fd"), "seed": int, "budget": int, "jobs": int,
+    "method": ("analytic", "fd"), "seed": int, "budget": int,
     "samples": int, "tol": float, "h": float,
 }
 
@@ -144,7 +144,6 @@ def build_parser() -> _Parser:
     p.add_argument("--R", default=None, dest="scalar", metavar="R")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--budget", type=int, default=None, help="grid cells (default 1000000)")
-    p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--tol", type=float, default=None, help="witness tolerance (default 1e-8)")
     p.add_argument("--samples", type=int, default=None,
                    help="certificate sample count (default 1000)")
@@ -176,7 +175,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--budget", type=int, default=None,
                    help="scan grid cells per case (default 200000)")
-    p.add_argument("--jobs", type=int, default=None)
 
     return parser
 
@@ -290,8 +288,7 @@ def _cmd_scan(args) -> Tuple[dict, List[str], List[list], int]:
         system = caseverify.ConstraintSystem.from_json_dict(_load_json(args.system))
     budget = caseverify.ScanBudget(grid_points=1_000_000 if args.budget is None else args.budget)
     tol = args.tol if args.tol is not None else 1e-8
-    verdict = caseverify.scan(system, budget=budget, seed=args.seed, tol=tol,
-                              jobs=1 if args.jobs is None else args.jobs)
+    verdict = caseverify.scan(system, budget=budget, seed=args.seed, tol=tol)
     expected = caseverify.expected_outcome(system)
     certificate = None
     # certificate margins are asserted for the recorded target ratios only
@@ -433,8 +430,7 @@ def _cmd_verify_all(args) -> Tuple[dict, List[str], List[list], int]:
 
     results = verify.run_builtin_suite(
         seed=args.seed if args.seed is not None else 0,
-        scan_grid_points=200_000 if args.budget is None else args.budget,
-        jobs=1 if args.jobs is None else args.jobs)
+        scan_grid_points=200_000 if args.budget is None else args.budget)
     passed = sum(1 for r in results if r.passed)
     failed = len(results) - passed
     payload = {

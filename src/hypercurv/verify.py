@@ -17,7 +17,6 @@ from typing import List, Optional
 import numpy as np
 
 from . import caseverify, cylinders, immersion, simons, spectrum
-from .errors import DomainError
 from .scalars import JsonRecord, Regime
 
 
@@ -59,14 +58,11 @@ _INVARIANT_FIXTURES = [
 ]
 
 
-def run_builtin_suite(seed: int = 0, scan_grid_points: int = 200_000,
-                      jobs: int = 1) -> List[CheckResult]:
+def run_builtin_suite(seed: int = 0, scan_grid_points: int = 200_000) -> List[CheckResult]:
     """Run every recorded fixture and return one result per check."""
-    # A bad budget or job count is an input error, not a failed check, so
-    # it is rejected before any check runs.
+    # A bad budget is an input error, not a failed check, so it is
+    # rejected before any check runs.
     budget = caseverify.ScanBudget(grid_points=scan_grid_points)
-    if jobs < 1:
-        raise DomainError(f"jobs must be >= 1, got {jobs}")
     results: List[CheckResult] = []
 
     for n, expected in _LADDERS.items():
@@ -156,7 +152,7 @@ def run_builtin_suite(seed: int = 0, scan_grid_points: int = 200_000,
         system = caseverify.builtin_case(case, H=1)
         _check(results, f"scan-{case}",
                lambda system=system: caseverify.expected_outcome(system).agrees(
-                   caseverify.scan(system, budget=budget, seed=seed, jobs=jobs)),
+                   caseverify.scan(system, budget=budget, seed=seed)),
                f"scan of {case} reproduces the recorded outcome")
         if caseverify.has_certificate(system):
             _check(

@@ -208,7 +208,7 @@ def test_criterion_7_case_scans():
     for name in ("thm1-claim", "thm1-lambda2", "thm2-claim",
                  "thm2-lambda3", "thm2-lambda2"):
         system = builtin_case(name, H=1)
-        verdict = scan(system, budget=budget, seed=SEED, jobs=1)
+        verdict = scan(system, budget=budget, seed=SEED)
         expected = expected_outcome(system)
         assert verdict.status == expected.status, name
         if expected.witness is not None:
@@ -223,8 +223,7 @@ def test_criterion_7_case_scans():
                                    count=500)
         assert report.passed, name
 
-    rerun = scan(builtin_case("thm2-lambda2", H=1), budget=budget,
-                 seed=SEED, jobs=1)
+    rerun = scan(builtin_case("thm2-lambda2", H=1), budget=budget, seed=SEED)
     assert rerun.witness == verdicts["thm2-lambda2"].witness
     assert rerun.residual == verdicts["thm2-lambda2"].residual
     elapsed = time.perf_counter() - start

@@ -237,13 +237,6 @@ class TestScan:
         assert a.residual == b.residual
         assert a.to_json_dict() == b.to_json_dict()
 
-    def test_jobs_do_not_change_the_answer(self):
-        s = builtin_case("thm1-lambda2")
-        a = scan(s, budget=small_budget(), seed=3, jobs=1)
-        b = scan(s, budget=small_budget(), seed=3, jobs=4)
-        assert a.best_point == b.best_point
-        assert a.status == b.status
-
     def test_witness_double_entry(self):
         # hand-built feasible system: x = (1, 1, 2) solves both equalities
         s = ConstraintSystem(3, 4, 5, sign_constraints=(
@@ -254,8 +247,6 @@ class TestScan:
 
     def test_validation(self):
         s = builtin_case("thm1-claim")
-        with pytest.raises(DomainError):
-            scan(s, seed=0, jobs=0)
         for tol in (0.0, math.nan, math.inf):
             with pytest.raises(DomainError):
                 scan(s, seed=0, tol=tol)
@@ -282,6 +273,8 @@ class TestScan:
     def test_stats_shape(self):
         v = scan(builtin_case("thm1-lambda2"), budget=small_budget(), seed=0)
         stats = v.stats
+        assert set(stats) == {"seed", "freeCoordinates", "gridCells", "axisPoints",
+                              "coarseStarts", "bestPenalty", "snappedExact"}
         assert stats["seed"] == 0
         assert stats["freeCoordinates"] == 3
         assert stats["gridCells"] <= 60_000
@@ -450,8 +443,8 @@ def _top_oracle(ev, axes, keep):
     return pen[order], flat[order]
 
 
-def _assert_top(ev, axes, keep, jobs=1):
-    pen, flat, cells = _grid_top(ev, axes, keep, jobs)
+def _assert_top(ev, axes, keep):
+    pen, flat, cells = _grid_top(ev, axes, keep)
     want_pen, want_flat = _top_oracle(ev, axes, keep)
     np.testing.assert_array_equal(flat, want_flat)
     np.testing.assert_array_equal(pen, want_pen)
@@ -503,15 +496,14 @@ class TestPrunedGrid:
         ranked = np.sort(pen)
         keep = next(k for k in range(501, len(ranked), 2) if ranked[k - 1] == ranked[k])
         _assert_top(ev, axes, keep)
-        _assert_top(ev, axes, keep, jobs=3)
 
     @pytest.mark.parametrize("margin", [1e-6, 0.0])
     def test_a_low_first_threshold_doubles_until_keep_fit(self, monkeypatch, margin):
         caps = []
 
-        def counting(ev, axes, cap, mapper=map):
+        def counting(ev, axes, cap):
             caps.append(cap)
-            return _cells_at_most(ev, axes, cap, mapper)
+            return _cells_at_most(ev, axes, cap)
 
         monkeypatch.setattr(caseverify, "_SAMPLE_MARGIN", margin)
         monkeypatch.setattr(caseverify, "_cells_at_most", counting)

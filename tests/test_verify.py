@@ -2,7 +2,7 @@ from hypercurv.verify import run_builtin_suite
 
 
 def test_builtin_suite_all_green():
-    results = run_builtin_suite(seed=0, scan_grid_points=120_000, jobs=1)
+    results = run_builtin_suite(seed=0, scan_grid_points=120_000)
     failures = [r for r in results if not r.passed]
     assert not failures, [f"{r.name}: {r.detail}" for r in failures]
     # the suite spans invariants, ladders, Simons forms, scans and immersions
@@ -11,6 +11,6 @@ def test_builtin_suite_all_green():
 
 
 def test_suite_results_serialize():
-    for result in run_builtin_suite(seed=1, scan_grid_points=60_000, jobs=1)[:3]:
+    for result in run_builtin_suite(seed=1, scan_grid_points=60_000)[:3]:
         payload = result.to_json_dict()
         assert set(payload) == {"name", "passed", "detail"}
