@@ -30,7 +30,9 @@ inequality terms clipped at zero, each coordinate section of it is convex
 piecewise-quadratic with knots at the inequality breakpoints (so the
 descent minimises it in closed form: the best of the knots and of each
 piece's clipped stationary point), and the slopes over all coordinates are
-the Gauss-Newton Jacobian.
+the Gauss-Newton Jacobian.  A line search runs over only the terms that
+move along its coordinate (the equalities, the ordering steps and sign
+bounds on it, the sigma_r bounds), and on a tie it keeps the current value.
 
 For the built-in named cases, ``closed_form_contradiction`` evaluates the
 registered one-line certificate whose sign settles the case without any
@@ -304,6 +306,15 @@ class _PenaltyEvaluator:
         self.t = np.array([t for _, t in bounds])
         self.top = max([2] + self.orders)
         self.terms = 2 + self.steps + len(bounds)
+        # Columns of the terms that can move along each free coordinate c, in
+        # ``excess`` order: the equalities, the ordering steps x_{c-1} - x_c
+        # and x_c - x_{c+1}, the sign bounds on c and every sigma_r bound.
+        # Every other term has slope exactly 0 along c.
+        signs = 2 + self.steps
+        self.moving = [np.array(
+            [0, 1] + [2 + i for i in range(self.steps) if c in (i, i + 1)]
+            + [signs + b for b, coord in enumerate(self.coords) if coord == c]
+            + list(range(signs + len(self.coords), self.terms))) for c in self.free0]
 
     def full(self, x_free: np.ndarray) -> np.ndarray:
         rows = np.zeros((x_free.shape[0], self.n))
@@ -376,16 +387,19 @@ def _sum_squares(ex: np.ndarray) -> np.ndarray:
     return ex.sum(axis=1)
 
 
-def _line_minimum(slope: np.ndarray, offset: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """First minimiser on [lo, hi] of each row's section f(t) = sum of (slope t + offset)^2.
+def _line_minimum(slope: np.ndarray, offset: np.ndarray, lo: float, hi: float,
+                  now: np.ndarray) -> np.ndarray:
+    """Each row's current value ``now``, or a strictly lower minimiser of its
+    section f(t) = sum of (slope t + offset)^2 on [lo, hi].
 
     Columns 0 and 1 are equalities; the rest are inequalities, clipped at
     zero, whose breakpoints -offset/slope cut [lo, hi] into pieces with a
     fixed active set.  f is convex and quadratic on each piece, so its
     minimum over [lo, hi] is at a knot or at a piece's stationary point
     -sum(slope offset)/sum(slope^2) over the active terms, clipped to the
-    piece.  f is evaluated at every such candidate, knots first in
-    ascending order, and the first argmin is returned.
+    piece.  f is evaluated at ``now`` and at every such candidate, knots in
+    ascending order after ``now``, and the first argmin is returned: a tie
+    keeps the current value, so a row moves only to a lower section value.
     """
     m = len(slope)
     # Rows last: numpy then runs each step over the long axis.
@@ -406,7 +420,7 @@ def _line_minimum(slope: np.ndarray, offset: np.ndarray, lo: float, hi: float) -
         stationary = np.clip(-moment / curvature, left, right)
     # A piece with no curvature is flat: its knots already cover it.
     stationary = np.where(curvature > 0.0, stationary, left)
-    cand = np.vstack([knots, stationary])
+    cand = np.vstack([now, knots, stationary])
     vals = s * cand[:, None, :]
     vals += o
     np.maximum(vals[:, 2:], 0.0, out=vals[:, 2:])
@@ -421,20 +435,19 @@ def _lockstep_descent(ev: _PenaltyEvaluator, x: np.ndarray, rounds: int,
                       lo: float, hi: float) -> np.ndarray:
     # Along one coordinate every term is affine, so each coordinate section
     # of the penalty is convex piecewise-quadratic and ``_line_minimum``
-    # minimises it exactly.  A row takes the new value only when its section
-    # value, evaluated the same way for both, is lower than at its current
-    # one; rounding near the float floor can otherwise raise a penalty.
-    # Rows never interact, so they run in blocks of ``_ROW_CHUNK``.
+    # minimises it exactly.  The line search sees only the terms that move
+    # along its coordinate (``ev.moving``): the rest are constant there, so
+    # they shift the section without moving its minimiser.  A tie keeps the
+    # current value, so a row moves only to a lower section value; rounding
+    # near the float floor could otherwise raise a penalty.  Rows never
+    # interact, so they run in blocks of ``_ROW_CHUNK``.
     x = x.copy()
     for start in range(0, len(x), _ROW_CHUNK):
         block = x[start:start + _ROW_CHUNK]
         for _ in range(rounds):
             for col in range(x.shape[1]):
-                slope, offset = (a[0] for a in ev.sections(block, [col]))
-                t = _line_minimum(slope, offset, lo, hi)
-                improve = (_sum_squares(slope * t[:, None] + offset)
-                           < _sum_squares(slope * block[:, col, None] + offset))
-                block[improve, col] = t[improve]
+                slope, offset = (a[0][:, ev.moving[col]] for a in ev.sections(block, [col]))
+                block[:, col] = _line_minimum(slope, offset, lo, hi, block[:, col])
     return x
 
 
@@ -1011,8 +1024,10 @@ def certificate_check(system: ConstraintSystem, seed: int = 0, count: int = 1000
     violate the full system and the certificate's algebra must hold on it;
     for a witness-pinning certificate (a case with a recorded witness) the
     identity must vanish on every sample and the anchored witness must be
-    fully feasible.
+    fully feasible.  ``tol`` must be finite and positive, as in ``scan``.
     """
+    if not 0 < tol < math.inf:
+        raise DomainError(f"tol must be finite and positive, got {tol}")
     points = certificate_samples(system, seed=seed, count=count)
     case = _certified(system)
     trace = promote(system.trace_target)

@@ -333,6 +333,48 @@ class TestExcessKernel:
             np.testing.assert_array_equal(_gauss_newton(ev, start[None, :])[0], end)
         assert np.all(ev.penalty(batch) <= ev.penalty(x))
 
+    def test_moving_terms_match_sections(self):
+        # A term left out of ``moving[k]`` must have slope exactly 0 along
+        # coordinate k; the ordering steps and sign bounds kept in it have
+        # slope +-1, up to the rounding of (1 - a) + a in the probe at x_k = 1.
+        rng = random.Random(13)
+        systems = [builtin_case(name) for name in BUILTIN_CASES]
+        systems += [_random_float_system(rng, free) for free in (1, 4, 9) for _ in range(4)]
+        for i, system in enumerate(systems):
+            ev = _PenaltyEvaluator(system)
+            box = math.sqrt(max(float(system.norm_a2_target), 0.0))
+            x = np.random.default_rng(i).uniform(-box, box, size=(30, len(ev.free0)))
+            slope, _ = ev.sections(x, range(len(ev.free0)))
+            unit_terms = range(2, 2 + ev.steps + len(ev.coords))
+            scale = max(np.abs(x).max(), np.abs(ev.t).max(initial=0.0))
+            for k, moving in enumerate(ev.moving):
+                assert list(moving[:2]) == [0, 1]
+                assert np.all(np.diff(moving) > 0)
+                still = np.setdiff1d(np.arange(ev.terms), moving)
+                assert np.all(slope[k][:, still] == 0.0)
+                unit = [c for c in moving if c in unit_terms]
+                np.testing.assert_allclose(np.abs(slope[k][:, unit]), 1.0, rtol=0,
+                                           atol=np.finfo(float).eps * (1.0 + scale))
+
+
+def _random_float_system(rng, free):
+    # A FLOAT system with ``free`` free coordinates and random pinned zeros,
+    # ordering, sign bounds and sigma_r bounds, its targets at a random point.
+    n = max(2, free + rng.randint(0, 3))
+    fixed = set(rng.sample(range(1, n + 1), n - free))
+    x = [0.0 if i + 1 in fixed else rng.uniform(-2.0, 3.0) for i in range(n)]
+    relations = [Relation.GE_ZERO, Relation.LE_ZERO, Relation.GT_ZERO, Relation.LT_ZERO,
+                 Relation.GE_H]
+    signs = []
+    for i in rng.sample(sorted(set(range(1, n + 1)) - fixed), rng.randint(0, min(free, 3))):
+        signs.append(SignConstraint(i, rng.choice(relations)))
+    extra = tuple(SymmetricSignConstraint(r, rng.choice([Relation.GE_ZERO, Relation.LE_ZERO]))
+                  for r in rng.sample(range(2, n + 1), rng.randint(0, min(2, n - 1))))
+    return ConstraintSystem(n, math.fsum(x) + rng.uniform(-0.5, 0.5),
+                            oracles.sigma_subsets(x, 2) + rng.uniform(-1.0, 1.0),
+                            fixed_zeros=fixed, ordering=rng.random() < 0.7,
+                            sign_constraints=tuple(signs), extra_symmetric=extra)
+
 
 def _section_values(slope, offset, t):
     # Dense oracle of a coordinate section: f at every t[:, k], one row each.
@@ -368,7 +410,8 @@ class TestLineMinimum:
     def test_no_point_of_a_dense_sweep_is_lower(self, seed, kind):
         # Zero slopes divide by zero; the suite turns a RuntimeWarning into an error.
         slope, offset = _section_rows(kind, np.random.default_rng(seed))
-        t = _line_minimum(slope, offset, self.LO, self.HI)
+        now = np.linspace(self.LO, self.HI, len(slope))
+        t = _line_minimum(slope, offset, self.LO, self.HI, now)
         assert np.all((self.LO <= t) & (t <= self.HI))
         sweep = np.broadcast_to(np.linspace(self.LO, self.HI, 20001), (len(t), 20001))
         dense = _section_values(slope, offset, sweep).min(axis=1)
@@ -376,15 +419,31 @@ class TestLineMinimum:
         assert np.all(found <= dense + 1e-12 * (1.0 + dense))
 
     def test_flat_rows_take_the_first_candidate(self):
-        # Constant sections tie everywhere; the first argmin is the lower bound.
+        # Constant sections tie everywhere; the first argmin is the current value.
         slope = np.zeros((2, 4))
         offset = np.array([[1.0, -2.0, -1.0, 0.5], [0.0, 0.0, -3.0, -1.0]])
-        np.testing.assert_array_equal(_line_minimum(slope, offset, self.LO, self.HI),
-                                      [self.LO, self.LO])
+        np.testing.assert_array_equal(
+            _line_minimum(slope, offset, self.LO, self.HI, np.full(2, self.LO)),
+            [self.LO, self.LO])
+        now = np.array([0.5, self.HI])
+        np.testing.assert_array_equal(_line_minimum(slope, offset, self.LO, self.HI, now), now)
+
+    def test_a_current_minimiser_is_kept_bit_for_bit(self):
+        # Row 0 is flat at 0 on [-1, 1]: t - 1 <= 0 and -t - 1 <= 0, no
+        # equality moves, so 0.3 is a minimiser although the knot -1 is first.
+        slope = np.array([[0.0, 0.0, 1.0, -1.0]])
+        offset = np.array([[0.0, 0.0, -1.0, -1.0]])
+        assert _line_minimum(slope, offset, self.LO, self.HI, np.array([0.3]))[0] == 0.3
+        assert _line_minimum(slope, offset, self.LO, self.HI, np.array([2.0]))[0] == -1.0
+        # Random rows: a second search from the first one's minimiser stays put.
+        slope, offset = _section_rows("random", np.random.default_rng(7))
+        t = _line_minimum(slope, offset, self.LO, self.HI, np.zeros(len(slope)))
+        np.testing.assert_array_equal(_line_minimum(slope, offset, self.LO, self.HI, t.copy()), t)
 
     @pytest.mark.parametrize("system", [builtin_case("thm2-claim"), builtin_case("thm1-lambda2"),
-                                        planted_system()],
-                             ids=["thm2-claim", "thm1-lambda2", "float-custom"])
+                                        planted_system(),
+                                        _random_float_system(random.Random(9), 9)],
+                             ids=["thm2-claim", "thm1-lambda2", "float-custom", "random-9-free"])
     def test_descent_never_raises_a_penalty(self, system):
         ev = _PenaltyEvaluator(system)
         box = math.sqrt(float(system.norm_a2_target))
@@ -402,25 +461,6 @@ class TestLineMinimum:
         x = np.array([[0.0, 2.0, 2.0]])  # (0, 0, 2, 2) with x_2 pinned
         assert ev.penalty(x)[0] == 0.0
         np.testing.assert_array_equal(_lockstep_descent(ev, x, 2, -3.0, 3.0), x)
-
-
-def _random_float_system(rng, free):
-    # A FLOAT system with ``free`` free coordinates and random pinned zeros,
-    # ordering, sign bounds and sigma_r bounds, its targets at a random point.
-    n = max(2, free + rng.randint(0, 3))
-    fixed = set(rng.sample(range(1, n + 1), n - free))
-    x = [0.0 if i + 1 in fixed else rng.uniform(-2.0, 3.0) for i in range(n)]
-    relations = [Relation.GE_ZERO, Relation.LE_ZERO, Relation.GT_ZERO, Relation.LT_ZERO,
-                 Relation.GE_H]
-    signs = []
-    for i in rng.sample(sorted(set(range(1, n + 1)) - fixed), rng.randint(0, min(free, 3))):
-        signs.append(SignConstraint(i, rng.choice(relations)))
-    extra = tuple(SymmetricSignConstraint(r, rng.choice([Relation.GE_ZERO, Relation.LE_ZERO]))
-                  for r in rng.sample(range(2, n + 1), rng.randint(0, min(2, n - 1))))
-    return ConstraintSystem(n, math.fsum(x) + rng.uniform(-0.5, 0.5),
-                            oracles.sigma_subsets(x, 2) + rng.uniform(-1.0, 1.0),
-                            fixed_zeros=fixed, ordering=rng.random() < 0.7,
-                            sign_constraints=tuple(signs), extra_symmetric=extra)
 
 
 def _grid(system, points):
@@ -620,6 +660,14 @@ class TestCertificates:
         for call in (certificate_samples, certificate_check):
             with pytest.raises(DomainError):
                 call(builtin_case("thm1-claim"), count=0)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+    @pytest.mark.parametrize("name", ["thm1-claim", "thm1-lambda2"])
+    def test_tolerance_must_be_finite_and_positive(self, name, tol):
+        # no sample counts as feasible at tol <= 0 or nan, so an infeasibility
+        # certificate would pass vacuously; tol = inf lets any point pin a witness
+        with pytest.raises(DomainError):
+            certificate_check(builtin_case(name), count=50, tol=tol)
 
     def test_infeasibility_without_samples_fails(self):
         # at R = 5H^2 the equalities force a negative sum of squares
