@@ -24,15 +24,18 @@ The scan encodes its constraint terms once, as a matrix of signed excess
 (one column per term, positive when violated).  Every term is affine in
 any one coordinate x_j: the trace, the ordering steps and the sign bounds
 trivially, and sigma_r through sigma_r(x) = x_j sigma_{r-1}(x without j) +
-sigma_r(x without j).  So the excess at x_j = 0 and x_j = 1 gives each
-term's slope and offset along x_j.  The penalty is the sum of squares with
-inequality terms clipped at zero, each coordinate section of it is convex
-piecewise-quadratic with knots at the inequality breakpoints (so the
-descent minimises it in closed form: the best of the knots and of each
-piece's clipped stationary point), and the slopes over all coordinates are
-the Gauss-Newton Jacobian.  A line search runs over only the terms that
-move along its coordinate (the equalities, the ordering steps and sign
-bounds on it, the sigma_r bounds), and on a tie it keeps the current value.
+sigma_r(x without j).  So one sigma pass over a point with x_j = 0 gives
+each term's offset along x_j, the terms there, and its exact slope: 1 for
+the trace, sigma_1(x without j) for sigma_2, +-1 for an ordering step, the
+bound's sense for a sign bound and sense * sigma_{r-1}(x without j) for a
+sigma_r bound.  The penalty is the sum of squares with inequality terms
+clipped at zero, each coordinate section of it is convex piecewise-quadratic
+with knots at the inequality breakpoints (so the descent minimises it in
+closed form: the best of the knots and of each piece's clipped stationary
+point), and the slopes over all coordinates are the Gauss-Newton Jacobian.
+A line search runs over only the terms that move along its coordinate (the
+equalities, the ordering steps and sign bounds on it, the sigma_r bounds),
+and on a tie it keeps the current value.
 
 For the built-in named cases, ``closed_form_contradiction`` evaluates the
 registered one-line certificate whose sign settles the case without any
@@ -281,12 +284,38 @@ class FeasibilityVerdict(JsonRecord):
     stats: Mapping[str, object]
 
 
+@dataclass(frozen=True)
+class _Part:
+    """A selection of ``excess`` columns for ``_PenaltyEvaluator._terms``.
+
+    The equalities, the ordering steps in ``steps`` (a slice of step indices,
+    so that reading them off a row copies nothing), the sign bounds on the
+    coordinates ``coords``, the sigma_r bounds for ``orders``, and the
+    threshold ``t`` and ``sense`` of each bound in that order.
+    """
+
+    steps: slice
+    coords: List[int]
+    orders: List[int]
+    t: np.ndarray
+    sense: np.ndarray
+
+    @property
+    def width(self) -> int:
+        return 2 + self.steps.stop - self.steps.start + len(self.t)
+
+
+def _one_degree_down(e: np.ndarray) -> np.ndarray:
+    # sigma_{r-1} in the place of sigma_r (sigma_{-1} = 0).
+    return np.concatenate((np.zeros((1, e.shape[1])), e[:-1]))
+
+
 class _PenaltyEvaluator:
     """The scan's constraint terms as one vectorized matrix of signed excess.
 
-    ``excess`` is the only encoding of the terms on this side of the double
-    entry: the penalty, the descent's line sections and the Gauss-Newton
-    Jacobian are all read off it.
+    ``_terms`` is the only encoding of the terms on this side of the double
+    entry: the penalty (``excess``), the descent's line sections and the
+    Gauss-Newton Jacobian are all read off it.
     """
 
     def __init__(self, system: ConstraintSystem):
@@ -306,45 +335,79 @@ class _PenaltyEvaluator:
         self.t = np.array([t for _, t in bounds])
         self.top = max([2] + self.orders)
         self.terms = 2 + self.steps + len(bounds)
-        # Columns of the terms that can move along each free coordinate c, in
-        # ``excess`` order: the equalities, the ordering steps x_{c-1} - x_c
-        # and x_c - x_{c+1}, the sign bounds on c and every sigma_r bound.
-        # Every other term has slope exactly 0 along c.
+        self.whole = _Part(slice(0, self.steps), self.coords, self.orders, self.t, self.sense)
+        # The terms that can move along each free coordinate c: the
+        # equalities, the ordering steps x_{c-1} - x_c and x_c - x_{c+1}, the
+        # sign bounds on c and every sigma_r bound.  ``moving`` holds their
+        # ``excess`` columns.  Every other term has slope exactly 0 along c.
         signs = 2 + self.steps
-        self.moving = [np.array(
-            [0, 1] + [2 + i for i in range(self.steps) if c in (i, i + 1)]
-            + [signs + b for b, coord in enumerate(self.coords) if coord == c]
-            + list(range(signs + len(self.coords), self.terms))) for c in self.free0]
+        self.parts, self.moving = [], []
+        for c in self.free0:
+            steps = slice(max(c - 1, 0), min(c + 1, self.steps)) if self.steps else slice(0, 0)
+            own = [b for b, coord in enumerate(self.coords) if coord == c]
+            keep = own + list(range(len(self.coords), len(bounds)))
+            self.parts.append(_Part(steps, [c] * len(own), self.orders,
+                                    self.t[keep], self.sense[keep]))
+            self.moving.append(np.array(
+                [0, 1] + [2 + i for i in range(steps.start, steps.stop)]
+                + [signs + b for b in keep]))
+        self.unit = np.eye(self.n)[self.free0]
 
     def full(self, x_free: np.ndarray) -> np.ndarray:
-        rows = np.zeros((x_free.shape[0], self.n))
+        # Coordinate-major, so that each term reads its coordinates contiguously.
+        rows = np.zeros((self.n, x_free.shape[0])).T
         rows[:, self.free0] = x_free
         return rows
+
+    def _sigmas(self, x_free: np.ndarray) -> np.ndarray:
+        # sigma_0 .. sigma_top of every row, by one pass of prod(1 + x_i t).
+        # Degree-major, so that each step runs over contiguous rows.
+        e = np.zeros((self.top + 1, x_free.shape[0]))
+        e[0] = 1.0
+        for col in range(x_free.shape[1]):
+            e[1:] += x_free[:, col] * e[:-1]
+        return e
+
+    def _terms(self, e: np.ndarray, rows: np.ndarray, part: _Part, targets: bool,
+               order: str = "C") -> np.ndarray:
+        """The columns of ``part``, one row per row of ``e``.
+
+        ``e[r]`` holds sigma_r, r <= top, and ``rows`` the full coordinates
+        (one row broadcasts).  With ``targets`` this is the signed excess,
+        positive when violated: sigma_1 - trace, sigma_2 - sigma_2 target,
+        the steps x_i - x_{i+1}, sense * (x_c - t), sense * (sigma_r - t).
+        Without, the targets and thresholds are left out, so on sigma values
+        one degree down and a unit row e_k it is each term's slope along x_k.
+        ``order`` is the memory layout of the result: "C" keeps each row's
+        terms together (the penalty sums them), "F" each term's rows.
+        """
+        steps = part.steps
+        width = steps.stop - steps.start
+        out = np.empty((e.shape[1], part.width), order=order)
+        out[:, 0] = e[1]
+        out[:, 1] = e[2]
+        if targets:
+            out[:, 0] -= self.trace
+            out[:, 1] -= self.sigma2
+        if width:
+            np.subtract(rows[:, steps], rows[:, steps.start + 1:steps.stop + 1],
+                        out=out[:, 2:2 + width])
+        bounds = out[:, 2 + width:]
+        bounds[:, :len(part.coords)] = rows[:, part.coords]
+        bounds[:, len(part.coords):] = e[part.orders].T
+        if targets:
+            bounds -= part.t
+        bounds *= part.sense
+        return out
 
     def excess(self, x_free: np.ndarray) -> np.ndarray:
         """Signed excess of every term, one row per point; positive is violated.
 
         Columns: the trace and sigma_2 equalities, the n-1 ordering steps
-        x_i - x_{i+1}, the sign bounds, then the sigma_r bounds.  One pass of
-        prod(1 + x_i t) gives sigma_r up to the largest r needed.
+        x_i - x_{i+1}, the sign bounds, then the sigma_r bounds.
         """
         x_free = np.atleast_2d(x_free)
-        e = np.zeros((x_free.shape[0], self.top + 1))
-        e[:, 0] = 1.0
-        for col in range(x_free.shape[1]):
-            e[:, 1:] += x_free[:, col:col + 1] * e[:, :-1]
-        out = np.empty((x_free.shape[0], self.terms))
-        out[:, 0] = e[:, 1] - self.trace
-        out[:, 1] = e[:, 2] - self.sigma2
-        rows = self.full(x_free)
-        if self.steps:
-            np.subtract(rows[:, :-1], rows[:, 1:], out=out[:, 2:2 + self.steps])
-        bounds = out[:, 2 + self.steps:]
-        bounds[:, :len(self.coords)] = rows[:, self.coords]
-        bounds[:, len(self.coords):] = e[:, self.orders]
-        bounds -= self.t
-        bounds *= self.sense
-        return out
+        return self._terms(self._sigmas(x_free), self.full(x_free), self.whole, targets=True)
 
     def penalty(self, x_free: np.ndarray) -> np.ndarray:
         return _sum_squares(self.excess(x_free))
@@ -363,20 +426,37 @@ class _PenaltyEvaluator:
         return largest + max(abs(self.trace), abs(self.sigma2),
                              float(np.abs(self.t).max(initial=0.0)))
 
-    def sections(self, x_free: np.ndarray, cols) -> Tuple[np.ndarray, np.ndarray]:
-        """Slope and offset of every term along each coordinate in ``cols``.
+    def sections(self, x_free: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Slope and offset of the terms ``moving[k]`` along free coordinate k.
 
-        sigma_r(x) = x_j sigma_{r-1}(x without j) + sigma_r(x without j), so
-        every term is affine in any one coordinate, and one ``excess`` call
-        at x_j = 0 and x_j = 1 fixes it.  Both arrays are cols x rows x terms.
+        sigma_r(x) = x_k sigma_{r-1}(x without k) + sigma_r(x without k), so
+        every term is affine in x_k.  One sigma pass over the rows with
+        x_k = 0 gives the offsets, the terms there, and one degree down the
+        sigma_r slopes; the other slopes are 1, +-1 and ``sense``, read off
+        the unit row e_k.  Both arrays are rows x ``len(moving[k])``, laid
+        out term by term, the order in which ``_line_minimum`` reads them.
         """
-        k, (m, d) = len(cols), x_free.shape
-        trial = np.repeat(x_free[None], 2 * k, axis=0)
-        for i, col in enumerate(cols):
-            trial[2 * i, :, col] = 0.0
-            trial[2 * i + 1, :, col] = 1.0
-        ex = self.excess(trial.reshape(2 * k * m, d)).reshape(k, 2, m, self.terms)
-        return ex[:, 1] - ex[:, 0], ex[:, 0]
+        at_zero = x_free.copy()
+        at_zero[:, k] = 0.0
+        e = self._sigmas(at_zero)
+        part = self.parts[k]
+        offset = self._terms(e, self.full(at_zero), part, True, order="F")
+        slope = self._terms(_one_degree_down(e), self.unit[k:k + 1], part, False, order="F")
+        return slope, offset
+
+    def jacobian(self, x_free: np.ndarray) -> np.ndarray:
+        """Slope of every term along every free coordinate: rows x terms x coords.
+
+        ``sections``' slopes for all coordinates in one stacked sigma pass;
+        a term that does not move along x_k has slope 0 there.
+        """
+        m, d = x_free.shape
+        at_zero = np.repeat(x_free[None], d, axis=0)
+        at_zero[np.arange(d), :, np.arange(d)] = 0.0
+        e = self._sigmas(at_zero.reshape(d * m, d))
+        units = np.repeat(self.unit, m, axis=0)
+        slope = self._terms(_one_degree_down(e), units, self.whole, targets=False)
+        return slope.reshape(d, m, self.terms).transpose(1, 2, 0)
 
 
 def _sum_squares(ex: np.ndarray) -> np.ndarray:
@@ -446,7 +526,7 @@ def _lockstep_descent(ev: _PenaltyEvaluator, x: np.ndarray, rounds: int,
         block = x[start:start + _ROW_CHUNK]
         for _ in range(rounds):
             for col in range(x.shape[1]):
-                slope, offset = (a[0][:, ev.moving[col]] for a in ev.sections(block, [col]))
+                slope, offset = ev.sections(block, col)
                 block[:, col] = _line_minimum(slope, offset, lo, hi, block[:, col])
     return x
 
@@ -460,7 +540,7 @@ def _gauss_newton(ev: _PenaltyEvaluator, x: np.ndarray, iters: int = 40) -> np.n
     # along directions where an equality residual is second-order flat.  The
     # residual is the equalities plus the violated inequalities, so near a
     # solution with a stable active set its squared norm is the penalty.
-    # Rows run in lockstep, so each iteration costs one excess, one sections,
+    # Rows run in lockstep, so each iteration costs one excess, one jacobian,
     # one stacked pseudo-inverse and one penalty call however many rows are
     # live or how many halvings they need; a row takes the first halving of
     # its step that lowers its penalty, and stops at penalty 0, at a
@@ -476,10 +556,9 @@ def _gauss_newton(ev: _PenaltyEvaluator, x: np.ndarray, iters: int = 40) -> np.n
         res = ev.excess(x[rows])
         active = res > 0.0
         active[:, :2] = True
-        slope, _ = ev.sections(x[rows], range(x.shape[1]))
         # Inactive terms enter as zero rows, which leaves each least-squares
         # problem unchanged and lets one stacked pseudo-inverse solve them all.
-        jac = np.where(active[:, :, None], slope.transpose(1, 2, 0), 0.0)
+        jac = np.where(active[:, :, None], ev.jacobian(x[rows]), 0.0)
         pinv = np.linalg.pinv(jac, rcond=max(jac.shape[1:]) * np.finfo(float).eps)
         step = (pinv @ np.where(active, -res, 0.0)[:, :, None])[:, :, 0]
         finite = np.isfinite(step).all(axis=1)
@@ -724,10 +803,10 @@ def scan(system: ConstraintSystem, budget: Optional[ScanBudget] = None,
 
     box = math.sqrt(max(norm_a2, 0.0))
     lo, hi = -box - 0.05 * box - 1e-3, box + 0.05 * box + 1e-3
-    # The penalty squares every term, and the descent squares slopes (the
-    # difference of two excess values, probed at x_j = 1) and sums them over
-    # the terms; refuse a box where that can overflow rather than rank
-    # points by inf.
+    # The penalty squares every term, and the descent squares slopes (1, +-1
+    # or sigma_{r-1} of the other coordinates, which excess_bound covers too)
+    # and sums them over the terms; refuse a box where that can overflow
+    # rather than rank points by inf.
     bound = 2.0 * ev.excess_bound(max(hi, 1.0))
     if not math.isfinite(ev.terms * bound * bound):
         raise DomainError(

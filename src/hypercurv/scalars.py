@@ -39,6 +39,8 @@ class Regime(str, Enum):
 
 def regime_of(value: Scalar):
     """Regime of one value, or ``None`` for integers (they fit either)."""
+    if type(value) is float:  # the common case, without the ABC checks below
+        return Regime.FLOAT
     if isinstance(value, Fraction):
         return Regime.EXACT
     if isinstance(value, numbers.Integral):

@@ -37,6 +37,7 @@ from hypercurv.caseverify import (
 )
 from hypercurv.errors import DomainError, RegimeError, UnsupportedCaseError
 from hypercurv.scalars import Regime
+from hypercurv.spectrum import sigma
 
 
 def small_budget(cells=60_000):
@@ -301,25 +302,30 @@ class TestExcessKernel:
     def test_jacobian_matches_central_differences(self, system):
         ev, x = self.kernel_and_point(system, seed=11)
         x = np.array(x)
-        slope, _ = ev.sections(x[None, :], range(len(x)))
+        jac = ev.jacobian(x[None, :])[0]
         for j in range(len(x)):
             up, down = x.copy(), x.copy()
             up[j] += 1e-3
             down[j] -= 1e-3
             fd = (ev.excess(up) - ev.excess(down))[0] / 2e-3
             np.testing.assert_allclose(
-                slope[j, 0], fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max())
+                jac[:, j], fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max())
 
     def test_sections_reproduce_excess(self):
+        # The offsets are the moving terms at x_k = 0, bit for bit, and the
+        # section slope * t + offset is the excess at x_k = t to rounding.
         ev, x = self.kernel_and_point(builtin_case("thm2-claim"), seed=4)
         x = np.array([x, [0.5 * v for v in x]])
-        slope, offset = (a[0] for a in ev.sections(x, [1]))
-        for t in (-2.0, 0.3, 1.7):
-            moved = x.copy()
-            moved[:, 1] = t
-            direct = ev.excess(moved)
-            np.testing.assert_allclose(
-                slope * t + offset, direct, rtol=1e-12, atol=1e-12 * np.abs(direct).max())
+        for k, moving in enumerate(ev.moving):
+            slope, offset = ev.sections(x, k)
+            for t in (0.0, -2.0, 0.3, 1.7):
+                moved = x.copy()
+                moved[:, k] = t
+                direct = ev.excess(moved)[:, moving]
+                if t == 0.0:
+                    np.testing.assert_array_equal(offset, direct)
+                np.testing.assert_allclose(
+                    slope * t + offset, direct, rtol=1e-12, atol=1e-12 * np.abs(direct).max())
 
     def test_gauss_newton_rows_do_not_interact(self):
         # Rows run in lockstep; each must end where it ends when run alone,
@@ -333,28 +339,62 @@ class TestExcessKernel:
             np.testing.assert_array_equal(_gauss_newton(ev, start[None, :])[0], end)
         assert np.all(ev.penalty(batch) <= ev.penalty(x))
 
-    def test_moving_terms_match_sections(self):
-        # A term left out of ``moving[k]`` must have slope exactly 0 along
-        # coordinate k; the ordering steps and sign bounds kept in it have
-        # slope +-1, up to the rounding of (1 - a) + a in the probe at x_k = 1.
+    @staticmethod
+    def systems_and_points():
+        # The five built-ins and twelve random FLOAT systems (1, 4 and 9 free
+        # coordinates), each with 30 random points in its box.
         rng = random.Random(13)
         systems = [builtin_case(name) for name in BUILTIN_CASES]
         systems += [_random_float_system(rng, free) for free in (1, 4, 9) for _ in range(4)]
         for i, system in enumerate(systems):
             ev = _PenaltyEvaluator(system)
             box = math.sqrt(max(float(system.norm_a2_target), 0.0))
-            x = np.random.default_rng(i).uniform(-box, box, size=(30, len(ev.free0)))
-            slope, _ = ev.sections(x, range(len(ev.free0)))
-            unit_terms = range(2, 2 + ev.steps + len(ev.coords))
-            scale = max(np.abs(x).max(), np.abs(ev.t).max(initial=0.0))
-            for k, moving in enumerate(ev.moving):
+            yield ev, np.random.default_rng(i).uniform(-box, box, size=(30, len(ev.free0)))
+
+    def test_moving_terms_match_sections(self):
+        # A term left out of ``moving[k]`` has slope exactly 0 along x_k; the
+        # trace has slope 1, the ordering steps on x_k exactly +-1 and its
+        # sign bounds exactly their ``sense``.  ``sections`` gives the
+        # Jacobian's slopes on the moving columns, and its offsets are the
+        # moving terms at x_k = 0.
+        for ev, x in self.systems_and_points():
+            jac = ev.jacobian(x)
+            signs = 2 + ev.steps
+            for k, (c, moving) in enumerate(zip(ev.free0, ev.moving)):
                 assert list(moving[:2]) == [0, 1]
                 assert np.all(np.diff(moving) > 0)
                 still = np.setdiff1d(np.arange(ev.terms), moving)
-                assert np.all(slope[k][:, still] == 0.0)
-                unit = [c for c in moving if c in unit_terms]
-                np.testing.assert_allclose(np.abs(slope[k][:, unit]), 1.0, rtol=0,
-                                           atol=np.finfo(float).eps * (1.0 + scale))
+                assert np.all(jac[:, still, k] == 0.0)
+                slope, offset = ev.sections(x, k)
+                np.testing.assert_array_equal(slope, jac[:, moving, k])
+                at_zero = x.copy()
+                at_zero[:, k] = 0.0
+                np.testing.assert_array_equal(offset, ev.excess(at_zero)[:, moving])
+                assert np.all(jac[:, 0, k] == 1.0)
+                for col in moving[2:]:
+                    if col < signs:
+                        step = col - 2  # x_step - x_{step+1}
+                        assert np.all(jac[:, col, k] == (1.0 if step == c else -1.0))
+                    elif col < signs + len(ev.coords):
+                        assert ev.coords[col - signs] == c
+                        assert np.all(jac[:, col, k] == ev.sense[col - signs])
+
+    def test_sigma_slopes_match_the_other_coordinates(self):
+        # sigma_r(x) = x_k sigma_{r-1}(x without k) + sigma_r(x without k):
+        # the sigma_2 slope is sigma_1 of the other coordinates and each
+        # sigma_r bound's is sense * sigma_{r-1}, against spectrum.sigma.
+        for ev, x in self.systems_and_points():
+            jac = ev.jacobian(x)
+            bounds = 2 + ev.steps + len(ev.coords)
+            for i, row in enumerate(ev.full(x).tolist()):
+                for k, c in enumerate(ev.free0):
+                    rest = row[:c] + row[c + 1:]
+                    scale = 1.0 + sum(abs(v) for v in rest) ** (ev.top - 1)
+                    want = [sigma(rest, 1)] + [
+                        sense * sigma(rest, r - 1) if r > 1 else sense
+                        for r, sense in zip(ev.orders, ev.sense[len(ev.coords):])]
+                    got = [jac[i, 1, k]] + list(jac[i, bounds:, k])
+                    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * scale)
 
 
 def _random_float_system(rng, free):

@@ -36,6 +36,13 @@ def test_regime_of_basic():
     assert regime_of(0.5) is Regime.FLOAT
     assert regime_of(7) is None
     assert regime_of(True) is None  # bool is Integral
+    assert regime_of(np.float64(0.5)) is Regime.FLOAT
+    assert regime_of(math.nan) is Regime.FLOAT
+
+    class Real(float):
+        pass
+
+    assert regime_of(Real(0.5)) is Regime.FLOAT
     with pytest.raises(DomainError):
         regime_of("3/4")
     with pytest.raises(DomainError):
