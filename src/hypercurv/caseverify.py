@@ -389,9 +389,8 @@ class _PenaltyEvaluator:
         if targets:
             out[:, 0] -= self.trace
             out[:, 1] -= self.sigma2
-        if width:
-            np.subtract(rows[:, steps], rows[:, steps.start + 1:steps.stop + 1],
-                        out=out[:, 2:2 + width])
+        np.subtract(rows[:, steps], rows[:, steps.start + 1:steps.stop + 1],
+                    out=out[:, 2:2 + width])
         bounds = out[:, 2 + width:]
         bounds[:, :len(part.coords)] = rows[:, part.coords]
         bounds[:, len(part.coords):] = e[part.orders].T
