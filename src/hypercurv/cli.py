@@ -21,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -106,9 +107,12 @@ def _parse_scalar_list(raw: str, regime: Regime) -> List:
 
 def _parse_float_list(raw: str) -> List[float]:
     try:
-        return [float(piece) for piece in raw.split(",") if piece.strip()]
+        values = [float(piece) for piece in raw.split(",") if piece.strip()]
     except ValueError as exc:
         raise DomainError(f"expected comma-separated floats, got {raw!r}") from exc
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"expected comma-separated finite floats, got {raw!r}")
+    return values
 
 
 def build_parser() -> _Parser:

@@ -9,8 +9,10 @@ generalized symmetric eigenproblem b v = lambda g v.
 Derivatives come from one of two sources: ``ANALYTIC`` patches carry exact
 derivatives (the built-in shapes are sums of coefficient times sin, cos, u
 and u^2 factors, differentiated in closed form when the shape is built),
-while ``finite_difference_lift`` builds a patch from any embedding callback
-with central differences of step h (default eps^(1/3) (1 + |u|)).
+while ``finite_difference_lift`` builds a patch from any embedding with
+central differences of step h (default eps^(1/3) (1 + |u|)).  An embedding
+maps an (m, n) stack of parameter points to the (m, n+1) stack of their
+images, and the lift calls it once, on the whole stencil.
 
 Orientation: the normal's sign is first fixed canonically (largest-magnitude
 component positive) and then flipped, if needed, so the mean curvature is
@@ -19,7 +21,8 @@ non-negative; H = 0 keeps the canonical sign.  Rank-deficient Jacobians
 
 A shape may also live in a child process: :class:`SubprocessShape` speaks a
 line-oriented JSON protocol (one parameter vector in, one embedding vector
-out) so non-Python embeddings can feed the finite-difference path.
+out, one line each per stencil row) so non-Python embeddings can feed the
+finite-difference path.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ class PatchSample:
         if second.shape != (n, n, n + 1):
             raise DomainError(f"second derivatives must be {(n, n, n + 1)}, got {second.shape}")
         for arr in (point, value, jac, second):
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise DomainError("patch data must be finite")
         object.__setattr__(self, "point", point)
         object.__setattr__(self, "value", value)
@@ -140,56 +143,67 @@ def principal_curvatures(patch: PatchSample, cond_limit: float = 1e8) -> Curvatu
                              regime=Regime.FLOAT)
 
 
-def finite_difference_lift(embedding: Callable[[np.ndarray], Sequence[float]],
+def finite_difference_lift(embedding: Callable[[np.ndarray], np.ndarray],
                            point: Sequence[float],
                            h: Optional[float] = None) -> PatchSample:
-    """Build a patch from an embedding callback by central differences.
+    """Build a patch from an embedding by central differences.
 
-    The default step is eps^(1/3) (1 + |u|), balancing truncation against
-    rounding for first derivatives; second derivatives inherit the same h.
+    ``embedding`` maps an (m, n) stack of parameter points to the (m, n+1)
+    stack of their images; it is called once, on the whole stencil: u, then
+    u + h e_i and u - h e_i for each i, then u +- h e_i +- h e_j for each
+    pair i < j, 1 + 2 n^2 rows in all.  The default step is
+    eps^(1/3) (1 + |u|), balancing truncation against rounding for first
+    derivatives; second derivatives inherit the same h.
     """
     u = np.asarray(point, dtype=float)
     if u.ndim != 1 or u.size == 0:
         raise DomainError("the parameter point must be a non-empty vector")
+    if not np.isfinite(u).all():
+        raise DomainError(f"the parameter point must be finite, got {u.tolist()}")
     if h is None:
         h = float(np.finfo(float).eps ** (1.0 / 3.0) * (1.0 + np.linalg.norm(u)))
     h = float(h)
     if not 0 < h < math.inf:
         raise DomainError(f"finite-difference step must be finite and positive, got {h}")
+    if not math.isfinite(float(np.abs(u).max()) + h):
+        raise DomainError(f"the finite-difference stencil of step {h} around {u.tolist()} "
+                          "leaves the float range")
     n = u.size
-
-    def at(shift: np.ndarray) -> np.ndarray:
-        out = np.asarray(embedding(u + shift), dtype=float)
-        if out.shape != (n + 1,):
-            raise DomainError(
-                f"embedding must return {n + 1} coordinates, got shape {out.shape}")
-        return out
-
-    value = at(np.zeros(n))
+    # Each shift is a sum of signed basis rows, so its zeros are signed and
+    # u + shift keeps or clears -0.0 coordinates as the per-point reference
+    # loop of the tests does.
     basis = np.eye(n) * h
-    plus = [at(basis[i]) for i in range(n)]
-    minus = [at(-basis[i]) for i in range(n)]
-    jac = np.stack([(plus[i] - minus[i]) / (2.0 * h) for i in range(n)], axis=1)
+    i, j = np.nonzero(np.arange(n)[:, None] < np.arange(n))  # pairs i < j, row-major
+    pairs = np.concatenate([basis[i] + basis[j], basis[i] - basis[j],
+                            -basis[i] + basis[j], -basis[i] - basis[j]], axis=1)
+    stencil = u + np.concatenate([np.zeros((1, n)), basis, -basis, pairs.reshape(-1, n)])
+    out = np.asarray(embedding(stencil), dtype=float)
+    if out.shape != (len(stencil), n + 1):
+        raise DomainError(f"embedding must return shape {(len(stencil), n + 1)} for the "
+                          f"{len(stencil)}-point stencil, got {out.shape}")
+    value, plus, minus = out[0], out[1:n + 1], out[n + 1:2 * n + 1]
+    quads = out[2 * n + 1:].reshape(-1, 4, n + 1)
     second = np.empty((n, n, n + 1))
-    for i in range(n):
-        second[i, i] = (plus[i] - 2.0 * value + minus[i]) / (h * h)
-    for i in range(n):
-        for j in range(i + 1, n):
-            mixed = (at(basis[i] + basis[j]) - at(basis[i] - basis[j])
-                     - at(-basis[i] + basis[j]) + at(-basis[i] - basis[j]))
-            second[i, j] = second[j, i] = mixed / (4.0 * h * h)
-    return PatchSample(point=u, value=value, jacobian=jac, second=second,
+    diag = np.arange(n)
+    second[diag, diag] = (plus - 2.0 * value + minus) / (h * h)
+    second[i, j] = second[j, i] = (quads[:, 0] - quads[:, 1] - quads[:, 2]
+                                   + quads[:, 3]) / (4.0 * h * h)
+    # C order, as the analytic Jacobian: the forms' products see one layout.
+    jacobian = np.ascontiguousarray(((plus - minus) / (2.0 * h)).T)
+    return PatchSample(point=u, value=value, jacobian=jacobian, second=second,
                        source=PatchSource.FINITE_DIFF)
 
 
 class SymbolicShape:
     """A built-in embedding with closed-form exact derivatives.
 
-    Callable on a parameter vector (for the finite-difference path) and able
-    to produce an ANALYTIC :class:`PatchSample`.  Row r is a sum of terms
-    (coefficient, factors), factor f being sin, cos, u or u**2 of u_(f % n)
-    for f // n = 0..3.  A term is its coefficient times its factors in
-    ascending order, left to right; a sum adds its terms in order.
+    Callable on a parameter vector or an (m, n) stack of them (for the
+    finite-difference path) and able to produce an ANALYTIC
+    :class:`PatchSample`.  Row r is a sum of terms (coefficient, factors),
+    factor f being sin, cos, u or u**2 of u_(f % n) for f // n = 0..3.  A term
+    is its coefficient times its factors in ascending order, left to right; a
+    sum adds its terms in order, so row k of a stack is bit-identical to the
+    shape at that row alone.
     """
 
     def __init__(self, name: str, n: int, rows):
@@ -199,21 +213,44 @@ class SymbolicShape:
         second = [((i, j, r), coef, f) for (r, i, j), coef, f in _derivatives(jacobian, n)]
         self._compiled = [_compile(terms, shape) for terms, shape in (
             (value, (n + 1,)), (jacobian, (n + 1, n)), (second, (n, n, n + 1)))]
+        kinds = {f // n for terms in (value, jacobian, second) for _, _, factors in terms
+                 for f in factors}
+        self._trig, self._squares = bool(kinds & {0, 1}), 3 in kinds
 
     def _factors(self, point: Sequence[float]) -> Tuple[np.ndarray, list]:
+        # One point gives a list of Python floats, a stack a list of columns.
+        # Kinds no term uses are not computed: zeros hold the sin and cos
+        # places, and the squares, being last, are left out.  Python's
+        # float ** 2 is not always u * u; squares are taken that way.
         u = np.asarray(point, dtype=float)
-        if u.shape != (self.n,):
+        if u.shape == (self.n,):
+            flat = u.tolist()
+            if not all(map(math.isfinite, flat)):
+                raise DomainError(f"shape {self.name!r} needs finite parameters, got {flat}")
+            trig = (np.sin(u).tolist() + np.cos(u).tolist() if self._trig
+                    else [0.0] * (2 * self.n))
+            return u, trig + flat + ([v ** 2 for v in flat] if self._squares else [])
+        if u.ndim != 2 or u.shape[1] != self.n:
             raise DomainError(
                 f"shape {self.name!r} expects {self.n} parameters, got {u.shape}")
-        # Python's float ** 2 is not always u * u; squares are taken that way.
-        return u, (np.sin(u).tolist() + np.cos(u).tolist() + u.tolist()
-                   + [v ** 2 for v in u.tolist()])
+        if not np.isfinite(u).all():
+            raise DomainError(f"shape {self.name!r} needs finite parameters, got {u.tolist()}")
+        columns = ([np.sin(u), np.cos(u)] if self._trig
+                   else [np.zeros((len(u), 2 * self.n))]) + [u]
+        if self._squares:
+            columns.append(np.fromiter((v ** 2 for v in u.ravel().tolist()), float,
+                                       u.size).reshape(u.shape))
+        return u, list(np.concatenate(columns, axis=1).T)
 
     def __call__(self, point: Sequence[float]) -> np.ndarray:
-        return _evaluate(self._factors(point)[1], *self._compiled[0])
+        u, factors = self._factors(point)
+        return _evaluate(factors, *self._compiled[0], rows=len(u) if u.ndim == 2 else None)
 
     def patch(self, point: Sequence[float]) -> PatchSample:
         u, factors = self._factors(point)
+        if u.ndim != 1:
+            raise DomainError(
+                f"shape {self.name!r} expects {self.n} parameters, got {u.shape}")
         value, jac, second = (_evaluate(factors, *c) for c in self._compiled)
         return PatchSample(point=u, value=value, jacobian=jac, second=second,
                            source=PatchSource.ANALYTIC)
@@ -238,13 +275,15 @@ def _compile(terms, shape):
     return shape, [-0.0 if p in used else 0.0 for p in range(math.prod(shape))], terms
 
 
-def _evaluate(factors: list, shape, start: list, terms) -> np.ndarray:
-    out = list(start)
+def _evaluate(factors: list, shape, start: list, terms, rows: Optional[int] = None):
+    # Python floats for one point; with ``rows``, factor columns of a stack,
+    # each term taken once over whole columns with the same float operations.
+    out = list(start) if rows is None else np.repeat(np.array(start)[:, None], rows, axis=1)
     for position, value, term_factors in terms:
         for f in term_factors:
             value *= factors[f]
         out[position] += value
-    return np.array(out).reshape(shape)
+    return np.array(out).reshape(shape) if rows is None else out.T.reshape((rows,) + shape)
 
 
 def _parameter(value, what: str):
@@ -320,8 +359,11 @@ class SubprocessShape:
     Protocol: each request is one line, a JSON array of n parameters, on the
     child's stdin; the response is one line, a JSON array of n+1 embedding
     coordinates, on its stdout.  The child must answer one line per line and
-    flush, within ``READ_TIMEOUT_S`` seconds, or it is killed.  Only the
-    finite-difference path can drive such a shape.
+    flush, within ``READ_TIMEOUT_S`` seconds, or it is killed.  Called on an
+    (m, n) stack, the shape sends its rows one request at a time and returns
+    the (m, n+1) stack of answers, so it can feed
+    :func:`finite_difference_lift`; called on one point, it returns one
+    embedding vector.  Only the finite-difference path can drive such a shape.
     """
 
     def __init__(self, argv: Sequence[str], n: int):
@@ -347,9 +389,16 @@ class SubprocessShape:
         self._lines.put("")
 
     def __call__(self, point: Sequence[float]) -> np.ndarray:
-        u = [float(v) for v in np.asarray(point, dtype=float)]
-        if len(u) != self.n:
-            raise DomainError(f"shape expects {self.n} parameters, got {len(u)}")
+        u = np.asarray(point, dtype=float)
+        if u.shape[-1:] != (self.n,) or u.ndim > 2:
+            raise DomainError(f"shape expects {self.n} parameters, got {u.shape}")
+        if not np.isfinite(u).all():
+            raise DomainError(f"shape needs finite parameters, got {u.tolist()}")
+        if u.ndim == 1:
+            return self._exchange(u.tolist())
+        return np.array([self._exchange(row) for row in u.tolist()]).reshape(-1, self.n + 1)
+
+    def _exchange(self, u: list) -> np.ndarray:
         if self._child.poll() is not None:
             raise HypercurvError("shape process has exited")
         assert self._child.stdin and self._child.stdout

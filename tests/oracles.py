@@ -99,3 +99,36 @@ def sympy_shape(name, n, radius=1, k=None, coefficients=None):
     return (lambda p: np.asarray(value(floats(p)), dtype=float).reshape(-1),
             lambda p: np.asarray(jacobian(floats(p)), dtype=float),
             lambda p: np.asarray(second(floats(p)), dtype=float).reshape(n, n, n + 1))
+
+
+def central_differences(embedding, point, h=None):
+    """The per-point central-difference loop that ``finite_difference_lift``
+    replaced, one embedding call per stencil point.
+
+    Returns ``(value, jacobian, second)`` with the ``PatchSample`` shapes.
+    """
+    import numpy as np
+
+    u = np.asarray(point, dtype=float)
+    if h is None:
+        h = float(np.finfo(float).eps ** (1.0 / 3.0) * (1.0 + np.linalg.norm(u)))
+    h = float(h)
+    n = u.size
+
+    def at(shift):
+        return np.asarray(embedding(u + shift), dtype=float)
+
+    value = at(np.zeros(n))
+    basis = np.eye(n) * h
+    plus = [at(basis[i]) for i in range(n)]
+    minus = [at(-basis[i]) for i in range(n)]
+    jac = np.stack([(plus[i] - minus[i]) / (2.0 * h) for i in range(n)], axis=1)
+    second = np.empty((n, n, n + 1))
+    for i in range(n):
+        second[i, i] = (plus[i] - 2.0 * value + minus[i]) / (h * h)
+    for i in range(n):
+        for j in range(i + 1, n):
+            mixed = (at(basis[i] + basis[j]) - at(basis[i] - basis[j])
+                     - at(-basis[i] + basis[j]) + at(-basis[i] - basis[j]))
+            second[i, j] = second[j, i] = mixed / (4.0 * h * h)
+    return value, jac, second

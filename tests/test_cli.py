@@ -446,6 +446,27 @@ class TestErrors:
         assert "shape 'sphere' expects 3 parameters" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_non_finite_point_refused_before_evaluation(self, tmp_path):
+        # refused while parsing: no numpy warning, no shape process started
+        started = tmp_path / "started"
+        child = tmp_path / "child.py"
+        child.write_text(f"open({str(started)!r}, 'w').close()\n")
+        cases = ((["--shape", "sphere", "--dim", "2", "--point", "inf,0.5"], "'inf,0.5'"),
+                 (["--shape", "sphere", "--dim", "2", "--point", "nan,0.5", "--method", "fd"],
+                  "'nan,0.5'"),
+                 (["--shape-cmd", f"{sys.executable} {child}", "--dim", "2",
+                   "--point", "nan,0.5", "--h", "0.001"], "'nan,0.5'"))
+        for argv, named in cases:
+            proc = subprocess.run(
+                [sys.executable, "-c", "from hypercurv.cli import main; main()",
+                 "immersion-eval", *argv],
+                capture_output=True, text=True, env=package_env(), timeout=120)
+            assert proc.returncode == 1, argv
+            assert proc.stdout == ""
+            assert "finite floats, got " + named in proc.stderr, proc.stderr
+            assert "RuntimeWarning" not in proc.stderr and "step" not in proc.stderr
+        assert not started.exists()
+
     def test_silent_shape_process_times_out(self, capsys, monkeypatch, tmp_path):
         silent = tmp_path / "silent.py"
         silent.write_text("import sys\nfor line in sys.stdin:\n    pass\n")

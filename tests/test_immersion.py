@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -197,10 +198,15 @@ class TestClosedFormMatchesSympy:
         points = [[rng.uniform(-4.0, 4.0) for _ in range(n)] for _ in range(4)]
         points.append(list(default_point(name, n, k=k)))
         points.append([0.0] * n)
-        for u in points:
+        # coordinates whose Python square v ** 2 is not v * v
+        points.append(([-0.6813567959701379, 1.6650523950856364, -1.757458571871802] * n)[:n])
+        stacked = shape(np.array(points))
+        assert stacked.shape == (len(points), n + 1)
+        for u, row in zip(points, stacked):
             patch = shape.patch(u)
             for got, want in ((patch.value, value(u)), (patch.jacobian, jacobian(u)),
-                              (patch.second, second(u)), (shape(u), value(u))):
+                              (patch.second, second(u)), (shape(u), value(u)),
+                              (row, value(u))):
                 assert np.array_equal(got, want), (u, got, want)
                 assert np.array_equal(np.signbit(got), np.signbit(want)), (u, got, want)
 
@@ -227,11 +233,68 @@ class TestFiniteDifferences:
             finite_difference_lift(shape, [])
 
     def test_fd_rejects_wrong_arity(self):
-        def bad(u):
-            return [1.0, 2.0]  # not n + 1 coordinates
+        # the embedding must answer the 1 + 2 n^2 = 9 stencil rows with n + 1 = 3 columns
+        for bad in (lambda stack: [1.0, 2.0],  # not n + 1 coordinates
+                    lambda stack: np.zeros(3),  # one (n+1,) vector for the whole stencil
+                    lambda stack: np.zeros((len(stack) - 1, 3)),  # a row short
+                    lambda stack: np.zeros((len(stack), 2)),  # a column short
+                    lambda stack: np.zeros((len(stack), 4))):  # a column over
+            with pytest.raises(DomainError, match=r"shape \(9, 3\)"):
+                finite_difference_lift(bad, [0.1, 0.2])
 
-        with pytest.raises(DomainError):
-            finite_difference_lift(bad, [0.1, 0.2])
+    @pytest.mark.parametrize("name, n, k", [
+        (name, n, k) for n in range(2, 7) for name, k in (
+            ("sphere", None), ("cylinder", n // 2), ("graph", None))])
+    def test_fd_matches_the_per_point_loop(self, name, n, k):
+        # the one stacked call reproduces the per-point loop bit for bit
+        shape = make_shape(name, n, radius=Fraction(5, 3), k=k,
+                           coefficients=[(-1) ** i * (i + 1) for i in range(n)]
+                           if name == "graph" else None)
+        rng = random.Random(7 * n + (k or 0))
+        points = [[rng.uniform(-2.0, 2.0) for _ in range(n)] for _ in range(3)]
+        points.append([-0.0] + [rng.uniform(0.4, 2.7) for _ in range(n - 1)])
+        if name == "graph":
+            points.append([0.0] * n)
+        for u, h in [(u, None) for u in points] + [(points[0], 1e-3)]:
+            stencil, loop = [], []
+            got = finite_difference_lift(lambda x: stencil.append(x) or shape(x), u, h=h)
+            want = oracles.central_differences(lambda x: loop.append(x) or shape(x), u, h=h)
+            # the same points, signed zeros included, in the loop's order
+            assert len(stencil) == 1 and len(loop) == 1 + 2 * n * n
+            for a, b in zip((stencil[0], got.value, got.jacobian, got.second),
+                            (np.array(loop),) + want):
+                assert np.array_equal(a, b), (u, h)
+                assert np.array_equal(np.signbit(a), np.signbit(b)), (u, h)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_fd_rejects_non_finite_point(self, bad):
+        calls = []
+
+        def recording(stack):
+            calls.append(stack)
+            return np.zeros((len(stack), 3))
+
+        for h in (None, 1e-3):
+            with pytest.raises(DomainError, match="point must be finite"):
+                finite_difference_lift(recording, [bad, 0.5], h=h)
+        assert calls == []
+
+    def test_fd_rejects_a_stencil_past_the_float_range(self):
+        calls = []
+        with pytest.raises(DomainError, match="leaves the float range"):
+            finite_difference_lift(calls.append, [1e308, 0.5], h=1e308)
+        assert calls == []
+
+    def test_shape_rejects_non_finite_points(self):
+        shape = make_shape("graph", n=2)
+        stack = np.array([[0.1, 0.2], [math.inf, 0.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning before the check
+            for point in ([math.nan, 0.5], stack):
+                with pytest.raises(DomainError, match="needs finite parameters"):
+                    shape(point)
+            with pytest.raises(DomainError, match="needs finite parameters"):
+                shape.patch([0.1, -math.inf])
 
 
 class TestOrientationAndSingularity:
@@ -312,6 +375,16 @@ class TestSubprocessShape:
             fd = finite_difference_lift(shape, [0.0, 0.0])
         spec = principal_curvatures(fd)
         assert spec.lambdas == pytest.approx((1.0, 3.0), abs=1e-5)
+
+    def test_stacked_call_matches_single_calls(self):
+        argv = [sys.executable, "-c", self.CHILD]
+        stack = np.array([[0.0, 0.0], [0.1, -0.2], [-0.0, 1.5]])
+        with SubprocessShape(argv, n=2) as shape:
+            rows = shape(stack)
+            singles = [shape(u) for u in stack]
+            assert shape(stack[:0]).shape == (0, 3)
+        assert rows.shape == (3, 3)
+        assert np.array_equal(rows, np.array(singles))
 
     def test_wrong_arity_from_child(self):
         argv = [sys.executable, "-c",
