@@ -182,6 +182,9 @@ class ConstraintSystem(JsonRecord):
     def from_json_dict(cls, payload: dict) -> "ConstraintSystem":
         from .scalars import parse_scalar
 
+        if not isinstance(payload, dict):
+            raise DomainError("a system payload must be a JSON object, "
+                              f"got {type(payload).__name__}")
         try:
             regime = Regime(payload.get("regime", "exact"))
             return cls(
@@ -766,6 +769,12 @@ def _grid_top(ev: _PenaltyEvaluator, axes: np.ndarray, keep: int):
     return pen[order], flat[order], _grid_cells(axes, d, flat[order])
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a seed numpy's generators cannot take: a negative or non-integer one."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError(f"the seed must be an integer >= 0, got {seed!r}")
+
+
 def scan(system: ConstraintSystem, budget: Optional[ScanBudget] = None,
          seed: int = 0, tol: float = 1e-8) -> FeasibilityVerdict:
     """Search for a point satisfying ``system``; deterministic per seed.
@@ -783,6 +792,7 @@ def scan(system: ConstraintSystem, budget: Optional[ScanBudget] = None,
     budget = budget or ScanBudget()
     if not 0 < tol < math.inf:
         raise DomainError(f"tol must be finite and positive, got {tol}")
+    check_seed(seed)
     ev = _PenaltyEvaluator(system)
     norm_a2 = promote(system.norm_a2_target)
     d = len(ev.free0)
@@ -1070,6 +1080,7 @@ def certificate_samples(system: ConstraintSystem, seed: int = 0,
     case = _certified(system)
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
+    check_seed(seed)
     completed = tuple(i for i in range(1, case.n + 1)
                       if i != case.fixed and i not in case.drawn)
     rng = np.random.default_rng(seed)

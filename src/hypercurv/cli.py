@@ -98,16 +98,24 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _split_list(raw: str) -> List[str]:
+    # Every list flag splits one way: entries are stripped, and an empty one
+    # ("1,,2", a trailing comma, a blank list) is refused, never dropped.
+    items = [piece.strip() for piece in raw.split(",")]
+    if not all(items):
+        raise DomainError(f"expected a comma-separated list with no empty entries, got {raw!r}")
+    return items
+
+
 def _parse_scalar_list(raw: str, regime: Regime) -> List:
-    items = [piece.strip() for piece in raw.split(",") if piece.strip()]
-    if not items:
-        raise DomainError(f"expected a comma-separated list, got {raw!r}")
-    return [parse_scalar(piece, regime) for piece in items]
+    return [parse_scalar(piece, regime) for piece in _split_list(raw)]
 
 
 def _parse_float_list(raw: str) -> List[float]:
+    # float() keeps the sign of -0.0, which a parameter point must keep.
+    items = _split_list(raw)
     try:
-        values = [float(piece) for piece in raw.split(",") if piece.strip()]
+        values = [float(piece) for piece in items]
     except ValueError as exc:
         raise DomainError(f"expected comma-separated floats, got {raw!r}") from exc
     if not all(map(math.isfinite, values)):
@@ -213,6 +221,8 @@ def _merge_config(args: argparse.Namespace):
             args.seed = int(raw_seed)
         except ValueError as exc:
             raise DomainError(f"HYPERCURV_SEED must be an integer, got {raw_seed!r}") from exc
+    if getattr(args, "seed", None) is not None and args.seed < 0:
+        raise DomainError(f"the seed must be >= 0, got {args.seed}")
     if getattr(args, "format", None) is None:
         args.format = "json"
 
@@ -320,6 +330,8 @@ def _cmd_scan(args) -> Tuple[dict, List[str], List[list], int]:
 def _cmd_simons(args) -> Tuple[dict, List[str], List[list], int]:
     if args.input:
         raw = _load_json(args.input)
+        if not isinstance(raw, dict):
+            raise DomainError(f"point data {args.input} must hold a JSON object")
         try:
             spec = spectrum.CurvatureSpectrum.from_json_dict(raw["spectrum"])
             regime = spec.regime

@@ -119,6 +119,8 @@ def ladder_ratio(n: int, k: int) -> Fraction:
 
 def scalar_ladder(n: int) -> List[Tuple[int, Fraction]]:
     """All rungs (k, R/H^2) for k = 1..n; strictly increasing from 0 to 1."""
+    if n < 2:
+        raise DomainError(f"the ladder needs n >= 2, got n={n}")
     return [(k, ladder_ratio(n, k)) for k in range(1, n + 1)]
 
 

@@ -3,8 +3,10 @@
 A codimension-one patch is a map f: U in R^n -> R^{n+1}.  At a parameter
 point u the first fundamental form is g = J^T J with J the Jacobian, the
 unit normal spans the null space of J^T, and the second fundamental form is
-b_ij = <d^2 f / du_i du_j, normal>.  Principal curvatures solve the
-generalized symmetric eigenproblem b v = lambda g v.
+b_ij = <d^2 f / du_i du_j, normal>.  One SVD J = U S V^T gives the condition
+number, the normal (the last column of U) and the orthonormal tangent frame
+J V S^-1, in which the shape operator g^-1 b is the symmetric S^-1 V^T b V S^-1;
+its eigenvalues, from one symmetric eigensolve, are the principal curvatures.
 
 Derivatives come from one of two sources: ``ANALYTIC`` patches carry exact
 derivatives (the built-in shapes are sums of coefficient times sin, cos, u
@@ -20,9 +22,8 @@ non-negative; H = 0 keeps the canonical sign.  Rank-deficient Jacobians
 (condition number over ``cond_limit``) raise ``SingularPatchError``.
 
 A shape may also live in a child process: :class:`SubprocessShape` speaks a
-line-oriented JSON protocol (one parameter vector in, one embedding vector
-out, one line each per stencil row) so non-Python embeddings can feed the
-finite-difference path.
+line-oriented JSON protocol (one line per stencil row each way), so
+non-Python embeddings can feed the finite-difference path.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ import math
 import queue
 import subprocess
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,25 +65,20 @@ class PatchSample:
     source: PatchSource
 
     def __post_init__(self):
-        point = np.asarray(self.point, dtype=float)
-        value = np.asarray(self.value, dtype=float)
-        jac = np.asarray(self.jacobian, dtype=float)
-        second = np.asarray(self.second, dtype=float)
-        n = point.size
-        if value.shape != (n + 1,):
-            raise DomainError(
-                f"embedding must map R^{n} into R^{n + 1}, got value shape {value.shape}")
-        if jac.shape != (n + 1, n):
-            raise DomainError(f"jacobian must be {(n + 1, n)}, got {jac.shape}")
-        if second.shape != (n, n, n + 1):
-            raise DomainError(f"second derivatives must be {(n, n, n + 1)}, got {second.shape}")
-        for arr in (point, value, jac, second):
-            if not np.isfinite(arr).all():
+        for name in ("point", "value", "jacobian", "second"):
+            array = np.asarray(getattr(self, name), dtype=float)
+            if not np.isfinite(array).all():
                 raise DomainError("patch data must be finite")
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "jacobian", jac)
-        object.__setattr__(self, "second", second)
+            object.__setattr__(self, name, array)
+        n = self.point.size
+        if self.value.shape != (n + 1,):
+            raise DomainError(
+                f"embedding must map R^{n} into R^{n + 1}, got value shape {self.value.shape}")
+        if self.jacobian.shape != (n + 1, n):
+            raise DomainError(f"jacobian must be {(n + 1, n)}, got {self.jacobian.shape}")
+        if self.second.shape != (n, n, n + 1):
+            raise DomainError(
+                f"second derivatives must be {(n, n, n + 1)}, got {self.second.shape}")
 
     @property
     def n(self) -> int:
@@ -91,56 +87,51 @@ class PatchSample:
 
 @dataclass(frozen=True, eq=False)
 class FundamentalForms:
+    """First and second fundamental forms, oriented unit normal and shape operator.
+
+    ``shape_operator`` is g^-1 b in the orthonormal tangent frame of the
+    Jacobian's SVD: symmetric, of trace n H, its eigenvalues the curvatures.
+    """
+
     first: np.ndarray
     second: np.ndarray
     normal: np.ndarray
     condition_number: float
+    shape_operator: np.ndarray
 
 
 def fundamental_forms(patch: PatchSample, cond_limit: float = 1e8) -> FundamentalForms:
-    """First/second fundamental forms and oriented unit normal of a patch."""
-    jac = patch.jacobian
-    n = patch.n
-    # The last left singular vector spans the null space of J^T: the normal.
-    left, singular_values, _ = np.linalg.svd(jac)
+    """Fundamental forms, oriented normal and shape operator from one SVD of J."""
+    left, singular_values, right = np.linalg.svd(patch.jacobian)
     smallest = singular_values[-1]
     cond = float(singular_values[0] / smallest) if smallest > 0 else np.inf
     if not np.isfinite(cond) or cond > cond_limit:
         raise SingularPatchError(
             f"patch Jacobian condition number {cond:.3e} exceeds {cond_limit:.1e}; "
-            "the parametrization is (numerically) not an immersion here"
-        )
+            "the parametrization is (numerically) not an immersion here")
     normal = left[:, -1]
-    lead = int(np.argmax(np.abs(normal)))
-    if normal[lead] < 0:
+    if normal[np.argmax(np.abs(normal))] < 0:
         normal = -normal
-    first = jac.T @ jac
     second = patch.second @ normal
     second = 0.5 * (second + second.T)
-    mean = float(np.trace(np.linalg.solve(first, second))) / n
-    if mean < 0:
-        normal = -normal
-        second = -second
-    return FundamentalForms(first=first, second=second, normal=normal,
-                            condition_number=cond)
+    frame = right.T / singular_values  # V S^-1, and J V S^-1 is orthonormal
+    shape_operator = frame.T @ second @ frame
+    if np.trace(shape_operator) < 0:  # n H < 0
+        normal, second, shape_operator = -normal, -second, -shape_operator
+    return FundamentalForms(first=patch.jacobian.T @ patch.jacobian, second=second,
+                            normal=normal, condition_number=cond,
+                            shape_operator=shape_operator)
 
 
 def principal_curvatures(patch: PatchSample, cond_limit: float = 1e8) -> CurvatureSpectrum:
-    """Solve b v = lambda g v and package the eigenvalues as a FLOAT spectrum."""
+    """The eigenvalues of the shape operator of ``fundamental_forms``, as a FLOAT spectrum."""
     forms = fundamental_forms(patch, cond_limit=cond_limit)
     try:
-        # g = L L^T turns b v = lambda g v into the standard symmetric problem
-        # (L^-1 b L^-T) w = lambda w; b is symmetric, so two solves suffice.
-        chol = np.linalg.cholesky(forms.first)
-        half = np.linalg.solve(chol, forms.second)
-        eigenvalues = np.linalg.eigvalsh(np.linalg.solve(chol, half.T))
+        eigenvalues = np.linalg.eigvalsh(forms.shape_operator)
     except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(
-            f"generalized eigensolve failed (condition number "
-            f"{forms.condition_number:.3e}): {exc}"
-        ) from exc
-    return CurvatureSpectrum([float(v) for v in eigenvalues], c=0.0,
-                             regime=Regime.FLOAT)
+        raise EigenSolverError(f"symmetric eigensolve failed (condition number "
+                               f"{forms.condition_number:.3e}): {exc}") from exc
+    return CurvatureSpectrum(eigenvalues.tolist(), c=0.0, regime=Regime.FLOAT)
 
 
 def finite_difference_lift(embedding: Callable[[np.ndarray], np.ndarray],
@@ -211,48 +202,48 @@ class SymbolicShape:
         value = [((r,), coef, factors) for r, row in enumerate(rows) for coef, factors in row]
         jacobian = _derivatives(value, n)
         second = [((i, j, r), coef, f) for (r, i, j), coef, f in _derivatives(jacobian, n)]
-        self._compiled = [_compile(terms, shape) for terms, shape in (
-            (value, (n + 1,)), (jacobian, (n + 1, n)), (second, (n, n, n + 1)))]
-        kinds = {f // n for terms in (value, jacobian, second) for _, _, factors in terms
-                 for f in factors}
-        self._trig, self._squares = bool(kinds & {0, 1}), 3 in kinds
+        # One table of value, Jacobian and second derivatives, in that order;
+        # its first len(value) terms fill the first n + 1 places, the value.
+        self._table = _compile([(value, (n + 1,)), (jacobian, (n + 1, n)),
+                                (second, (n, n, n + 1))], ones=4 * n)
+        start, positions, coefs, places = self._table
+        t = len(value)
+        self._value = start[:n + 1], positions[:t], coefs[:t], places[:t]
+        used = np.bincount(places.ravel(), minlength=4 * n + 1) > 0
+        self._trig, self._squares = used[:2 * n].any(), used[3 * n:4 * n].any()
 
-    def _factors(self, point: Sequence[float]) -> Tuple[np.ndarray, list]:
-        # One point gives a list of Python floats, a stack a list of columns.
-        # Kinds no term uses are not computed: zeros hold the sin and cos
-        # places, and the squares, being last, are left out.  Python's
-        # float ** 2 is not always u * u; squares are taken that way.
+    def _factors(self, point: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
+        # The (4n + 1, m) matrix of sin, cos, u and u**2 of the coordinates of
+        # an (m, n) stack (a vector is one row), then a row of ones; kinds no
+        # term uses stay zero.  Squares are Python's float ** 2, not u * u.
         u = np.asarray(point, dtype=float)
-        if u.shape == (self.n,):
-            flat = u.tolist()
-            if not all(map(math.isfinite, flat)):
-                raise DomainError(f"shape {self.name!r} needs finite parameters, got {flat}")
-            trig = (np.sin(u).tolist() + np.cos(u).tolist() if self._trig
-                    else [0.0] * (2 * self.n))
-            return u, trig + flat + ([v ** 2 for v in flat] if self._squares else [])
-        if u.ndim != 2 or u.shape[1] != self.n:
-            raise DomainError(
-                f"shape {self.name!r} expects {self.n} parameters, got {u.shape}")
+        if u.ndim not in (1, 2) or u.shape[-1] != self.n:
+            raise DomainError(f"shape {self.name!r} expects {self.n} parameters, got {u.shape}")
         if not np.isfinite(u).all():
             raise DomainError(f"shape {self.name!r} needs finite parameters, got {u.tolist()}")
-        columns = ([np.sin(u), np.cos(u)] if self._trig
-                   else [np.zeros((len(u), 2 * self.n))]) + [u]
+        n, stack = self.n, u.reshape(-1, self.n)
+        factors = np.zeros((4 * n + 1, len(stack)))
+        if self._trig:
+            factors[:n], factors[n:2 * n] = np.sin(stack).T, np.cos(stack).T
+        factors[2 * n:3 * n] = stack.T
         if self._squares:
-            columns.append(np.fromiter((v ** 2 for v in u.ravel().tolist()), float,
-                                       u.size).reshape(u.shape))
-        return u, list(np.concatenate(columns, axis=1).T)
+            factors[3 * n:4 * n] = [[v ** 2 for v in row] for row in stack.T.tolist()]
+        factors[4 * n] = 1.0
+        return u, factors
 
     def __call__(self, point: Sequence[float]) -> np.ndarray:
         u, factors = self._factors(point)
-        return _evaluate(factors, *self._compiled[0], rows=len(u) if u.ndim == 2 else None)
+        out = _evaluate(factors, *self._value).T
+        return out[0] if u.ndim == 1 else out
 
     def patch(self, point: Sequence[float]) -> PatchSample:
         u, factors = self._factors(point)
         if u.ndim != 1:
-            raise DomainError(
-                f"shape {self.name!r} expects {self.n} parameters, got {u.shape}")
-        value, jac, second = (_evaluate(factors, *c) for c in self._compiled)
-        return PatchSample(point=u, value=value, jacobian=jac, second=second,
+            raise DomainError(f"shape {self.name!r} expects {self.n} parameters, got {u.shape}")
+        n, flat = self.n, _evaluate(factors, *self._table)[:, 0]
+        return PatchSample(point=u, value=flat[:n + 1],
+                           jacobian=flat[n + 1:(n + 1) ** 2].reshape(n + 1, n),
+                           second=flat[(n + 1) ** 2:].reshape(n, n, n + 1),
                            source=PatchSource.ANALYTIC)
 
 
@@ -267,23 +258,34 @@ def _derivatives(terms, n: int):
     return out
 
 
-def _compile(terms, shape):
-    # Flat positions and float coefficients; a sum starts at -0.0, as -0.0 + v is v.
-    terms = [(int(np.ravel_multi_index(key, shape)), float(coef), tuple(factors))
-             for key, coef, factors in terms]
-    used = {position for position, _, _ in terms}
-    return shape, [-0.0 if p in used else 0.0 for p in range(math.prod(shape))], terms
+def _compile(tables, ones: int):
+    # Flat positions (each table after those before it), float coefficients and
+    # the (terms, width) factor places, short terms padded with ``ones``, the
+    # row of ones (x * 1.0 is x).  A sum with terms starts at -0.0 (-0.0 + v is v).
+    positions, offset = [], 0
+    for terms, shape in tables:
+        positions += [offset + int(np.ravel_multi_index(key, shape)) for key, _, _ in terms]
+        offset += math.prod(shape)
+    terms = [term for terms, _ in tables for term in terms]
+    width = max(len(factors) for _, _, factors in terms)
+    start = np.zeros(offset)
+    start[positions] = -0.0
+    places = np.full((len(terms), width), ones)
+    for place, (_, _, factors) in zip(places, terms):
+        place[:len(factors)] = factors
+    return start, np.array(positions), np.array([float(coef) for _, coef, _ in terms]), places
 
 
-def _evaluate(factors: list, shape, start: list, terms, rows: Optional[int] = None):
-    # Python floats for one point; with ``rows``, factor columns of a stack,
-    # each term taken once over whole columns with the same float operations.
-    out = list(start) if rows is None else np.repeat(np.array(start)[:, None], rows, axis=1)
-    for position, value, term_factors in terms:
-        for f in term_factors:
-            value *= factors[f]
-        out[position] += value
-    return np.array(out).reshape(shape) if rows is None else out.T.reshape((rows,) + shape)
+def _evaluate(factors: np.ndarray, start, positions, coefs, places) -> np.ndarray:
+    # Each term is its coefficient times its factors, left to right, one
+    # factor column per step; np.add.at adds the terms in order.  Column k of
+    # the result is the table at point k of the stack.
+    terms = coefs[:, None] * factors[places[:, 0]]
+    for column in places.T[1:]:
+        terms *= factors[column]
+    out = np.repeat(start[:, None], factors.shape[1], axis=1)
+    np.add.at(out, positions, terms)
+    return out
 
 
 def _parameter(value, what: str):
@@ -359,11 +361,10 @@ class SubprocessShape:
     Protocol: each request is one line, a JSON array of n parameters, on the
     child's stdin; the response is one line, a JSON array of n+1 embedding
     coordinates, on its stdout.  The child must answer one line per line and
-    flush, within ``READ_TIMEOUT_S`` seconds, or it is killed.  Called on an
-    (m, n) stack, the shape sends its rows one request at a time and returns
-    the (m, n+1) stack of answers, so it can feed
-    :func:`finite_difference_lift`; called on one point, it returns one
-    embedding vector.  Only the finite-difference path can drive such a shape.
+    flush, within ``READ_TIMEOUT_S`` seconds, or it is killed.  A point or an
+    (m, n) stack is sent one row per request; the answers come back in the
+    same layout, n+1 coordinates a row.  Only the finite-difference path can
+    drive such a shape.
     """
 
     def __init__(self, argv: Sequence[str], n: int):
@@ -394,9 +395,8 @@ class SubprocessShape:
             raise DomainError(f"shape expects {self.n} parameters, got {u.shape}")
         if not np.isfinite(u).all():
             raise DomainError(f"shape needs finite parameters, got {u.tolist()}")
-        if u.ndim == 1:
-            return self._exchange(u.tolist())
-        return np.array([self._exchange(row) for row in u.tolist()]).reshape(-1, self.n + 1)
+        rows = np.array([self._exchange(row) for row in u.reshape(-1, self.n).tolist()])
+        return rows.reshape(u.shape[:-1] + (self.n + 1,))
 
     def _exchange(self, u: list) -> np.ndarray:
         if self._child.poll() is not None:

@@ -101,6 +101,9 @@ class CurvatureSpectrum:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "CurvatureSpectrum":
+        if not isinstance(payload, dict):
+            raise DomainError("a spectrum payload must be a JSON object, "
+                              f"got {type(payload).__name__}")
         try:
             regime = Regime(payload.get("regime", "exact"))
             raw = payload["lambdas"]

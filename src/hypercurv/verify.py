@@ -60,9 +60,10 @@ _INVARIANT_FIXTURES = [
 
 def run_builtin_suite(seed: int = 0, scan_grid_points: int = 200_000) -> List[CheckResult]:
     """Run every recorded fixture and return one result per check."""
-    # A bad budget is an input error, not a failed check, so it is
+    # A bad budget or seed is an input error, not a failed check, so it is
     # rejected before any check runs.
     budget = caseverify.ScanBudget(grid_points=scan_grid_points)
+    caseverify.check_seed(seed)
     results: List[CheckResult] = []
 
     for n, expected in _LADDERS.items():

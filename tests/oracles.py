@@ -132,3 +132,37 @@ def central_differences(embedding, point, h=None):
                      - at(-basis[i] + basis[j]) + at(-basis[i] - basis[j]))
             second[i, j] = second[j, i] = mixed / (4.0 * h * h)
     return value, jac, second
+
+
+def cholesky_curvatures(patch, cond_limit=1e8):
+    """Principal curvatures by the route the shape operator replaced.
+
+    The SVD gives the condition number and the normal, ``solve(g, b)`` the
+    sign of H, and a Cholesky factor g = L L^T turns b v = lambda g v into
+    the standard symmetric problem (L^-1 b L^-T) w = lambda w.  Returns the
+    eigenvalues in ascending order.
+    """
+    import numpy as np
+
+    from hypercurv.errors import SingularPatchError
+
+    jac = patch.jacobian
+    n = patch.n
+    left, singular_values, _ = np.linalg.svd(jac)
+    smallest = singular_values[-1]
+    cond = float(singular_values[0] / smallest) if smallest > 0 else np.inf
+    if not np.isfinite(cond) or cond > cond_limit:
+        raise SingularPatchError(f"patch Jacobian condition number {cond:.3e}")
+    normal = left[:, -1]
+    lead = int(np.argmax(np.abs(normal)))
+    if normal[lead] < 0:
+        normal = -normal
+    first = jac.T @ jac
+    second = patch.second @ normal
+    second = 0.5 * (second + second.T)
+    mean = float(np.trace(np.linalg.solve(first, second))) / n
+    if mean < 0:
+        second = -second
+    chol = np.linalg.cholesky(first)
+    half = np.linalg.solve(chol, second)
+    return np.linalg.eigvalsh(np.linalg.solve(chol, half.T))

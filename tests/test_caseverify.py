@@ -101,6 +101,9 @@ class TestConstraintSystem:
     def test_json_malformed(self):
         with pytest.raises(DomainError):
             ConstraintSystem.from_json_dict({"n": 4})
+        for payload in ("x", [1, 2], None, 3):
+            with pytest.raises(DomainError, match="must be a JSON object"):
+                ConstraintSystem.from_json_dict(payload)
 
     def test_norm_a2_negative_detected(self):
         # trace 0 with positive sigma2 forces sum of squares < 0
@@ -222,6 +225,15 @@ class TestScan:
             assert v.status == "WITNESS"
             assert v.witness == tuple(float(w) for w in expected.witness)
             assert max_violation(s, v.witness) <= 1e-8
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        system = builtin_case("thm1-claim")
+        for call in (lambda: scan(system, budget=small_budget(1000), seed=seed),
+                     lambda: certificate_check(system, seed=seed, count=10),
+                     lambda: certificate_samples(system, seed=seed, count=10)):
+            with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+                call()
 
     def test_claims_stay_infeasible(self):
         for name in ("thm1-claim", "thm2-claim"):

@@ -477,6 +477,65 @@ class TestErrors:
         assert "no answer" in capsys.readouterr().err
 
 
+class TestMalformedInput:
+    """Each malformed input is refused at the boundary: exit 1, one error line."""
+
+    FILES = {"string.json": '"just a string"', "list.json": "[1, 2]",
+             "negative-seed.json": '{"seed": -1}', "point-data.json": '{"spectrum": "x"}'}
+    SCAN = ["scan", "--case", "thm1-claim", "--budget", "1000"]
+
+    @pytest.mark.parametrize("argv, seed_env", [
+        (["invariants", "--lambdas", "1,,2"], None),
+        (["invariants", "--lambdas", "1,2,"], None),
+        (["invariants", "--lambdas", " , "], None),
+        (["simons", "--lambdas", "1,,2", "--gauss"], None),
+        (["simons", "--lambdas", "1,2,3", "--gauss", "--hess-h", "0,,0"], None),
+        (["immersion-eval", "--shape", "sphere", "--dim", "3", "--point", "0.9,,1.0,1.1"],
+         None),
+        (["immersion-eval", "--shape", "graph", "--dim", "2", "--coeffs", "1,"], None),
+        (["ladder", "--n", "-3"], None),
+        (["ladder", "--n", "0"], None),
+        (SCAN + ["--seed", "-1"], None),
+        (["verify-all", "--seed", "-1"], None),
+        (["--config", "negative-seed.json"] + SCAN, None),
+        (SCAN, "-1"),
+        (["verify-all"], "-1"),
+        (["invariants", "--input", "string.json"], None),
+        (["invariants", "--input", "list.json"], None),
+        (["scan", "--system", "string.json", "--seed", "1"], None),
+        (["scan", "--system", "list.json", "--seed", "1"], None),
+        (["simons", "--input", "point-data.json"], None),
+        (["simons", "--input", "string.json"], None),
+    ], ids=["empty-lambda", "trailing-comma", "blank-entries", "simons-empty-lambda",
+            "empty-hess-h", "empty-point-entry", "empty-coefficient", "ladder-negative-n",
+            "ladder-zero-n", "scan-negative-seed", "verify-all-negative-seed",
+            "config-negative-seed", "env-negative-seed", "verify-all-env-negative-seed",
+            "spectrum-string", "spectrum-list", "system-string", "system-list",
+            "point-data-spectrum-string", "point-data-string"])
+    def test_refused_with_one_error_line(self, capsys, tmp_path, monkeypatch, argv, seed_env):
+        for name, text in self.FILES.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        if seed_env is None:
+            monkeypatch.delenv("HYPERCURV_SEED", raising=False)
+        else:
+            monkeypatch.setenv("HYPERCURV_SEED", seed_env)
+        code = cli.run(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.count("hypercurv: error:") == 1
+        assert captured.err.startswith("hypercurv: error:")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+    def test_negative_zero_point_keeps_its_sign(self, capsys):
+        code, payload = run_json(capsys, ["immersion-eval", "--shape", "graph", "--dim", "2",
+                                          "--point", "-0.0, 0.5"])
+        assert code == 0
+        assert str(payload["point"][0]) == "-0.0"
+
+
 class TestVerifyAll:
     def test_failure_exits_two(self, capsys, monkeypatch):
         monkeypatch.setattr(

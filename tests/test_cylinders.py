@@ -42,6 +42,11 @@ class TestLadder:
         with pytest.raises(DomainError):
             ladder_ratio(4, 5)
 
+    @pytest.mark.parametrize("n", [-3, 0, 1])
+    def test_ladder_needs_n_at_least_two(self, n):
+        with pytest.raises(DomainError, match="n >= 2"):
+            scalar_ladder(n)
+
 
 class TestCylinderModel:
     def test_spectrum_and_closed_forms(self):

@@ -211,6 +211,31 @@ class TestClosedFormMatchesSympy:
                 assert np.array_equal(np.signbit(got), np.signbit(want)), (u, got, want)
 
 
+class TestShapeOperator:
+    """One SVD and one symmetric eigensolve against the Cholesky route."""
+
+    @pytest.mark.parametrize("name, n, k, radius, coefficients", _oracle_specs())
+    def test_matches_the_cholesky_route(self, name, n, k, radius, coefficients):
+        shape = make_shape(name, n, radius=radius, k=k, coefficients=coefficients)
+        rng = random.Random(n * 100 + (k or 0))
+        points = [[rng.uniform(-4.0, 4.0) for _ in range(n)] for _ in range(4)]
+        points += [list(default_point(name, n, k=k)), [0.0] * n]
+        for u in points:
+            for patch in (shape.patch(u), finite_difference_lift(shape, u)):
+                try:
+                    want = oracles.cholesky_curvatures(patch)
+                except SingularPatchError:
+                    with pytest.raises(SingularPatchError):
+                        principal_curvatures(patch)
+                    continue
+                got = principal_curvatures(patch).lambdas
+                for a, b in zip(got, want):
+                    assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), (u, patch.source, got, want)
+                forms = fundamental_forms(patch)
+                assert np.linalg.eigvalsh(forms.shape_operator).tolist() == list(got)
+                assert np.trace(forms.shape_operator) / n >= 0
+
+
 class TestFiniteDifferences:
     def test_fd_matches_analytic(self):
         shape = make_shape("cylinder", n=4, radius=0.5, k=2)
@@ -305,6 +330,14 @@ class TestOrientationAndSingularity:
             pt = default_point(name, 4, k=kwargs.get("k"))
             rep = invariants(principal_curvatures(shape.patch(list(pt))))
             assert rep.H >= 0
+
+    def test_zero_mean_curvature_keeps_the_canonical_normal(self):
+        # the saddle u^2/2 - v^2/2 at the origin: H = 0 exactly, so the
+        # largest-magnitude component of the normal stays positive
+        forms = fundamental_forms(make_shape("graph", 2, coefficients=[1, -1]).patch([0.0, 0.0]))
+        assert forms.normal.tolist() == [0.0, 0.0, 1.0]
+        assert np.trace(forms.shape_operator) == 0.0
+        assert forms.second.tolist() == [[1.0, 0.0], [0.0, -1.0]]
 
     def test_singular_patch_detected(self):
         # collapsed parametrization: value ignores u_2 entirely

@@ -62,6 +62,11 @@ class TestCurvatureSpectrum:
         with pytest.raises(DomainError):
             CurvatureSpectrum.from_json_dict(payload)
 
+    @pytest.mark.parametrize("payload", ["x", [1, 2], None, 3])
+    def test_json_rejects_a_payload_that_is_not_an_object(self, payload):
+        with pytest.raises(DomainError, match="must be a JSON object"):
+            CurvatureSpectrum.from_json_dict(payload)
+
     def test_json_rejects_float_under_exact(self):
         with pytest.raises(RegimeError):
             CurvatureSpectrum.from_json_dict({"lambdas": [0.5, 1.5], "regime": "exact"})

@@ -1,3 +1,6 @@
+import pytest
+
+from hypercurv.errors import DomainError
 from hypercurv.verify import run_builtin_suite
 
 
@@ -14,3 +17,8 @@ def test_suite_results_serialize():
     for result in run_builtin_suite(seed=1, scan_grid_points=60_000)[:3]:
         payload = result.to_json_dict()
         assert set(payload) == {"name", "passed", "detail"}
+
+
+def test_negative_seed_refused_before_any_check():
+    with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+        run_builtin_suite(seed=-1)
