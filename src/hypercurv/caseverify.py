@@ -69,7 +69,7 @@ from .scalars import (
     common_regime,
     promote,
 )
-from .spectrum import sigma
+from .spectrum import sigma, sigmas
 
 STRICT_MARGIN = 1e-6  # strict inequalities are searched as >= this margin
 
@@ -227,10 +227,10 @@ def constraint_violations(system: ConstraintSystem,
     if len(x) != system.n:
         raise DomainError(f"point has {len(x)} coordinates, system has n={system.n}")
     zero, margin = num(0), num(STRICT_MARGIN)
-    viol: Dict[str, Scalar] = {
-        "trace": abs(sum(x) - num(system.trace_target)),
-        "sigma2": abs(sigma(x, 2) - num(system.sigma2_target)),
-    }
+    viol: Dict[str, Scalar] = {"trace": abs(sum(x) - num(system.trace_target))}
+    # sigma_2 and the sigma_r of every sigma_r bound, from one pass over x
+    s2, *bounded = sigmas(x, [2] + [ex.r for ex in system.extra_symmetric])
+    viol["sigma2"] = abs(s2 - num(system.sigma2_target))
     for i in sorted(system.fixed_zeros):
         viol[f"lambda{i}=0"] = abs(x[i - 1])
     if system.ordering:
@@ -249,8 +249,7 @@ def constraint_violations(system: ConstraintSystem,
         else:
             bad = max(zero, h - v)
         viol[f"lambda{sc.index}{sc.relation.value}"] = bad
-    for ex in system.extra_symmetric:
-        s = sigma(x, ex.r)
+    for ex, s in zip(system.extra_symmetric, bounded):
         bad = max(zero, -s) if ex.relation is Relation.GE_ZERO else max(zero, s)
         viol[f"sigma{ex.r}{ex.relation.value}"] = bad
     return viol
@@ -262,7 +261,10 @@ def max_violation(system: ConstraintSystem, point: Sequence[Scalar]) -> Scalar:
 
 @dataclass(frozen=True)
 class ScanBudget:
-    """Search effort: total grid cells, descent rounds, and polish width."""
+    """Search effort: total grid cells, descent rounds, and polish width.
+
+    Every field must be an integer >= 1; anything else raises ``DomainError``.
+    """
 
     grid_points: int = 1_000_000
     descent_rounds: int = 2
@@ -271,8 +273,7 @@ class ScanBudget:
 
     def __post_init__(self):
         for name in ("grid_points", "descent_rounds", "polish_starts", "polish_rounds"):
-            if getattr(self, name) < 1:
-                raise DomainError(f"{name} must be >= 1")
+            _check_integer(name, getattr(self, name), least=1)
 
 
 @dataclass(frozen=True)
@@ -537,7 +538,8 @@ _HALVINGS = 0.5 ** np.arange(25)  # Gauss-Newton step scales, tried in order
 _ROUNDING_GAIN = 4 * np.finfo(float).eps  # a relative decrease this small is rounding
 
 
-def _gauss_newton(ev: _PenaltyEvaluator, x: np.ndarray, iters: int = 40) -> np.ndarray:
+def _gauss_newton(ev: _PenaltyEvaluator, x: np.ndarray, iters: int = 40,
+                  ranks: Optional[np.ndarray] = None) -> np.ndarray:
     # Quadratic local convergence where coordinatewise descent creeps, e.g.
     # along directions where an equality residual is second-order flat.  The
     # residual is the equalities plus the violated inequalities, so near a
@@ -548,10 +550,17 @@ def _gauss_newton(ev: _PenaltyEvaluator, x: np.ndarray, iters: int = 40) -> np.n
     # its step that lowers its penalty, and stops at penalty 0, at a
     # non-finite step, when no halving helps, or when the halving it takes
     # lowers its penalty by no more than rounding (a row at the float floor).
+    # With ``ranks`` (distinct, one per row) the caller keeps only the row
+    # first by (penalty, rank), so once some row is at penalty 0, every row
+    # ranked after it stops too: a row at 0 never moves, rows never
+    # interact, and the pick prefers that row to any of them, so the picked
+    # row ends bit for bit where it ends without ``ranks``.
     x = x.copy()
     fx = ev.penalty(x)
     live = fx != 0.0
     for _ in range(iters):
+        if ranks is not None and (fx == 0.0).any():
+            live &= ranks < ranks[fx == 0.0].min()
         rows = np.flatnonzero(live)
         if not rows.size:
             break
@@ -691,7 +700,17 @@ class _PrefixBound:
         return sep, psum, x, (sep + gap * gap) * self.shrink
 
 
-_GRID_SLICE = 1 << 17  # candidate rows per slice of the pruned grid
+# Candidate rows per slice of the pruned grid.  Slices only partition the
+# work, so the kept set does not depend on this; it sizes each slice's
+# excess, sigma and coordinate arrays to stay near cache.  ``_grid_top``
+# over the five built-ins at 1M cells (H of case-scans seed 1, 2-core
+# x86-64 box, median of 5), with its tracemalloc peak:
+#   2^13  0.130 s  4.2 MB      2^16  0.143 s   8.2 MB
+#   2^14  0.124 s  4.2 MB      2^17  0.174 s  14.3 MB
+#   2^15  0.133 s  5.0 MB
+# 2^13 to 2^15 are within noise of each other (other seeds order them
+# differently); 2^15 is the largest of them.
+_GRID_SLICE = 1 << 15
 _SAMPLE_CELLS = 20_000  # least size of the strided sample that sets the first threshold
 _SAMPLE_MARGIN = 1.25  # first threshold: this times the sample's keep/total quantile
 
@@ -769,10 +788,15 @@ def _grid_top(ev: _PenaltyEvaluator, axes: np.ndarray, keep: int):
     return pen[order], flat[order], _grid_cells(axes, d, flat[order])
 
 
+def _check_integer(name: str, value, least: int) -> None:
+    """Refuse a ``value`` that is not an integer >= ``least`` with ``DomainError``."""
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def check_seed(seed: int) -> None:
     """Refuse a seed numpy's generators cannot take: a negative or non-integer one."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise DomainError(f"the seed must be an integer >= 0, got {seed!r}")
+    _check_integer("the seed", seed, least=0)
 
 
 def scan(system: ConstraintSystem, budget: Optional[ScanBudget] = None,
@@ -847,7 +871,7 @@ def scan(system: ConstraintSystem, budget: Optional[ScanBudget] = None,
     x_polish, flat_polish = x_top[order], flat[order]
 
     x_polish = _lockstep_descent(ev, x_polish, budget.polish_rounds, lo=lo, hi=hi)
-    x_polish = _gauss_newton(ev, x_polish)
+    x_polish = _gauss_newton(ev, x_polish, ranks=flat_polish)
     pen = ev.penalty(x_polish)
     best_idx = np.lexsort((flat_polish, pen))[0]
     best = x_polish[best_idx].copy()
@@ -1078,8 +1102,7 @@ def certificate_samples(system: ConstraintSystem, seed: int = 0,
     to rounding; sign and ordering constraints are deliberately not imposed.
     """
     case = _certified(system)
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
+    _check_integer("count", count, least=1)
     check_seed(seed)
     completed = tuple(i for i in range(1, case.n + 1)
                       if i != case.fixed and i not in case.drawn)

@@ -153,6 +153,23 @@ def sigma(values: Sequence[Scalar], r: int) -> Scalar:
     return over(_sigma_coefficients(a, r)[r], D ** r)
 
 
+def sigmas(values: Sequence[Scalar], orders: Sequence[int]) -> Tuple[Scalar, ...]:
+    """``sigma(values, r)`` for each r in ``orders``, from one lift and one pass.
+
+    The pass is truncated at the largest r, and a truncated pass computes
+    each lower sigma_r with the same operations, so every value equals
+    ``sigma(values, r)``.  Only the values asked for are built (and, in
+    FLOAT, checked finite), in the order asked for.
+    """
+    values = tuple(values)
+    undefined = [r for r in orders if not 0 <= r <= len(values)]
+    if undefined:
+        raise DomainError(f"sigma_{undefined[0]} undefined for {len(values)} values")
+    a, D, over = _lift(values, common_regime(values))
+    coeffs = _sigma_coefficients(a, max(orders, default=0))
+    return tuple([over(coeffs[r], D ** r) for r in orders])
+
+
 def sigma_all(values: Sequence[Scalar]) -> Tuple[Scalar, ...]:
     """All of (sigma_0, ..., sigma_n) in one pass."""
     values = tuple(values)

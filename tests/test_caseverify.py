@@ -1,13 +1,14 @@
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import oracles
-from hypercurv import caseverify
+from hypercurv import caseverify, spectrum
 from hypercurv.caseverify import (
     BUILTIN_CASES,
     _PenaltyEvaluator,
@@ -160,6 +161,43 @@ class TestViolations:
         viol = constraint_violations(s, (tiny, Fraction(1), 3 - tiny))
         assert viol["lambda1>0"] == Fraction(STRICT_MARGIN) - tiny
 
+    def test_one_sigma_pass_per_point(self, monkeypatch):
+        # sigma_2 and every sigma_r bound come from one lift of the point and
+        # equal what a separate spectrum.sigma call gives, EXACT and FLOAT
+        lifts = []
+        lift = spectrum._lift
+        monkeypatch.setattr(spectrum, "_lift", lambda *a: lifts.append(1) or lift(*a))
+        rng = random.Random(21)
+        systems = [builtin_case(name, H=Fraction(7, 5)) for name in BUILTIN_CASES]
+        systems += [_random_float_system(rng, free) for free in (1, 4, 9) for _ in range(4)]
+        for system in systems:
+            exact = system.regime is Regime.EXACT
+            for _ in range(10):
+                x = [Fraction(rng.randint(-40, 40), rng.randint(1, 9)) if exact
+                     else rng.uniform(-4.0, 4.0) for _ in range(system.n)]
+                lifts.clear()
+                viol = constraint_violations(system, x)
+                assert len(lifts) == 1
+                assert viol["sigma2"] == abs(sigma(x, 2) - system.sigma2_target)
+                for ex in system.extra_symmetric:
+                    s = sigma(x, ex.r)
+                    want = max(0 * s, -s if ex.relation is Relation.GE_ZERO else s)
+                    assert viol[f"sigma{ex.r}{ex.relation.value}"] == want
+
+    def test_float_sigma_n_overflow_raises_only_where_it_is_used(self):
+        # sigma_2 and sigma_3 of this point fit a double, sigma_4 and sigma_5
+        # do not; only a system that bounds sigma_4 needs it
+        x = (1e80,) * 5
+        s3 = ConstraintSystem(5, 1.0, 1.0, ordering=False, extra_symmetric=(
+            SymmetricSignConstraint(3, Relation.GE_ZERO),))
+        viol = constraint_violations(s3, x)
+        assert viol["sigma2"] == abs(sigma(x, 2) - 1.0)
+        assert viol["sigma3>=0"] == 0.0
+        s4 = ConstraintSystem(5, 1.0, 1.0, ordering=False, extra_symmetric=(
+            SymmetricSignConstraint(4, Relation.GE_ZERO),))
+        with pytest.raises(DomainError, match="not a finite number"):
+            constraint_violations(s4, x)
+
     def test_mixed_point_rejected(self):
         s = builtin_case("thm1-lambda2")
         with pytest.raises(RegimeError):
@@ -234,6 +272,27 @@ class TestScan:
                      lambda: certificate_samples(system, seed=seed, count=10)):
             with pytest.raises(DomainError, match="seed must be an integer >= 0"):
                 call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: ScanBudget(grid_points=2000.5),
+        lambda: ScanBudget(grid_points=0),
+        lambda: ScanBudget(descent_rounds=1.5),
+        lambda: ScanBudget(polish_starts=64.0),
+        lambda: ScanBudget(polish_rounds=-3),
+        lambda: ScanBudget(polish_rounds="24"),
+        lambda: certificate_check(builtin_case("thm1-claim"), count=10.0),
+        lambda: certificate_samples(builtin_case("thm1-claim"), count=10.0),
+        lambda: certificate_check(builtin_case("thm1-claim"), count=0),
+    ], ids=["grid-half", "grid-zero", "descent-half", "starts-float", "rounds-negative",
+            "rounds-string", "check-count-float", "samples-count-float", "count-zero"])
+    def test_budgets_and_counts_must_be_positive_integers(self, call):
+        with pytest.raises(DomainError, match="must be an integer >= 1"):
+            call()
+
+    def test_numpy_integers_are_integers(self):
+        budget = ScanBudget(grid_points=np.int64(1000), polish_starts=np.int32(8))
+        assert scan(builtin_case("thm1-lambda2"), budget=budget, seed=0).status == "WITNESS"
+        assert len(certificate_samples(builtin_case("thm1-claim"), count=np.int64(5))) == 5
 
     def test_claims_stay_infeasible(self):
         for name in ("thm1-claim", "thm2-claim"):
@@ -350,6 +409,60 @@ class TestExcessKernel:
         for start, end in zip(x, batch):
             np.testing.assert_array_equal(_gauss_newton(ev, start[None, :])[0], end)
         assert np.all(ev.penalty(batch) <= ev.penalty(x))
+
+    @staticmethod
+    def polish_batch(system, cells=20_000, starts=64):
+        # The batch the scan hands to Gauss-Newton: the grid's top cells
+        # after the coarse descent, the best ``starts`` of them by (penalty,
+        # flat index), after the polish descent.
+        ev, axes = _grid(system, max(2, int(cells ** (1 / len(_PenaltyEvaluator(system).free0)))))
+        box = float(axes[-1])
+        lo, hi = -1.05 * box - 1e-3, 1.05 * box + 1e-3
+        _, flat, x = _grid_top(ev, axes, max(starts, len(axes) ** len(ev.free0) // 100))
+        x = _lockstep_descent(ev, x, 2, lo, hi)
+        order = np.lexsort((flat, ev.penalty(x)))[:starts]
+        return ev, _lockstep_descent(ev, x[order], 24, lo, hi), flat[order]
+
+    def test_retiring_ranked_rows_keeps_the_pick(self):
+        # With ranks, rows ranked after a row at penalty 0 stop early; the
+        # row the scan picks, and every row ranked before it, must still end
+        # bit for bit where they end without ranks.
+        rng = random.Random(17)
+        systems = [builtin_case(name) for name in BUILTIN_CASES]
+        systems += [_random_float_system(rng, free) for free in (1, 4, 9) for _ in range(4)]
+        retired = 0
+        for system in systems:
+            ev, x, flat = self.polish_batch(system)
+            plain, ranked = _gauss_newton(ev, x), _gauss_newton(ev, x, ranks=flat)
+            pick = np.lexsort((flat, ev.penalty(plain)))[0]
+            assert np.lexsort((flat, ev.penalty(ranked)))[0] == pick
+            np.testing.assert_array_equal(ranked[pick], plain[pick])
+            first = flat <= flat[pick]
+            np.testing.assert_array_equal(ranked[first], plain[first])
+            retired += int(np.any(ranked[~first] != plain[~first]))
+        assert retired >= 3  # the rule did stop some rows
+
+    def test_rows_ranked_after_a_solved_row_stop(self):
+        # thm1-lambda2 at H = 1: (x_1, x_3, x_4) = (0, 2, 2) has penalty
+        # exactly 0.  It sits third in rank order; the two rows ranked before
+        # it run as without ranks, the three ranked after it never move.
+        ev = _PenaltyEvaluator(builtin_case("thm1-lambda2"))
+        x = np.random.default_rng(5).uniform(-3.0, 3.0, size=(6, 3))
+        x[2] = (0.0, 2.0, 2.0)
+        ranks = np.array([5, 1, 3, 8, 0, 9])
+        assert ev.penalty(x)[2] == 0.0 and np.all(np.delete(ev.penalty(x), 2) > 0.0)
+        seen = []
+        jacobian = ev.jacobian
+        ev.jacobian = lambda rows: seen.append(len(rows)) or jacobian(rows)
+        plain = _gauss_newton(ev, x)
+        assert seen[0] == 5
+        seen.clear()
+        ranked = _gauss_newton(ev, x, ranks=ranks)
+        assert seen[0] == 2 and max(seen) <= 2
+        before, after = ranks < 3, ranks > 3
+        np.testing.assert_array_equal(ranked[before], plain[before])
+        np.testing.assert_array_equal(ranked[after], x[after])
+        np.testing.assert_array_equal(ranked[2], x[2])
 
     @staticmethod
     def systems_and_points():
@@ -577,6 +690,21 @@ class TestPrunedGrid:
         np.testing.assert_array_equal(got_flat[order], flat)
         np.testing.assert_array_equal(got_pen[order], pen)
         assert max(rows) <= 64
+
+    @pytest.mark.parametrize("name", BUILTIN_CASES)
+    def test_peak_memory_at_a_million_cells(self, name):
+        # the slice size bounds the grid's working set; 2^17-row slices
+        # peak near 14 MB here
+        system = builtin_case(name)
+        ev, axes = _grid(system, {3: 100, 4: 31}[len(_PenaltyEvaluator(system).free0)])
+        keep = len(axes) ** len(ev.free0) // 100
+        tracemalloc.start()
+        try:
+            _grid_top(ev, axes, keep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8_000_000
 
     def test_ties_straddling_keep_break_by_flat_index(self):
         # No ordering and no sign terms: the penalty is symmetric in the four

@@ -413,7 +413,7 @@ class TestErrors:
         assert cli.run(["--config", str(cfg)] + argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "must be >= 1" in captured.err
+        assert "must be an integer >= 1" in captured.err
 
     def test_float_overflow_in_simons_forms(self, capsys):
         # the K table is finite, the pair sum and |A|^4 are not

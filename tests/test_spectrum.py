@@ -15,6 +15,7 @@ from hypercurv.spectrum import (
     okumura_bound,
     sigma,
     sigma_all,
+    sigmas,
     sigma_recursion_residual,
     tr_a3_sides,
 )
@@ -94,6 +95,29 @@ class TestSigma:
             vals = random_exact(rng, n, span=9)
             r = rng.randint(0, n)
             assert sigma(vals, r) == oracles.sigma_subsets(vals, r)
+
+    def test_sigmas_equal_separate_sigma_calls(self):
+        # one pass truncated at the largest r gives every lower sigma_r with
+        # the same operations: equal Fractions, and bit-equal doubles
+        rng = random.Random(103)
+        for _ in range(120):
+            n = rng.randint(2, 9)
+            orders = [rng.randint(0, n) for _ in range(rng.randint(1, 4))]
+            for vals in (random_exact(rng, n, span=9),
+                         [rng.uniform(-3.0, 3.0) * 10.0 ** rng.randint(-5, 5) for _ in range(n)]):
+                got = sigmas(vals, orders)
+                want = tuple(sigma(vals, r) for r in orders)
+                assert got == want
+                assert [type(v) for v in got] == [type(v) for v in want]
+        with pytest.raises(DomainError):
+            sigmas((1, 2), [2, 3])
+
+    def test_sigmas_check_only_the_values_asked_for(self):
+        # sigma_4 and sigma_5 of this point overflow a double, sigma_3 does not
+        x = [1e80] * 5
+        assert sigmas(x, [3, 2]) == (sigma(x, 3), sigma(x, 2))
+        with pytest.raises(DomainError, match="not a finite number"):
+            sigmas(x, [2, 4])
 
     def test_recursion_residual_zero_exact(self):
         rng = random.Random(102)
