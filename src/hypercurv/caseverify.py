@@ -6,19 +6,20 @@ are pinned to targets (equivalently H and the scalar curvature R), selected
 labels are pinned to zero, and the rest carry sign constraints, optionally
 together with sign constraints on higher symmetric values sigma_r.
 
-``scan`` searches the box |x_i| <= |A| = sqrt(trace^2 - 2 sigma_2) with a
-uniform grid, keeps the best cells of a squared-violation penalty, runs
-lockstep coordinate descent and Gauss-Newton, and finishes with a seeded
-random-perturbation polish.  The grid is pruned branch-and-bound style
-(Land & Doig 1960): cells grow one coordinate at a time, and a partial
-cell whose cheap separable terms (trace, ordering, sign bounds) already
-exceed a threshold above the kept set's worst penalty is never completed.
-The full penalty runs only on cells that can still enter the kept set, and
-the kept set is the one a full evaluation would keep.  A returned WITNESS
-is always re-validated by an independent pure-Python constraint evaluator;
-NO_WITNESS is exhaustive-search evidence, not a proof.  A system whose
-penalty could overflow a double over that box is refused with
-``DomainError`` before the grid, rather than ranked by inf.
+``scan`` searches the box |x_i| <= |A| = sqrt(trace^2 - 2 sigma_2) in five
+stages: a uniform grid keeps its ``polish_starts`` best cells by a
+squared-violation penalty, lockstep coordinate descent and then Gauss-Newton
+polish those cells, a seeded random-perturbation cloud probes around the
+best of them, and an exact snap tries a nearby rational point.  The grid is
+pruned branch-and-bound style (Land & Doig 1960): cells grow one coordinate
+at a time, and a partial cell whose cheap separable terms (trace, ordering,
+sign bounds) already exceed a threshold above the kept set's worst penalty
+is never completed.  The full penalty runs only on cells that can still
+enter the kept set, and the kept set is the one a full evaluation would
+keep.  A returned WITNESS is always re-validated by an independent
+pure-Python constraint evaluator; NO_WITNESS is exhaustive-search evidence,
+not a proof.  A system whose penalty could overflow a double over that box
+is refused with ``DomainError`` before the grid, rather than ranked by inf.
 
 The scan encodes its constraint terms once, as a matrix of signed excess
 (one column per term, positive when violated).  Every term is affine in
@@ -261,18 +262,18 @@ def max_violation(system: ConstraintSystem, point: Sequence[Scalar]) -> Scalar:
 
 @dataclass(frozen=True)
 class ScanBudget:
-    """Search effort: total grid cells, descent rounds, and polish width.
+    """Search effort: total grid cells, the grid cells polished, and their
+    descent rounds.
 
     Every field must be an integer >= 1; anything else raises ``DomainError``.
     """
 
     grid_points: int = 1_000_000
-    descent_rounds: int = 2
     polish_starts: int = 64
     polish_rounds: int = 24
 
     def __post_init__(self):
-        for name in ("grid_points", "descent_rounds", "polish_starts", "polish_rounds"):
+        for name in ("grid_points", "polish_starts", "polish_rounds"):
             _check_integer(name, getattr(self, name), least=1)
 
 
@@ -803,13 +804,17 @@ def scan(system: ConstraintSystem, budget: Optional[ScanBudget] = None,
          seed: int = 0, tol: float = 1e-8) -> FeasibilityVerdict:
     """Search for a point satisfying ``system``; deterministic per seed.
 
-    The grid and descent stages are fully deterministic; ``seed`` drives only
-    the final perturbation polish.  Ties are broken by penalty first, then by
-    lexicographic grid cell index, so identical inputs and seed reproduce the
-    identical verdict.  The grid keeps the same cells as evaluating all of
-    them would, but evaluates only the cells a separable lower bound cannot
-    rule out (``_grid_top``); ``stats["gridCells"]`` is the grid's size, not
-    the number of cells evaluated.
+    The stages run in order: the grid keeps its ``budget.polish_starts``
+    best cells, ``budget.polish_rounds`` rounds of lockstep descent and then
+    Gauss-Newton polish them, a seeded perturbation cloud probes around the
+    best polished cell, and ``_exact_snap`` tries a nearby rational point.
+    Only the cloud depends on ``seed``.  Ties are broken by penalty first,
+    then by lexicographic grid cell index, so identical inputs and seed
+    reproduce the identical verdict.  The grid keeps the same cells as
+    evaluating all of them would, but evaluates only the cells a separable
+    lower bound cannot rule out (``_grid_top``); ``stats["gridCells"]`` is
+    the grid's size, not the number of cells evaluated, and
+    ``stats["coarseStarts"]`` the number of grid cells handed to the polish.
     A WITNESS is re-validated with the independent evaluator; NO_WITNESS
     reports the best point found and its violations.
     """
@@ -860,16 +865,10 @@ def scan(system: ConstraintSystem, budget: Optional[ScanBudget] = None,
         axis_points += 1
     axes = np.linspace(-box, box, axis_points) if box > 0 else np.zeros(axis_points)
     total = axis_points ** d
-    keep = min(max(budget.polish_starts, int(total * 0.01)), 16384)
-    stats.update({"gridCells": total, "axisPoints": axis_points, "coarseStarts": keep})
+    stats.update({"gridCells": total, "axisPoints": axis_points,
+                  "coarseStarts": min(budget.polish_starts, total)})
 
-    pen, flat, x_top = _grid_top(ev, axes, keep)
-
-    x_top = _lockstep_descent(ev, x_top, budget.descent_rounds, lo=lo, hi=hi)
-    pen = ev.penalty(x_top)
-    order = np.lexsort((flat, pen))[:budget.polish_starts]
-    x_polish, flat_polish = x_top[order], flat[order]
-
+    _, flat_polish, x_polish = _grid_top(ev, axes, budget.polish_starts)
     x_polish = _lockstep_descent(ev, x_polish, budget.polish_rounds, lo=lo, hi=hi)
     x_polish = _gauss_newton(ev, x_polish, ranks=flat_polish)
     pen = ev.penalty(x_polish)
@@ -886,8 +885,6 @@ def scan(system: ConstraintSystem, budget: Optional[ScanBudget] = None,
         i = int(np.argmin(cloud_pen))
         if cloud_pen[i] < best_pen:
             best, best_pen = cloud[i].copy(), float(cloud_pen[i])
-    best = _lockstep_descent(ev, best[None, :], rounds=2, lo=lo, hi=hi)[0]
-    best = _gauss_newton(ev, best[None, :])[0]
     best, snapped = _exact_snap(ev, best)
     stats["snappedExact"] = snapped
 

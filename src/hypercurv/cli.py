@@ -55,6 +55,11 @@ _CONFIG_KEYS = {
 }
 
 
+def _given(**values) -> dict:
+    """The keyword arguments the user set; the library's defaults fill the rest."""
+    return {name: value for name, value in values.items() if value is not None}
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -300,15 +305,14 @@ def _cmd_scan(args) -> Tuple[dict, List[str], List[list], int]:
         system = caseverify.builtin_case(args.case, H=mean, R=scalar)
     else:
         system = caseverify.ConstraintSystem.from_json_dict(_load_json(args.system))
-    budget = caseverify.ScanBudget(grid_points=1_000_000 if args.budget is None else args.budget)
-    tol = args.tol if args.tol is not None else 1e-8
-    verdict = caseverify.scan(system, budget=budget, seed=args.seed, tol=tol)
+    budget = caseverify.ScanBudget(**_given(grid_points=args.budget))
+    verdict = caseverify.scan(system, budget=budget, seed=args.seed, **_given(tol=args.tol))
     expected = caseverify.expected_outcome(system)
     certificate = None
     # certificate margins are asserted for the recorded target ratios only
     if expected is not None and caseverify.has_certificate(system):
         certificate = caseverify.certificate_check(
-            system, seed=args.seed, count=1000 if args.samples is None else args.samples, tol=tol)
+            system, seed=args.seed, **_given(count=args.samples, tol=args.tol))
     agrees = expected.agrees(verdict) if expected is not None else None
     payload = {
         "command": "scan",
@@ -444,9 +448,7 @@ def _cmd_immersion(args) -> Tuple[dict, List[str], List[list], int]:
 def _cmd_verify_all(args) -> Tuple[dict, List[str], List[list], int]:
     from . import verify
 
-    results = verify.run_builtin_suite(
-        seed=args.seed if args.seed is not None else 0,
-        scan_grid_points=200_000 if args.budget is None else args.budget)
+    results = verify.run_builtin_suite(**_given(seed=args.seed, scan_grid_points=args.budget))
     passed = sum(1 for r in results if r.passed)
     failed = len(results) - passed
     payload = {

@@ -276,18 +276,22 @@ class TestScan:
     @pytest.mark.parametrize("call", [
         lambda: ScanBudget(grid_points=2000.5),
         lambda: ScanBudget(grid_points=0),
-        lambda: ScanBudget(descent_rounds=1.5),
         lambda: ScanBudget(polish_starts=64.0),
         lambda: ScanBudget(polish_rounds=-3),
         lambda: ScanBudget(polish_rounds="24"),
         lambda: certificate_check(builtin_case("thm1-claim"), count=10.0),
         lambda: certificate_samples(builtin_case("thm1-claim"), count=10.0),
         lambda: certificate_check(builtin_case("thm1-claim"), count=0),
-    ], ids=["grid-half", "grid-zero", "descent-half", "starts-float", "rounds-negative",
+    ], ids=["grid-half", "grid-zero", "starts-float", "rounds-negative",
             "rounds-string", "check-count-float", "samples-count-float", "count-zero"])
     def test_budgets_and_counts_must_be_positive_integers(self, call):
         with pytest.raises(DomainError, match="must be an integer >= 1"):
             call()
+
+    def test_budget_has_no_descent_rounds(self):
+        # The grid's cells go straight to the polish: no coarse descent stage.
+        with pytest.raises(TypeError):
+            ScanBudget(descent_rounds=2)
 
     def test_numpy_integers_are_integers(self):
         budget = ScanBudget(grid_points=np.int64(1000), polish_starts=np.int32(8))
@@ -352,6 +356,33 @@ class TestScan:
         assert stats["gridCells"] <= 60_000
         assert isinstance(stats["snappedExact"], bool)
 
+    @pytest.mark.parametrize("system, budget", [
+        (builtin_case("thm2-claim"), small_budget()),
+        (planted_system(), ScanBudget(grid_points=20_000)),
+        (planted_system(), ScanBudget(grid_points=300, polish_starts=1000)),
+    ], ids=["thm2-claim", "float-custom", "starts-past-the-grid"])
+    def test_polish_starts_from_the_grid(self, system, budget):
+        stats = scan(system, budget=budget, seed=0).stats
+        assert stats["coarseStarts"] == min(budget.polish_starts, stats["gridCells"])
+
+    def test_cloud_pick_goes_straight_to_the_snap(self):
+        # custom-scans seed 2's custom-0 (bench/workloads.py) at its bench
+        # budget.  Its polish pick sits at penalty exactly 0, and no stage
+        # after the cloud may move it off: one more descent and Gauss-Newton
+        # pass there would leave it at 3.2e-30.
+        system = ConstraintSystem.from_json_dict({
+            "name": "custom-0", "n": 10, "regime": "float",
+            "traceTarget": 11.623707487670726, "sigma2Target": 52.71321980477207,
+            "fixedZeros": [2], "ordering": True,
+            "signConstraints": [{"index": 5, "relation": ">0"},
+                                {"index": 6, "relation": ">=0"},
+                                {"index": 7, "relation": ">=0"},
+                                {"index": 10, "relation": ">=H"}],
+            "extraSymmetric": [{"r": 8, "relation": "<=0"}]})
+        v = scan(system, budget=ScanBudget(grid_points=500), seed=242886303)
+        assert v.status == "WITNESS"
+        assert v.stats["bestPenalty"] == 0.0
+
     def test_verdict_json(self):
         v = scan(builtin_case("thm1-lambda2"), budget=small_budget(), seed=0)
         payload = v.to_json_dict()
@@ -412,16 +443,13 @@ class TestExcessKernel:
 
     @staticmethod
     def polish_batch(system, cells=20_000, starts=64):
-        # The batch the scan hands to Gauss-Newton: the grid's top cells
-        # after the coarse descent, the best ``starts`` of them by (penalty,
-        # flat index), after the polish descent.
+        # The batch the scan hands to Gauss-Newton: the grid's best
+        # ``starts`` cells by (penalty, flat index), after the polish descent.
         ev, axes = _grid(system, max(2, int(cells ** (1 / len(_PenaltyEvaluator(system).free0)))))
         box = float(axes[-1])
         lo, hi = -1.05 * box - 1e-3, 1.05 * box + 1e-3
-        _, flat, x = _grid_top(ev, axes, max(starts, len(axes) ** len(ev.free0) // 100))
-        x = _lockstep_descent(ev, x, 2, lo, hi)
-        order = np.lexsort((flat, ev.penalty(x)))[:starts]
-        return ev, _lockstep_descent(ev, x[order], 24, lo, hi), flat[order]
+        _, flat, x = _grid_top(ev, axes, starts)
+        return ev, _lockstep_descent(ev, x, 24, lo, hi), flat
 
     def test_retiring_ranked_rows_keeps_the_pick(self):
         # With ranks, rows ranked after a row at penalty 0 stop early; the
