@@ -10,16 +10,18 @@ together with sign constraints on higher symmetric values sigma_r.
 stages: a uniform grid keeps its ``polish_starts`` best cells by a
 squared-violation penalty, lockstep coordinate descent and then Gauss-Newton
 polish those cells, a seeded random-perturbation cloud probes around the
-best of them, and an exact snap tries a nearby rational point.  The grid is
-pruned branch-and-bound style (Land & Doig 1960): cells grow one coordinate
-at a time, and a partial cell whose cheap separable terms (trace, ordering,
-sign bounds) already exceed a threshold above the kept set's worst penalty
-is never completed.  The full penalty runs only on cells that can still
-enter the kept set, and the kept set is the one a full evaluation would
-keep.  A returned WITNESS is always re-validated by an independent
-pure-Python constraint evaluator; NO_WITNESS is exhaustive-search evidence,
-not a proof.  A system whose penalty could overflow a double over that box
-is refused with ``DomainError`` before the grid, rather than ranked by inf.
+best of them, and an exact snap tries a nearby rational point.  An EXACT
+system already snaps during Gauss-Newton and returns at its first exactly
+feasible snap.  The grid is pruned branch-and-bound style (Land & Doig
+1960): cells grow one coordinate at a time, and a partial cell whose cheap
+separable terms (trace, ordering, sign bounds) already exceed a threshold
+above the kept set's worst penalty is never completed.  The full penalty
+runs only on cells that can still enter the kept set, and the kept set is
+the one a full evaluation would keep.  A returned WITNESS is always
+re-validated by an independent pure-Python constraint evaluator; NO_WITNESS
+is exhaustive-search evidence, not a proof.  A system whose penalty could
+overflow a double over that box is refused with ``DomainError`` before the
+grid, rather than ranked by inf.
 
 The scan encodes its constraint terms once, as a matrix of signed excess
 (one column per term, positive when violated).  Every term is affine in
@@ -541,6 +543,19 @@ _ROUNDING_GAIN = 4 * np.finfo(float).eps  # a relative decrease this small is ro
 
 def _gauss_newton(ev: _PenaltyEvaluator, x: np.ndarray, iters: int = 40,
                   ranks: Optional[np.ndarray] = None) -> np.ndarray:
+    x = x.copy()
+    for _ in _gauss_newton_states(ev, x, iters, ranks):
+        pass
+    return x
+
+
+def _gauss_newton_states(ev: _PenaltyEvaluator, x: np.ndarray, iters: int = 40,
+                         ranks: Optional[np.ndarray] = None):
+    # Runs ``_gauss_newton`` on ``x`` in place and yields ``(x, penalties)``
+    # before each lockstep iteration and after the last, so that a caller
+    # can stop it early (``scan`` stops an EXACT system at the first pick
+    # that snaps to an exactly feasible point).
+    #
     # Quadratic local convergence where coordinatewise descent creeps, e.g.
     # along directions where an equality residual is second-order flat.  The
     # residual is the equalities plus the violated inequalities, so near a
@@ -556,15 +571,15 @@ def _gauss_newton(ev: _PenaltyEvaluator, x: np.ndarray, iters: int = 40,
     # ranked after it stops too: a row at 0 never moves, rows never
     # interact, and the pick prefers that row to any of them, so the picked
     # row ends bit for bit where it ends without ``ranks``.
-    x = x.copy()
     fx = ev.penalty(x)
     live = fx != 0.0
     for _ in range(iters):
+        yield x, fx
         if ranks is not None and (fx == 0.0).any():
             live &= ranks < ranks[fx == 0.0].min()
         rows = np.flatnonzero(live)
         if not rows.size:
-            break
+            return
         res = ev.excess(x[rows])
         active = res > 0.0
         active[:, :2] = True
@@ -586,7 +601,27 @@ def _gauss_newton(ev: _PenaltyEvaluator, x: np.ndarray, iters: int = 40,
         threshold = fx[rows] * (1.0 - _ROUNDING_GAIN)
         x[rows], fx[rows] = trial[pick], ft[pick]
         live[rows] = (fx[rows] != 0.0) & (fx[rows] < threshold)
-    return x
+    yield x, fx
+
+
+def _first_exact_pick(ev: _PenaltyEvaluator, states, ranks: np.ndarray) -> Optional[np.ndarray]:
+    """The first exactly feasible ``_exact_snap`` of the pick of ``states``.
+
+    The pick of a state is its row first by (penalty, rank), the rule
+    ``scan`` applies after Gauss-Newton; it is snapped whenever its row or
+    its coordinates changed since the last try.  ``None`` once the states
+    run out.
+    """
+    tried = None
+    for x, fx in states:
+        i = np.lexsort((ranks, fx))[0]
+        if (i, x[i].tobytes()) == tried:
+            continue
+        tried = i, x[i].tobytes()
+        point, exact = _exact_snap(ev, x[i])
+        if exact:
+            return point
+    return None
 
 
 def _exact_snap(ev: _PenaltyEvaluator, x: np.ndarray) -> Tuple[np.ndarray, bool]:
@@ -808,6 +843,10 @@ def scan(system: ConstraintSystem, budget: Optional[ScanBudget] = None,
     best cells, ``budget.polish_rounds`` rounds of lockstep descent and then
     Gauss-Newton polish them, a seeded perturbation cloud probes around the
     best polished cell, and ``_exact_snap`` tries a nearby rational point.
+    An EXACT system snaps its pick by (penalty, grid index) before each
+    Gauss-Newton iteration and after the last, whenever the pick moved, and
+    returns at the first snap that is exactly feasible: its exact residual
+    is 0, so the rest of Gauss-Newton and the cloud could not improve on it.
     Only the cloud depends on ``seed``.  Ties are broken by penalty first,
     then by lexicographic grid cell index, so identical inputs and seed
     reproduce the identical verdict.  The grid keeps the same cells as
@@ -870,7 +909,17 @@ def scan(system: ConstraintSystem, budget: Optional[ScanBudget] = None,
 
     _, flat_polish, x_polish = _grid_top(ev, axes, budget.polish_starts)
     x_polish = _lockstep_descent(ev, x_polish, budget.polish_rounds, lo=lo, hi=hi)
-    x_polish = _gauss_newton(ev, x_polish, ranks=flat_polish)
+    states = _gauss_newton_states(ev, x_polish, ranks=flat_polish)  # updates x_polish
+    if system.regime is Regime.EXACT:
+        # An exactly feasible snap has exact residual 0, which no later
+        # stage can improve on.  FLOAT systems practically never snap exactly, so they
+        # keep the single snap at the end.
+        exact = _first_exact_pick(ev, states, flat_polish)
+        if exact is not None:
+            stats["snappedExact"] = True
+            return finish(exact)
+    for _ in states:
+        pass
     pen = ev.penalty(x_polish)
     best_idx = np.lexsort((flat_polish, pen))[0]
     best = x_polish[best_idx].copy()
@@ -1081,14 +1130,6 @@ class CertificateReport(JsonRecord):
     detail: str
 
 
-def _pair_completions(total: float, product: float) -> Optional[Tuple[float, float]]:
-    disc = total * total - 4.0 * product
-    if disc < 0:
-        return None
-    root = math.sqrt(disc)
-    return (total - root) / 2.0, (total + root) / 2.0
-
-
 def certificate_samples(system: ConstraintSystem, seed: int = 0,
                         count: int = 1000) -> List[Tuple[float, ...]]:
     """Seeded points satisfying the trace/sigma_2 equalities and pinned zeros.
@@ -1097,32 +1138,49 @@ def certificate_samples(system: ConstraintSystem, seed: int = 0,
     for the two other free coordinates, and discards draws with no real
     completion, so every returned point satisfies the equality constraints
     to rounding; sign and ordering constraints are deliberately not imposed.
+    The first candidate is the case's anchor, and at most ``80 * count``
+    candidates are tried.  Draws come in blocks of at most ``count`` rows,
+    one ``rng.uniform`` call each, and each block is completed at once with
+    the float operations of a per-draw loop, in its order, so the points
+    do not depend on the block size.
     """
     case = _certified(system)
     _check_integer("count", count, least=1)
     check_seed(seed)
-    completed = tuple(i for i in range(1, case.n + 1)
-                      if i != case.fixed and i not in case.drawn)
+    completed = [i - 1 for i in range(1, case.n + 1)
+                 if i != case.fixed and i not in case.drawn]
+    drawn = [i - 1 for i in case.drawn]
     rng = np.random.default_rng(seed)
     trace = promote(system.trace_target)
     s2 = promote(system.sigma2_target)
     h = trace / system.n
     box = math.sqrt(max(promote(system.norm_a2_target), 0.0))
     points: List[Tuple[float, ...]] = []
-    params = [a * h for a in case.anchor]
-    for _ in range(80 * count):
-        rest = trace
-        for p in params:
-            rest -= p
-        pairs = sum(a * b for a, b in combinations(params, 2))
-        pair = _pair_completions(rest, s2 - pairs - sum(params) * rest)
-        if pair is not None:
-            coords = dict(zip(case.drawn + completed, params + list(pair)))
-            points.append(tuple(coords.get(i, 0.0) for i in range(1, case.n + 1)))
-            if len(points) == count:
-                break
-        params = rng.uniform(-box, box, size=len(case.drawn)).tolist()
-    return points
+    params = np.array([[a * h for a in case.anchor]])
+    tried, cap = 1, 80 * count
+    while True:
+        # rest = trace - sum(params); the pair sums to rest and has product
+        # s2 - sigma_2(params) - sum(params) * rest, each sum from 0 in order.
+        rest = np.full(len(params), trace)
+        total, pairs = np.zeros(len(params)), np.zeros(len(params))
+        for col in params.T:
+            rest -= col
+            total += col
+        for a, b in combinations(params.T, 2):
+            pairs += a * b
+        disc = rest * rest - 4.0 * (s2 - pairs - total * rest)
+        real = ~(disc < 0)
+        rest, root = rest[real], np.sqrt(disc[real])
+        block = np.zeros((len(rest), case.n))
+        block[:, drawn] = params[real]
+        block[:, completed[0]] = (rest - root) / 2.0
+        block[:, completed[1]] = (rest + root) / 2.0
+        points += map(tuple, block.tolist())
+        if len(points) >= count or tried == cap:
+            return points[:count]
+        rows = min(count, cap - tried)
+        params = rng.uniform(-box, box, size=(rows, len(drawn)))
+        tried += rows
 
 
 def certificate_check(system: ConstraintSystem, seed: int = 0, count: int = 1000,

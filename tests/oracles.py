@@ -166,3 +166,41 @@ def cholesky_curvatures(patch, cond_limit=1e8):
     chol = np.linalg.cholesky(first)
     half = np.linalg.solve(chol, second)
     return np.linalg.eigvalsh(np.linalg.solve(chol, half.T))
+
+
+def certificate_samples_per_draw(system, seed=0, count=1000):
+    """The per-draw loop that the block sampler of ``certificate_samples``
+    replaced: one ``rng.uniform`` call and one Python-float completion per
+    candidate, the case's anchor first, at most ``80 * count`` candidates.
+    """
+    import numpy as np
+
+    from hypercurv.caseverify import _CASES
+    from hypercurv.scalars import promote
+
+    case = _CASES[system.name]
+    completed = tuple(i for i in range(1, case.n + 1)
+                      if i != case.fixed and i not in case.drawn)
+    rng = np.random.default_rng(seed)
+    trace = promote(system.trace_target)
+    s2 = promote(system.sigma2_target)
+    h = trace / system.n
+    box = math.sqrt(max(promote(system.norm_a2_target), 0.0))
+    points = []
+    params = [a * h for a in case.anchor]
+    for _ in range(80 * count):
+        rest = trace
+        for p in params:
+            rest -= p
+        pairs = sum(a * b for a, b in itertools.combinations(params, 2))
+        product = s2 - pairs - sum(params) * rest
+        disc = rest * rest - 4.0 * product
+        if not disc < 0:
+            root = math.sqrt(disc)
+            pair = [(rest - root) / 2.0, (rest + root) / 2.0]
+            coords = dict(zip(case.drawn + completed, params + pair))
+            points.append(tuple(coords.get(i, 0.0) for i in range(1, case.n + 1)))
+            if len(points) == count:
+                break
+        params = rng.uniform(-box, box, size=len(case.drawn)).tolist()
+    return points

@@ -383,6 +383,40 @@ class TestScan:
         assert v.status == "WITNESS"
         assert v.stats["bestPenalty"] == 0.0
 
+    @pytest.mark.parametrize("H", [Fraction(1, 2), 1, Fraction(3, 2), 2], ids=str)
+    @pytest.mark.parametrize("name", ["thm1-lambda2", "thm2-lambda2", "thm2-lambda3"])
+    def test_exact_scan_returns_its_first_exact_snap(self, name, H):
+        system = builtin_case(name, H=H)
+        v = scan(system, budget=small_budget(20_000), seed=1)
+        assert v.witness == tuple(float(w) for w in expected_outcome(system).witness)
+        assert v.stats["snappedExact"] is True
+        assert v.residual == 0
+
+    @pytest.mark.parametrize("H", [Fraction(1, 2), 1, Fraction(3, 2), 2], ids=str)
+    @pytest.mark.parametrize("name", ["thm2-lambda2", "thm2-lambda3"])
+    def test_exact_snap_ends_gauss_newton(self, monkeypatch, name, H):
+        # Without the early stop these batches run all 40 lockstep
+        # iterations, one jacobian call each, after a pick already snaps.
+        calls = []
+        jacobian = _PenaltyEvaluator.jacobian
+        monkeypatch.setattr(_PenaltyEvaluator, "jacobian",
+                            lambda ev, x: calls.append(len(x)) or jacobian(ev, x))
+        v = scan(builtin_case(name, H=H), budget=small_budget(20_000), seed=1)
+        assert v.status == "WITNESS" and v.stats["snappedExact"]
+        assert len(calls) < 40
+
+    def test_float_system_snaps_once(self, monkeypatch):
+        # FLOAT snaps practically never verify, so a FLOAT scan keeps its
+        # single snap after the cloud.
+        snaps = []
+        snap = caseverify._exact_snap
+        monkeypatch.setattr(caseverify, "_exact_snap",
+                            lambda ev, x: snaps.append(1) or snap(ev, x))
+        for budget in (ScanBudget(grid_points=20_000), ScanBudget(grid_points=500)):
+            snaps.clear()
+            assert scan(planted_system(), budget=budget, seed=0).status == "WITNESS"
+            assert len(snaps) == 1
+
     def test_verdict_json(self):
         v = scan(builtin_case("thm1-lambda2"), budget=small_budget(), seed=0)
         payload = v.to_json_dict()
@@ -491,6 +525,37 @@ class TestExcessKernel:
         np.testing.assert_array_equal(ranked[before], plain[before])
         np.testing.assert_array_equal(ranked[after], x[after])
         np.testing.assert_array_equal(ranked[2], x[2])
+
+    def test_a_pick_that_snaps_before_any_iteration_ends_it(self, monkeypatch):
+        # The same batch: before the first iteration the pick by (penalty,
+        # rank) is the zero row, which snaps to (0, 2, 2) exactly, so no
+        # lockstep iteration runs.  The pick of a batch with no such row
+        # is snapped once per state whose pick row or coordinates moved.
+        ev = _PenaltyEvaluator(builtin_case("thm1-lambda2"))
+        x = np.random.default_rng(5).uniform(-3.0, 3.0, size=(6, 3))
+        x[2] = (0.0, 2.0, 2.0)
+        ranks = np.array([5, 1, 3, 8, 0, 9])
+        seen, snaps = [], []
+        jacobian, snap = ev.jacobian, caseverify._exact_snap
+        ev.jacobian = lambda rows: seen.append(len(rows)) or jacobian(rows)
+        monkeypatch.setattr(caseverify, "_exact_snap",
+                            lambda ev, row: snaps.append(row.tobytes()) or snap(ev, row))
+        found = caseverify._first_exact_pick(
+            ev, caseverify._gauss_newton_states(ev, x.copy(), ranks=ranks), ranks)
+        np.testing.assert_array_equal(found, (0.0, 2.0, 2.0))
+        assert seen == [] and len(snaps) == 1
+
+        ev = _PenaltyEvaluator(builtin_case("thm1-claim"))
+        x = np.delete(x, 2, axis=0)
+        ranks = np.arange(5)
+        picks, snaps[:] = [], []
+        for y, fy in caseverify._gauss_newton_states(ev, x.copy(), ranks=ranks):
+            i = np.lexsort((ranks, fy))[0]
+            picks.append((i, y[i].tobytes()))
+        assert caseverify._first_exact_pick(
+            ev, caseverify._gauss_newton_states(ev, x.copy(), ranks=ranks), ranks) is None
+        distinct = [p for k, p in enumerate(picks) if k == 0 or p != picks[k - 1]]
+        assert snaps == [row for _, row in distinct]
 
     @staticmethod
     def systems_and_points():
@@ -901,6 +966,28 @@ class TestCertificates:
                 assert sum(x) == pytest.approx(float(s.trace_target), abs=1e-8)
                 assert oracles.sigma_subsets(list(x), 2) == pytest.approx(
                     float(s.sigma2_target), abs=1e-7)
+
+    @pytest.mark.parametrize("H", [Fraction(1, 1000), 1, Fraction(7, 5), 1000], ids=str)
+    @pytest.mark.parametrize("name", ["thm1-claim", "thm1-lambda2", "thm2-claim"])
+    def test_block_sampler_matches_the_per_draw_loop(self, name, H):
+        def bits(points):
+            return [[v.hex() for v in p] for p in points]
+
+        system = builtin_case(name, H=H)
+        for seed in (0, 3, 11):
+            for count in (1, 7, 50, 1000):
+                got = certificate_samples(system, seed=seed, count=count)
+                want = oracles.certificate_samples_per_draw(system, seed=seed, count=count)
+                assert len(got) == count
+                assert bits(got) == bits(want)
+
+    def test_block_sampler_without_real_completions(self):
+        # At R = 5H^2 the equalities force a negative sum of squares, so no
+        # candidate has a real completion and neither sampler returns a point.
+        for name in ("thm1-claim", "thm2-claim"):
+            system = builtin_case(name, H=1, R=5)
+            assert certificate_samples(system, seed=2, count=20) == []
+            assert oracles.certificate_samples_per_draw(system, seed=2, count=20) == []
 
     def test_first_sample_sits_at_the_anchor(self):
         # anchors in units of H, here H = 3/4: x_2 = 2H, x_4 = 2H, x_2 = x_3 = 0

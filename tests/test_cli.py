@@ -164,6 +164,20 @@ class TestScan:
         cli.run(argv)
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize("H", ["1", "3/2"])
+    @pytest.mark.parametrize("case", ["thm1-lambda2", "thm2-lambda2", "thm2-lambda3"])
+    def test_witness_scans_print_the_pinned_stdout(self, capsys, case, H):
+        # The full stdout of the witness scans, pinned byte for byte in
+        # tests/pinned.  Their witnesses are exact rationals, so the output
+        # does not depend on the platform; a change to any scan stage that
+        # moves a witness, a residual, a stat or the certificate shows here.
+        pinned = os.path.join(os.path.dirname(__file__), "pinned",
+                              f"scan-{case}-H{H.replace('/', '_')}.json")
+        code = cli.run(["scan", "--case", case, "--H", H, "--seed", "1", "--budget", "20000"])
+        assert code == 0
+        with open(pinned) as fh:
+            assert capsys.readouterr().out == fh.read()
+
     def test_seed_required(self, capsys):
         assert cli.run(["scan", "--case", "thm1-claim"]) == 1
         assert "seed" in capsys.readouterr().err
