@@ -57,6 +57,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -72,7 +73,8 @@ from .scalars import (
     common_regime,
     promote,
 )
-from .spectrum import sigma, sigmas
+from . import spectrum
+from .spectrum import sigma
 
 STRICT_MARGIN = 1e-6  # strict inequalities are searched as >= this margin
 
@@ -160,6 +162,14 @@ class ConstraintSystem(JsonRecord):
             if not 1 <= ex.r <= self.n:
                 raise DomainError(f"sigma_{ex.r} undefined for n={self.n}")
 
+    @cached_property
+    def _exact_plan(self) -> "_ViolationPlan":
+        return _ViolationPlan(self, Fraction)
+
+    @cached_property
+    def _float_plan(self) -> "_ViolationPlan":
+        return _ViolationPlan(self, float)
+
     @property
     def regime(self) -> Regime:
         return common_regime((self.trace_target, self.sigma2_target))
@@ -222,40 +232,67 @@ def constraint_violations(system: ConstraintSystem,
     targets, H and ``STRICT_MARGIN`` at their exact values (a float target
     at its exact binary value), so a zero maximum proves feasibility; a
     FLOAT point is evaluated in doubles.  Mixing the two raises
-    ``RegimeError``.
+    ``RegimeError``.  Those constants, the sigma orders and the keys come
+    from the system's plan for the point's regime (``_ViolationPlan``),
+    built once per system; sigma_2 and every bounded sigma_r come from one
+    lift of the point and one truncated sigma pass, as ``spectrum.sigmas``
+    computes them.
     """
     x = list(point)
-    num = Fraction if common_regime(x) is Regime.EXACT else float
-    x = [num(v) for v in x]
+    exact = common_regime(x) is Regime.EXACT
+    num = Fraction if exact else float
+    x = [v if type(v) is num else num(v) for v in x]
     if len(x) != system.n:
         raise DomainError(f"point has {len(x)} coordinates, system has n={system.n}")
-    zero, margin = num(0), num(STRICT_MARGIN)
-    viol: Dict[str, Scalar] = {"trace": abs(sum(x) - num(system.trace_target))}
-    # sigma_2 and the sigma_r of every sigma_r bound, from one pass over x
-    s2, *bounded = sigmas(x, [2] + [ex.r for ex in system.extra_symmetric])
-    viol["sigma2"] = abs(s2 - num(system.sigma2_target))
-    for i in sorted(system.fixed_zeros):
-        viol[f"lambda{i}=0"] = abs(x[i - 1])
+    plan = system._exact_plan if exact else system._float_plan
+    zero = plan.zero
+    viol: Dict[str, Scalar] = {"trace": abs(sum(x) - plan.trace)}
+    a, D, over = spectrum._lift(x, Regime.EXACT if exact else Regime.FLOAT)
+    e = spectrum._sigma_coefficients(a, plan.top)
+    viol["sigma2"] = abs(over(e[2], D ** 2) - plan.sigma2)
+    bounded = [over(e[r], D ** r) for r in plan.orders]
+    for key, i in plan.zeros:
+        viol[key] = abs(x[i])
     if system.ordering:
         viol["ordering"] = max(zero, max(x[i] - x[i + 1] for i in range(system.n - 1)))
-    h = num(system.mean_curvature)
-    for sc in system.sign_constraints:
-        v = x[sc.index - 1]
-        if sc.relation is Relation.GE_ZERO:
+    margin, h = plan.margin, plan.h
+    for key, i, relation in plan.signs:
+        v = x[i]
+        if relation is Relation.GE_ZERO:
             bad = max(zero, -v)
-        elif sc.relation is Relation.LE_ZERO:
+        elif relation is Relation.LE_ZERO:
             bad = max(zero, v)
-        elif sc.relation is Relation.GT_ZERO:
+        elif relation is Relation.GT_ZERO:
             bad = max(zero, margin - v)
-        elif sc.relation is Relation.LT_ZERO:
+        elif relation is Relation.LT_ZERO:
             bad = max(zero, v + margin)
         else:
             bad = max(zero, h - v)
-        viol[f"lambda{sc.index}{sc.relation.value}"] = bad
-    for ex, s in zip(system.extra_symmetric, bounded):
-        bad = max(zero, -s) if ex.relation is Relation.GE_ZERO else max(zero, s)
-        viol[f"sigma{ex.r}{ex.relation.value}"] = bad
+        viol[key] = bad
+    for (key, lower), s in zip(plan.symmetric, bounded):
+        viol[key] = max(zero, -s) if lower else max(zero, s)
     return viol
+
+
+class _ViolationPlan:
+    """What ``constraint_violations`` reads of a system, in one regime.
+
+    ``num`` is the regime's number type: the targets, H, zero and
+    ``STRICT_MARGIN`` as ``num``, the sigma orders and the top one, and each
+    constraint's key and coordinate, in the order the violations list them.
+    """
+
+    def __init__(self, system: ConstraintSystem, num: type):
+        self.zero, self.margin = num(0), num(STRICT_MARGIN)
+        self.trace, self.sigma2 = num(system.trace_target), num(system.sigma2_target)
+        self.h = num(system.mean_curvature)
+        self.orders = [ex.r for ex in system.extra_symmetric]
+        self.top = max([2] + self.orders)
+        self.zeros = [(f"lambda{i}=0", i - 1) for i in sorted(system.fixed_zeros)]
+        self.signs = [(f"lambda{sc.index}{sc.relation.value}", sc.index - 1, sc.relation)
+                      for sc in system.sign_constraints]
+        self.symmetric = [(f"sigma{ex.r}{ex.relation.value}", ex.relation is Relation.GE_ZERO)
+                          for ex in system.extra_symmetric]
 
 
 def max_violation(system: ConstraintSystem, point: Sequence[Scalar]) -> Scalar:
@@ -441,6 +478,9 @@ class _PenaltyEvaluator:
         sigma_r slopes; the other slopes are 1, +-1 and ``sense``, read off
         the unit row e_k.  Both arrays are rows x ``len(moving[k])``, laid
         out term by term, the order in which ``_line_minimum`` reads them.
+        This is the reference form of a section: ``_lockstep_descent``
+        builds the same arrays, bit for bit, from a sigma prefix carried
+        through each sweep instead of a full sigma pass per coordinate.
         """
         at_zero = x_free.copy()
         at_zero[:, k] = 0.0
@@ -487,14 +527,25 @@ def _line_minimum(slope: np.ndarray, offset: np.ndarray, lo: float, hi: float,
     ascending order after ``now``, and the first argmin is returned: a tie
     keeps the current value, so a row moves only to a lower section value.
     """
-    m = len(slope)
     # Rows last: numpy then runs each step over the long axis.
-    s, o = np.ascontiguousarray(slope.T), np.ascontiguousarray(offset.T)
     with np.errstate(divide="ignore", invalid="ignore"):
-        breaks = -o[2:] / s[2:]
+        return _section_minimum(np.ascontiguousarray(slope.T), np.ascontiguousarray(offset.T),
+                                lo, hi, now)
+
+
+def _section_minimum(s: np.ndarray, o: np.ndarray, lo: float, hi: float,
+                     now: np.ndarray) -> np.ndarray:
+    # ``_line_minimum`` on term-major sections (terms x rows).  A zero slope
+    # divides by zero, so callers run it where those warnings are ignored.
+    terms, m = s.shape
+    knots = np.empty((terms, m))
+    knots[0], knots[-1] = lo, hi
+    breaks = knots[1:-1]
+    np.divide(-o[2:], s[2:], out=breaks)
     # A zero slope has no breakpoint (inf or nan); park it at a bound.
-    breaks = np.clip(np.where(np.isnan(breaks), lo, breaks), lo, hi)
-    knots = np.sort(np.vstack([np.full(m, lo), breaks, np.full(m, hi)]), axis=0)
+    breaks[np.isnan(breaks)] = lo
+    np.clip(breaks, lo, hi, out=breaks)
+    knots.sort(axis=0)
     left, right = knots[:-1], knots[1:]
     probe = s * (0.5 * (left + right))[:, None, :]
     probe += o
@@ -502,11 +553,10 @@ def _line_minimum(slope: np.ndarray, offset: np.ndarray, lo: float, hi: float,
     active[:, :2] = True
     curvature = (active * (s * s)).sum(axis=1)
     moment = (active * (s * o)).sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        stationary = np.clip(-moment / curvature, left, right)
+    stationary = np.clip(-moment / curvature, left, right)
     # A piece with no curvature is flat: its knots already cover it.
     stationary = np.where(curvature > 0.0, stationary, left)
-    cand = np.vstack([now, knots, stationary])
+    cand = np.concatenate((now[None], knots, stationary))
     vals = s * cand[:, None, :]
     vals += o
     np.maximum(vals[:, 2:], 0.0, out=vals[:, 2:])
@@ -520,20 +570,43 @@ _ROW_CHUNK = 1024  # descent rows per block: bounds the rows x candidates x term
 def _lockstep_descent(ev: _PenaltyEvaluator, x: np.ndarray, rounds: int,
                       lo: float, hi: float) -> np.ndarray:
     # Along one coordinate every term is affine, so each coordinate section
-    # of the penalty is convex piecewise-quadratic and ``_line_minimum``
+    # of the penalty is convex piecewise-quadratic and ``_section_minimum``
     # minimises it exactly.  The line search sees only the terms that move
     # along its coordinate (``ev.moving``): the rest are constant there, so
     # they shift the section without moving its minimiser.  A tie keeps the
     # current value, so a row moves only to a lower section value; rounding
     # near the float floor could otherwise raise a penalty.  Rows never
     # interact, so they run in blocks of ``_ROW_CHUNK``.
+    #
+    # Each sweep updates the coordinates in order and builds the sections
+    # that ``ev.sections`` gives, bit for bit, without its full sigma pass
+    # per coordinate: ``prefix`` carries sigma_0 .. sigma_top of the
+    # coordinates already updated, and the section at coordinate k applies
+    # only the later ones to it.  The zero column at k is skipped; that is
+    # exact, because adding +-0 leaves a finite accumulator unchanged and
+    # the accumulator never holds -0.0 (it starts at +0 and 1, and a sum is
+    # -0.0 only when both summands are).  ``rows`` holds the block's full
+    # coordinates, coordinate-major, and each update writes its column.
     x = x.copy()
-    for start in range(0, len(x), _ROW_CHUNK):
-        block = x[start:start + _ROW_CHUNK]
-        for _ in range(rounds):
-            for col in range(x.shape[1]):
-                slope, offset = ev.sections(block, col)
-                block[:, col] = _line_minimum(slope, offset, lo, hi, block[:, col])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, len(x), _ROW_CHUNK):
+            rows = ev.full(x[start:start + _ROW_CHUNK])
+            cols = [rows[:, c] for c in ev.free0]
+            for _ in range(rounds):
+                prefix = np.zeros((ev.top + 1, len(rows)))
+                prefix[0] = 1.0
+                for k, col in enumerate(cols):
+                    e = prefix.copy()
+                    for later in cols[k + 1:]:
+                        e[1:] += later * e[:-1]
+                    now = col.copy()
+                    col[:] = 0.0
+                    part = ev.parts[k]
+                    offset = ev._terms(e, rows, part, True, order="F")
+                    slope = ev._terms(_one_degree_down(e), ev.unit[k:k + 1], part, False, order="F")
+                    col[:] = _section_minimum(slope.T, offset.T, lo, hi, now)
+                    prefix[1:] += col * prefix[:-1]
+            x[start:start + _ROW_CHUNK] = rows[:, ev.free0]
     return x
 
 
@@ -604,15 +677,18 @@ def _gauss_newton_states(ev: _PenaltyEvaluator, x: np.ndarray, iters: int = 40,
     yield x, fx
 
 
-def _first_exact_pick(ev: _PenaltyEvaluator, states, ranks: np.ndarray) -> Optional[np.ndarray]:
+def _first_exact_pick(ev: _PenaltyEvaluator, states,
+                      ranks: np.ndarray) -> Tuple[Optional[np.ndarray], bool]:
     """The first exactly feasible ``_exact_snap`` of the pick of ``states``.
 
     The pick of a state is its row first by (penalty, rank), the rule
     ``scan`` applies after Gauss-Newton; it is snapped whenever its row or
-    its coordinates changed since the last try.  ``None`` once the states
-    run out.
+    its coordinates changed since the last try.  Returns ``(point, True)``
+    for the first snap that verifies, and once the states run out
+    ``(row, False)`` with the last row whose snap failed (``None`` if no
+    state came).
     """
-    tried = None
+    tried, failed = None, None
     for x, fx in states:
         i = np.lexsort((ranks, fx))[0]
         if (i, x[i].tobytes()) == tried:
@@ -620,8 +696,9 @@ def _first_exact_pick(ev: _PenaltyEvaluator, states, ranks: np.ndarray) -> Optio
         tried = i, x[i].tobytes()
         point, exact = _exact_snap(ev, x[i])
         if exact:
-            return point
-    return None
+            return point, True
+        failed = x[i].copy()
+    return failed, False
 
 
 def _exact_snap(ev: _PenaltyEvaluator, x: np.ndarray) -> Tuple[np.ndarray, bool]:
@@ -847,13 +924,15 @@ def scan(system: ConstraintSystem, budget: Optional[ScanBudget] = None,
     Gauss-Newton iteration and after the last, whenever the pick moved, and
     returns at the first snap that is exactly feasible: its exact residual
     is 0, so the rest of Gauss-Newton and the cloud could not improve on it.
-    Only the cloud depends on ``seed``.  Ties are broken by penalty first,
-    then by lexicographic grid cell index, so identical inputs and seed
-    reproduce the identical verdict.  The grid keeps the same cells as
-    evaluating all of them would, but evaluates only the cells a separable
-    lower bound cannot rule out (``_grid_top``); ``stats["gridCells"]`` is
-    the grid's size, not the number of cells evaluated, and
-    ``stats["coarseStarts"]`` the number of grid cells handed to the polish.
+    When none is, the final snap is skipped if the cloud left the pick whose
+    snap failed last as it was.  Only the cloud depends on ``seed``.  Ties
+    are broken by penalty first, then by lexicographic grid cell index, so
+    identical inputs and seed reproduce the identical verdict.  The grid
+    keeps the same cells as evaluating all of them would, but evaluates
+    only the cells a separable lower bound cannot rule out (``_grid_top``);
+    ``stats["gridCells"]`` is the grid's size, not the number of cells
+    evaluated, and ``stats["coarseStarts"]`` the number of grid cells
+    handed to the polish.
     A WITNESS is re-validated with the independent evaluator; NO_WITNESS
     reports the best point found and its violations.
     """
@@ -910,14 +989,16 @@ def scan(system: ConstraintSystem, budget: Optional[ScanBudget] = None,
     _, flat_polish, x_polish = _grid_top(ev, axes, budget.polish_starts)
     x_polish = _lockstep_descent(ev, x_polish, budget.polish_rounds, lo=lo, hi=hi)
     states = _gauss_newton_states(ev, x_polish, ranks=flat_polish)  # updates x_polish
+    failed = None
     if system.regime is Regime.EXACT:
         # An exactly feasible snap has exact residual 0, which no later
         # stage can improve on.  FLOAT systems practically never snap exactly, so they
         # keep the single snap at the end.
-        exact = _first_exact_pick(ev, states, flat_polish)
-        if exact is not None:
+        point, exact = _first_exact_pick(ev, states, flat_polish)
+        if exact:
             stats["snappedExact"] = True
-            return finish(exact)
+            return finish(point)
+        failed = point
     for _ in states:
         pass
     pen = ev.penalty(x_polish)
@@ -934,7 +1015,10 @@ def scan(system: ConstraintSystem, budget: Optional[ScanBudget] = None,
         i = int(np.argmin(cloud_pen))
         if cloud_pen[i] < best_pen:
             best, best_pen = cloud[i].copy(), float(cloud_pen[i])
-    best, snapped = _exact_snap(ev, best)
+    if failed is not None and best.tobytes() == failed.tobytes():
+        snapped = False  # the cloud did not win, and this very point failed its snap
+    else:
+        best, snapped = _exact_snap(ev, best)
     stats["snappedExact"] = snapped
 
     return finish(best)

@@ -204,3 +204,63 @@ def certificate_samples_per_draw(system, seed=0, count=1000):
                 break
         params = rng.uniform(-box, box, size=len(case.drawn)).tolist()
     return points
+
+
+def constraint_violations_per_call(system, point):
+    """``caseverify.constraint_violations`` as it was before the per-system
+    plan: every target, H, margin and key rebuilt on each call, sigma_2 and
+    the bounded sigma_r through ``spectrum.sigmas``.
+    """
+    from hypercurv.caseverify import STRICT_MARGIN, Relation
+    from hypercurv.errors import DomainError
+    from hypercurv.scalars import Regime, common_regime
+    from hypercurv.spectrum import sigmas
+
+    x = list(point)
+    num = Fraction if common_regime(x) is Regime.EXACT else float
+    x = [num(v) for v in x]
+    if len(x) != system.n:
+        raise DomainError(f"point has {len(x)} coordinates, system has n={system.n}")
+    zero, margin = num(0), num(STRICT_MARGIN)
+    viol = {"trace": abs(sum(x) - num(system.trace_target))}
+    s2, *bounded = sigmas(x, [2] + [ex.r for ex in system.extra_symmetric])
+    viol["sigma2"] = abs(s2 - num(system.sigma2_target))
+    for i in sorted(system.fixed_zeros):
+        viol[f"lambda{i}=0"] = abs(x[i - 1])
+    if system.ordering:
+        viol["ordering"] = max(zero, max(x[i] - x[i + 1] for i in range(system.n - 1)))
+    h = num(system.mean_curvature)
+    for sc in system.sign_constraints:
+        v = x[sc.index - 1]
+        if sc.relation is Relation.GE_ZERO:
+            bad = max(zero, -v)
+        elif sc.relation is Relation.LE_ZERO:
+            bad = max(zero, v)
+        elif sc.relation is Relation.GT_ZERO:
+            bad = max(zero, margin - v)
+        elif sc.relation is Relation.LT_ZERO:
+            bad = max(zero, v + margin)
+        else:
+            bad = max(zero, h - v)
+        viol[f"lambda{sc.index}{sc.relation.value}"] = bad
+    for ex, s in zip(system.extra_symmetric, bounded):
+        bad = max(zero, -s) if ex.relation is Relation.GE_ZERO else max(zero, s)
+        viol[f"sigma{ex.r}{ex.relation.value}"] = bad
+    return viol
+
+
+def lockstep_descent_per_coordinate(ev, x, rounds, lo, hi):
+    """The lockstep descent as it was before the sigma prefix: a full
+    ``ev.sections`` pass and one ``_line_minimum`` for every coordinate of
+    every sweep, rows in blocks of ``_ROW_CHUNK``.
+    """
+    from hypercurv.caseverify import _ROW_CHUNK, _line_minimum
+
+    x = x.copy()
+    for start in range(0, len(x), _ROW_CHUNK):
+        block = x[start:start + _ROW_CHUNK]
+        for _ in range(rounds):
+            for col in range(x.shape[1]):
+                slope, offset = ev.sections(block, col)
+                block[:, col] = _line_minimum(slope, offset, lo, hi, block[:, col])
+    return x

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -202,6 +203,78 @@ class TestViolations:
         s = builtin_case("thm1-lambda2")
         with pytest.raises(RegimeError):
             constraint_violations(s, (Fraction(0), 0.0, Fraction(2), 2.0))
+
+    @staticmethod
+    def assert_same_violations(system, x):
+        # keys, key order, value types and bits against the per-call oracle
+        got = constraint_violations(system, x)
+        want = oracles.constraint_violations_per_call(system, x)
+        assert list(got) == list(want)
+        for key, value in want.items():
+            assert type(got[key]) is type(value), key
+            if isinstance(value, float):
+                assert got[key].hex() == value.hex(), key
+            else:
+                assert got[key] == value, key
+
+    @staticmethod
+    def planned_systems(rng):
+        systems = [builtin_case(name, H=H) for name in BUILTIN_CASES
+                   for H in (Fraction(1, 1000), Fraction(3, 4), 1, Fraction(7, 5), 1000, 0.75)]
+        systems += [_random_float_system(rng, free) for free in (1, 4, 9) for _ in range(4)]
+        systems.append(ConstraintSystem(6, Fraction(3, 2), -4, ordering=False, extra_symmetric=tuple(
+            SymmetricSignConstraint(r, Relation.GE_ZERO if r % 2 else Relation.LE_ZERO)
+            for r in range(2, 7))))
+        return systems
+
+    def test_planned_evaluator_matches_the_per_call_one(self):
+        rng = random.Random(41)
+        for system in self.planned_systems(rng):
+            box = math.sqrt(max(float(system.norm_a2_target), 0.0)) + 1.0
+            for _ in range(12):
+                self.assert_same_violations(
+                    system, [rng.uniform(-box, box) for _ in range(system.n)])
+                self.assert_same_violations(
+                    system, [Fraction(rng.randint(-60, 60), rng.randint(1, 12))
+                             for _ in range(system.n)])
+                # signed zeros, in floats and as plain ints
+                self.assert_same_violations(
+                    system, [rng.choice((0.0, -0.0, rng.uniform(-box, box)))
+                             for _ in range(system.n)])
+                self.assert_same_violations(
+                    system, [rng.choice((0, rng.randint(-3, 3))) for _ in range(system.n)])
+
+    @pytest.mark.parametrize("H", [Fraction(1, 2), 1, 0.75], ids=str)
+    def test_planned_evaluator_on_certificate_samples(self, H):
+        for name in BUILTIN_CASES:
+            system = builtin_case(name, H=H)
+            if has_certificate(system):
+                for x in certificate_samples(system, seed=3, count=300):
+                    self.assert_same_violations(system, x)
+
+    def test_each_system_has_its_own_plan(self):
+        # Equal systems in the two regimes share eq and hash but not H: 4/3
+        # against the double nearest it, which an EXACT point tells apart.
+        exact = ConstraintSystem(3, 4, 5, sign_constraints=(
+            SignConstraint(3, Relation.GE_H),))
+        floating = ConstraintSystem(3, 4.0, 5.0, sign_constraints=(
+            SignConstraint(3, Relation.GE_H),))
+        assert exact == floating and hash(exact) == hash(floating)
+        x = (Fraction(1), Fraction(1), Fraction(1))
+        for system in (exact, floating, exact, floating):
+            self.assert_same_violations(system, x)
+        assert (constraint_violations(exact, x)["lambda3>=H"]
+                != constraint_violations(floating, x)["lambda3>=H"])
+        # Systems built and dropped in turn (CPython reuses their ids) each
+        # get their own targets.
+        rng = random.Random(8)
+        for _ in range(40):
+            system = ConstraintSystem(
+                4, Fraction(rng.randint(-20, 20), 3), Fraction(rng.randint(-20, 20), 7),
+                sign_constraints=(SignConstraint(4, Relation.GE_H),),
+                extra_symmetric=(SymmetricSignConstraint(3, Relation.LE_ZERO),))
+            self.assert_same_violations(system, [Fraction(rng.randint(-9, 9), 2) for _ in range(4)])
+            del system
 
 
 class TestBuiltinCases:
@@ -405,6 +478,20 @@ class TestScan:
         assert v.status == "WITNESS" and v.stats["snappedExact"]
         assert len(calls) < 40
 
+    @pytest.mark.parametrize("H", [Fraction(1, 2), 1, Fraction(3, 2), 2], ids=str)
+    @pytest.mark.parametrize("name", ["thm1-claim", "thm2-claim"])
+    def test_no_snap_repeats_the_one_before(self, monkeypatch, name, H):
+        # An EXACT scan with no rational witness snaps its Gauss-Newton picks,
+        # all of which fail; where the cloud leaves the last of them as it
+        # was, snapping it again after the cloud would fail the same way.
+        snaps = []
+        snap = caseverify._exact_snap
+        monkeypatch.setattr(caseverify, "_exact_snap",
+                            lambda ev, x: snaps.append(x.tobytes()) or snap(ev, x))
+        v = scan(builtin_case(name, H=H), budget=small_budget(20_000), seed=1)
+        assert v.status == "NO_WITNESS" and v.stats["snappedExact"] is False
+        assert snaps and all(a != b for a, b in zip(snaps, snaps[1:]))
+
     def test_float_system_snaps_once(self, monkeypatch):
         # FLOAT snaps practically never verify, so a FLOAT scan keeps its
         # single snap after the cloud.
@@ -540,10 +627,10 @@ class TestExcessKernel:
         ev.jacobian = lambda rows: seen.append(len(rows)) or jacobian(rows)
         monkeypatch.setattr(caseverify, "_exact_snap",
                             lambda ev, row: snaps.append(row.tobytes()) or snap(ev, row))
-        found = caseverify._first_exact_pick(
+        found, exact = caseverify._first_exact_pick(
             ev, caseverify._gauss_newton_states(ev, x.copy(), ranks=ranks), ranks)
         np.testing.assert_array_equal(found, (0.0, 2.0, 2.0))
-        assert seen == [] and len(snaps) == 1
+        assert exact and seen == [] and len(snaps) == 1
 
         ev = _PenaltyEvaluator(builtin_case("thm1-claim"))
         x = np.delete(x, 2, axis=0)
@@ -552,10 +639,11 @@ class TestExcessKernel:
         for y, fy in caseverify._gauss_newton_states(ev, x.copy(), ranks=ranks):
             i = np.lexsort((ranks, fy))[0]
             picks.append((i, y[i].tobytes()))
-        assert caseverify._first_exact_pick(
-            ev, caseverify._gauss_newton_states(ev, x.copy(), ranks=ranks), ranks) is None
+        failed, exact = caseverify._first_exact_pick(
+            ev, caseverify._gauss_newton_states(ev, x.copy(), ranks=ranks), ranks)
         distinct = [p for k, p in enumerate(picks) if k == 0 or p != picks[k - 1]]
         assert snaps == [row for _, row in distinct]
+        assert not exact and failed.tobytes() == snaps[-1]
 
     @staticmethod
     def systems_and_points():
@@ -719,6 +807,77 @@ class TestLineMinimum:
         x = np.array([[0.0, 2.0, 2.0]])  # (0, 0, 2, 2) with x_2 pinned
         assert ev.penalty(x)[0] == 0.0
         np.testing.assert_array_equal(_lockstep_descent(ev, x, 2, -3.0, 3.0), x)
+
+
+def _descent_box(system):
+    # the scan's search interval [lo, hi]
+    box = math.sqrt(max(float(system.norm_a2_target), 0.0))
+    return -1.05 * box - 1e-3, 1.05 * box + 1e-3
+
+
+class TestPrefixDescent:
+    """``_lockstep_descent`` against the per-coordinate sections loop, byte for byte."""
+
+    @staticmethod
+    def assert_matches_oracle(system, x, rounds=3):
+        ev = _PenaltyEvaluator(system)
+        lo, hi = _descent_box(system)
+        got = _lockstep_descent(ev, x, rounds, lo, hi)
+        want = oracles.lockstep_descent_per_coordinate(ev, x, rounds, lo, hi)
+        assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def start_rows(system, m, seed):
+        lo, hi = _descent_box(system)
+        free = system.n - len(system.fixed_zeros)
+        return np.random.default_rng(seed).uniform(lo, hi, size=(m, free))
+
+    @pytest.mark.parametrize("H", [Fraction(1, 1000), Fraction(3, 4), 1, 1000], ids=str)
+    @pytest.mark.parametrize("name", BUILTIN_CASES)
+    def test_builtins(self, name, H):
+        system = builtin_case(name, H=H)
+        self.assert_matches_oracle(system, self.start_rows(system, 40, seed=2))
+
+    @pytest.mark.parametrize("free", [1, 4, 9])
+    def test_random_float_systems(self, free):
+        rng = random.Random(free)
+        for i in range(4):
+            system = _random_float_system(rng, free)
+            self.assert_matches_oracle(system, self.start_rows(system, 30, seed=i))
+
+    def test_unordered_system_with_every_sigma_bound(self):
+        system = ConstraintSystem(6, 1.5, -4.0, ordering=False, extra_symmetric=tuple(
+            SymmetricSignConstraint(r, Relation.GE_ZERO if r % 2 else Relation.LE_ZERO)
+            for r in range(2, 7)))
+        self.assert_matches_oracle(system, self.start_rows(system, 40, seed=6))
+
+    def test_more_rows_than_a_block(self):
+        system = builtin_case("thm2-claim", H=Fraction(3, 4))
+        assert 1030 > caseverify._ROW_CHUNK
+        self.assert_matches_oracle(system, self.start_rows(system, 1030, seed=7), rounds=2)
+
+    def test_start_rows_with_signed_zeros(self):
+        for system in (builtin_case("thm2-claim"), planted_system()):
+            x = self.start_rows(system, 40, seed=8)
+            x[::3, 0] = 0.0
+            x[1::3, 0] = -0.0
+            x[2::4, -1] = -0.0
+            x[5] = -0.0
+            x[6] = 0.0
+            self.assert_matches_oracle(system, x)
+
+    @pytest.mark.parametrize("name", ["thm2-claim", "thm2-lambda2", "thm2-lambda3"])
+    def test_zero_rows_with_zero_slopes(self, name):
+        # From all-zero rows the sigma_4 bound's slope sigma_3 is exactly 0,
+        # so its breakpoint is 0/0; the descent must keep the warnings that
+        # raises to itself.
+        system = builtin_case(name)
+        x = np.zeros((8, system.n - 1))
+        slope, offset = _PenaltyEvaluator(system).sections(x, 0)
+        assert np.any((slope[:, 2:] == 0.0) & (offset[:, 2:] == 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.assert_matches_oracle(system, x)
 
 
 def _grid(system, points):
