@@ -235,11 +235,13 @@ def constraint_violations(system: ConstraintSystem,
     ``RegimeError``.  Those constants, the sigma orders and the keys come
     from the system's plan for the point's regime (``_ViolationPlan``),
     built once per system; sigma_2 and every bounded sigma_r come from one
-    lift of the point and one truncated sigma pass, as ``spectrum.sigmas``
-    computes them.
+    lift of the point and one truncated sigma pass, the values
+    ``spectrum.sigmas`` gives, without its second regime pass and order
+    checks.
     """
     x = list(point)
-    exact = common_regime(x) is Regime.EXACT
+    regime = common_regime(x)
+    exact = regime is Regime.EXACT
     num = Fraction if exact else float
     x = [v if type(v) is num else num(v) for v in x]
     if len(x) != system.n:
@@ -247,10 +249,8 @@ def constraint_violations(system: ConstraintSystem,
     plan = system._exact_plan if exact else system._float_plan
     zero = plan.zero
     viol: Dict[str, Scalar] = {"trace": abs(sum(x) - plan.trace)}
-    a, D, over = spectrum._lift(x, Regime.EXACT if exact else Regime.FLOAT)
-    e = spectrum._sigma_coefficients(a, plan.top)
-    viol["sigma2"] = abs(over(e[2], D ** 2) - plan.sigma2)
-    bounded = [over(e[r], D ** r) for r in plan.orders]
+    s2, *bounded = spectrum._sigma_values(x, regime, plan.orders)
+    viol["sigma2"] = abs(s2 - plan.sigma2)
     for key, i in plan.zeros:
         viol[key] = abs(x[i])
     if system.ordering:
@@ -278,16 +278,16 @@ class _ViolationPlan:
     """What ``constraint_violations`` reads of a system, in one regime.
 
     ``num`` is the regime's number type: the targets, H, zero and
-    ``STRICT_MARGIN`` as ``num``, the sigma orders and the top one, and each
-    constraint's key and coordinate, in the order the violations list them.
+    ``STRICT_MARGIN`` as ``num``, the sigma orders (2, then each bounded
+    r), and each constraint's key and coordinate, in the order the
+    violations list them.
     """
 
     def __init__(self, system: ConstraintSystem, num: type):
         self.zero, self.margin = num(0), num(STRICT_MARGIN)
         self.trace, self.sigma2 = num(system.trace_target), num(system.sigma2_target)
         self.h = num(system.mean_curvature)
-        self.orders = [ex.r for ex in system.extra_symmetric]
-        self.top = max([2] + self.orders)
+        self.orders = [2] + [ex.r for ex in system.extra_symmetric]
         self.zeros = [(f"lambda{i}=0", i - 1) for i in sorted(system.fixed_zeros)]
         self.signs = [(f"lambda{sc.index}{sc.relation.value}", sc.index - 1, sc.relation)
                       for sc in system.sign_constraints]
@@ -469,32 +469,12 @@ class _PenaltyEvaluator:
         return largest + max(abs(self.trace), abs(self.sigma2),
                              float(np.abs(self.t).max(initial=0.0)))
 
-    def sections(self, x_free: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Slope and offset of the terms ``moving[k]`` along free coordinate k.
-
-        sigma_r(x) = x_k sigma_{r-1}(x without k) + sigma_r(x without k), so
-        every term is affine in x_k.  One sigma pass over the rows with
-        x_k = 0 gives the offsets, the terms there, and one degree down the
-        sigma_r slopes; the other slopes are 1, +-1 and ``sense``, read off
-        the unit row e_k.  Both arrays are rows x ``len(moving[k])``, laid
-        out term by term, the order in which ``_line_minimum`` reads them.
-        This is the reference form of a section: ``_lockstep_descent``
-        builds the same arrays, bit for bit, from a sigma prefix carried
-        through each sweep instead of a full sigma pass per coordinate.
-        """
-        at_zero = x_free.copy()
-        at_zero[:, k] = 0.0
-        e = self._sigmas(at_zero)
-        part = self.parts[k]
-        offset = self._terms(e, self.full(at_zero), part, True, order="F")
-        slope = self._terms(_one_degree_down(e), self.unit[k:k + 1], part, False, order="F")
-        return slope, offset
-
     def jacobian(self, x_free: np.ndarray) -> np.ndarray:
         """Slope of every term along every free coordinate: rows x terms x coords.
 
-        ``sections``' slopes for all coordinates in one stacked sigma pass;
-        a term that does not move along x_k has slope 0 there.
+        The descent's section slopes (``tests/oracles.sections`` builds them
+        one coordinate at a time) for all coordinates in one stacked sigma
+        pass; a term that does not move along x_k has slope 0 there.
         """
         m, d = x_free.shape
         at_zero = np.repeat(x_free[None], d, axis=0)
@@ -513,30 +493,24 @@ def _sum_squares(ex: np.ndarray) -> np.ndarray:
     return ex.sum(axis=1)
 
 
-def _line_minimum(slope: np.ndarray, offset: np.ndarray, lo: float, hi: float,
-                  now: np.ndarray) -> np.ndarray:
-    """Each row's current value ``now``, or a strictly lower minimiser of its
-    section f(t) = sum of (slope t + offset)^2 on [lo, hi].
-
-    Columns 0 and 1 are equalities; the rest are inequalities, clipped at
-    zero, whose breakpoints -offset/slope cut [lo, hi] into pieces with a
-    fixed active set.  f is convex and quadratic on each piece, so its
-    minimum over [lo, hi] is at a knot or at a piece's stationary point
-    -sum(slope offset)/sum(slope^2) over the active terms, clipped to the
-    piece.  f is evaluated at ``now`` and at every such candidate, knots in
-    ascending order after ``now``, and the first argmin is returned: a tie
-    keeps the current value, so a row moves only to a lower section value.
-    """
-    # Rows last: numpy then runs each step over the long axis.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _section_minimum(np.ascontiguousarray(slope.T), np.ascontiguousarray(offset.T),
-                                lo, hi, now)
-
-
 def _section_minimum(s: np.ndarray, o: np.ndarray, lo: float, hi: float,
                      now: np.ndarray) -> np.ndarray:
-    # ``_line_minimum`` on term-major sections (terms x rows).  A zero slope
-    # divides by zero, so callers run it where those warnings are ignored.
+    """Each row's current value ``now``, or a strictly lower minimiser of its
+    section f(t) = sum of (s t + o)^2 on [lo, hi].
+
+    ``s`` and ``o`` are term-major (terms x rows), so that numpy runs each
+    step over the long axis.  Terms 0 and 1 are equalities; the rest are
+    inequalities, clipped at zero, whose breakpoints -o/s cut [lo, hi] into
+    pieces with a fixed active set.  f is convex and quadratic on each
+    piece, so its minimum over [lo, hi] is at a knot or at a piece's
+    stationary point -sum(s o)/sum(s^2) over the active terms, clipped to
+    the piece.  f is evaluated at ``now`` and at every such candidate,
+    knots in ascending order after ``now``, and the first argmin is
+    returned: a tie keeps the current value, so a row moves only to a lower
+    section value.  A zero slope divides by zero, so callers run this where
+    those warnings are ignored (``np.errstate(divide="ignore",
+    invalid="ignore")``).
+    """
     terms, m = s.shape
     knots = np.empty((terms, m))
     knots[0], knots[-1] = lo, hi
@@ -578,11 +552,12 @@ def _lockstep_descent(ev: _PenaltyEvaluator, x: np.ndarray, rounds: int,
     # near the float floor could otherwise raise a penalty.  Rows never
     # interact, so they run in blocks of ``_ROW_CHUNK``.
     #
-    # Each sweep updates the coordinates in order and builds the sections
-    # that ``ev.sections`` gives, bit for bit, without its full sigma pass
-    # per coordinate: ``prefix`` carries sigma_0 .. sigma_top of the
-    # coordinates already updated, and the section at coordinate k applies
-    # only the later ones to it.  The zero column at k is skipped; that is
+    # Each sweep updates the coordinates in order and builds, bit for bit,
+    # the sections that a full sigma pass per coordinate gives (the
+    # reference form is ``tests/oracles.sections``), without that pass:
+    # ``prefix`` carries sigma_0 .. sigma_top of the coordinates already
+    # updated, and the section at coordinate k applies only the later ones
+    # to it.  The zero column at k is skipped; that is
     # exact, because adding +-0 leaves a finite accumulator unchanged and
     # the accumulator never holds -0.0 (it starts at +0 and 1, and a sum is
     # -0.0 only when both summands are).  ``rows`` holds the block's full
@@ -611,23 +586,17 @@ def _lockstep_descent(ev: _PenaltyEvaluator, x: np.ndarray, rounds: int,
 
 
 _HALVINGS = 0.5 ** np.arange(25)  # Gauss-Newton step scales, tried in order
+_GN_ITERATIONS = 40  # lockstep Gauss-Newton iterations at most
 _ROUNDING_GAIN = 4 * np.finfo(float).eps  # a relative decrease this small is rounding
 
 
-def _gauss_newton(ev: _PenaltyEvaluator, x: np.ndarray, iters: int = 40,
-                  ranks: Optional[np.ndarray] = None) -> np.ndarray:
-    x = x.copy()
-    for _ in _gauss_newton_states(ev, x, iters, ranks):
-        pass
-    return x
-
-
-def _gauss_newton_states(ev: _PenaltyEvaluator, x: np.ndarray, iters: int = 40,
+def _gauss_newton_states(ev: _PenaltyEvaluator, x: np.ndarray,
                          ranks: Optional[np.ndarray] = None):
-    # Runs ``_gauss_newton`` on ``x`` in place and yields ``(x, penalties)``
+    # Runs Gauss-Newton on ``x`` in place and yields ``(x, penalties)``
     # before each lockstep iteration and after the last, so that a caller
     # can stop it early (``scan`` stops an EXACT system at the first pick
-    # that snaps to an exactly feasible point).
+    # that snaps to an exactly feasible point; ``tests/oracles.gauss_newton``
+    # drains it).
     #
     # Quadratic local convergence where coordinatewise descent creeps, e.g.
     # along directions where an equality residual is second-order flat.  The
@@ -646,7 +615,7 @@ def _gauss_newton_states(ev: _PenaltyEvaluator, x: np.ndarray, iters: int = 40,
     # row ends bit for bit where it ends without ``ranks``.
     fx = ev.penalty(x)
     live = fx != 0.0
-    for _ in range(iters):
+    for _ in range(_GN_ITERATIONS):
         yield x, fx
         if ranks is not None and (fx == 0.0).any():
             live &= ranks < ranks[fx == 0.0].min()

@@ -301,6 +301,13 @@ def _parameter(value, what: str):
     raise DomainError(f"{what} must be a finite number, got {value!r}")
 
 
+# Largest shape dimension.  A sphere build keeps every second-derivative
+# term, about n^3/6 terms of up to n factors, so it grows as n^4: 0.17 s and
+# 42 MB at n = 32, 0.35 s and 58 MB at n = 40, 1.08 s and 176 MB at n = 64
+# (one build each, 2-core x86-64, CPython 3.11), and n = 300 does not finish.
+_MAX_SHAPE_DIM = 64
+
+
 def make_shape(name: str, n: int, radius=1, k: Optional[int] = None,
                coefficients: Optional[Sequence] = None) -> SymbolicShape:
     """Instantiate a registry shape.
@@ -310,9 +317,12 @@ def make_shape(name: str, n: int, radius=1, k: Optional[int] = None,
       first, then the k sphere angles.
     * ``graph``: the graph of the quadratic (1/2) sum c_i u_i^2 over R^n,
       with unit coefficients by default.
+
+    n must lie in [2, 64]; anything else raises ``DomainError`` before any
+    of the shape is built.
     """
-    if n < 2:
-        raise DomainError(f"shapes need n >= 2, got n={n}")
+    if not 2 <= n <= _MAX_SHAPE_DIM:
+        raise DomainError(f"shapes need n in [2, {_MAX_SHAPE_DIM}], got n={n}")
     radius = _parameter(radius, "radius")
     if radius <= 0 and name in ("sphere", "cylinder"):
         raise DomainError(f"radius must be positive, got {radius}")

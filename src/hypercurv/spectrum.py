@@ -144,37 +144,41 @@ def _sigma_coefficients(values: Sequence[Scalar], top: int) -> list:
     return coeffs
 
 
+def _sigma_values(values: Sequence[Scalar], regime: Regime,
+                  orders: Sequence[int]) -> Tuple[Scalar, ...]:
+    # sigma_r of ``values`` in ``regime`` for each r in ``orders`` (each in
+    # [0, n]), from one lift and one pass truncated at the largest r.  A
+    # truncated pass computes each lower sigma_r with the same operations,
+    # so the values do not depend on which orders are asked for.  Only
+    # those are built (and, in FLOAT, checked finite), in the order asked.
+    a, D, over = _lift(values, regime)
+    coeffs = _sigma_coefficients(a, max(orders) if orders else 0)
+    return tuple([over(coeffs[r], D ** r) for r in orders])
+
+
 def sigma(values: Sequence[Scalar], r: int) -> Scalar:
     """Elementary symmetric value sigma_r of ``values`` (O(n r), no subsets)."""
-    values = tuple(values)
-    if not 0 <= r <= len(values):
-        raise DomainError(f"sigma_{r} undefined for {len(values)} values")
-    a, D, over = _lift(values, common_regime(values))
-    return over(_sigma_coefficients(a, r)[r], D ** r)
+    return sigmas(values, (r,))[0]
 
 
 def sigmas(values: Sequence[Scalar], orders: Sequence[int]) -> Tuple[Scalar, ...]:
     """``sigma(values, r)`` for each r in ``orders``, from one lift and one pass.
 
-    The pass is truncated at the largest r, and a truncated pass computes
-    each lower sigma_r with the same operations, so every value equals
-    ``sigma(values, r)``.  Only the values asked for are built (and, in
-    FLOAT, checked finite), in the order asked for.
+    Only the values asked for are built (and, in FLOAT, checked finite), in
+    the order asked for.
     """
     values = tuple(values)
-    undefined = [r for r in orders if not 0 <= r <= len(values)]
-    if undefined:
-        raise DomainError(f"sigma_{undefined[0]} undefined for {len(values)} values")
-    a, D, over = _lift(values, common_regime(values))
-    coeffs = _sigma_coefficients(a, max(orders, default=0))
-    return tuple([over(coeffs[r], D ** r) for r in orders])
+    n = len(values)
+    for r in orders:
+        if not 0 <= r <= n:
+            raise DomainError(f"sigma_{r} undefined for {n} values")
+    return _sigma_values(values, common_regime(values), orders)
 
 
 def sigma_all(values: Sequence[Scalar]) -> Tuple[Scalar, ...]:
     """All of (sigma_0, ..., sigma_n) in one pass."""
     values = tuple(values)
-    a, D, over = _lift(values, common_regime(values))
-    return tuple(over(e, D ** r) for r, e in enumerate(_sigma_coefficients(a, len(a))))
+    return sigmas(values, range(len(values) + 1))
 
 
 def _sigma_or_zero(values: Sequence[Scalar], r: int) -> Scalar:

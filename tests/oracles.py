@@ -249,18 +249,66 @@ def constraint_violations_per_call(system, point):
     return viol
 
 
+def sections(ev, x_free, k):
+    """Slope and offset of the terms ``ev.moving[k]`` along free coordinate k.
+
+    sigma_r(x) = x_k sigma_{r-1}(x without k) + sigma_r(x without k), so
+    every term is affine in x_k.  One full sigma pass over the rows with
+    x_k = 0 gives the offsets, the terms there, and one degree down the
+    sigma_r slopes; the other slopes are 1, +-1 and ``sense``, read off the
+    unit row e_k.  Both arrays are rows x ``len(moving[k])``, laid out term
+    by term.  This is the reference form of a section: the descent builds
+    the same arrays, bit for bit, from a sigma prefix carried through each
+    sweep instead of a full sigma pass per coordinate.
+    """
+    from hypercurv.caseverify import _one_degree_down
+
+    at_zero = x_free.copy()
+    at_zero[:, k] = 0.0
+    e = ev._sigmas(at_zero)
+    part = ev.parts[k]
+    offset = ev._terms(e, ev.full(at_zero), part, True, order="F")
+    slope = ev._terms(_one_degree_down(e), ev.unit[k:k + 1], part, False, order="F")
+    return slope, offset
+
+
+def line_minimum(slope, offset, lo, hi, now):
+    """``_section_minimum`` on row-major sections (rows x terms), with the
+    zero-slope warnings silenced here.
+    """
+    import numpy as np
+
+    from hypercurv.caseverify import _section_minimum
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _section_minimum(np.ascontiguousarray(slope.T), np.ascontiguousarray(offset.T),
+                                lo, hi, now)
+
+
+def gauss_newton(ev, x, ranks=None):
+    """Every Gauss-Newton iteration of ``_gauss_newton_states`` on a copy of
+    ``x``, with no early stop; returns the rows where they end.
+    """
+    from hypercurv.caseverify import _gauss_newton_states
+
+    x = x.copy()
+    for _ in _gauss_newton_states(ev, x, ranks):
+        pass
+    return x
+
+
 def lockstep_descent_per_coordinate(ev, x, rounds, lo, hi):
     """The lockstep descent as it was before the sigma prefix: a full
-    ``ev.sections`` pass and one ``_line_minimum`` for every coordinate of
+    ``sections`` pass and one ``line_minimum`` for every coordinate of
     every sweep, rows in blocks of ``_ROW_CHUNK``.
     """
-    from hypercurv.caseverify import _ROW_CHUNK, _line_minimum
+    from hypercurv.caseverify import _ROW_CHUNK
 
     x = x.copy()
     for start in range(0, len(x), _ROW_CHUNK):
         block = x[start:start + _ROW_CHUNK]
         for _ in range(rounds):
             for col in range(x.shape[1]):
-                slope, offset = ev.sections(block, col)
-                block[:, col] = _line_minimum(slope, offset, lo, hi, block[:, col])
+                slope, offset = sections(ev, block, col)
+                block[:, col] = line_minimum(slope, offset, lo, hi, block[:, col])
     return x

@@ -15,11 +15,10 @@ from hypercurv.caseverify import (
     _PenaltyEvaluator,
     _PrefixBound,
     _cells_at_most,
-    _gauss_newton,
     _grid_cells,
     _grid_top,
-    _line_minimum,
     _lockstep_descent,
+    _section_minimum,
     STRICT_MARGIN,
     ConstraintSystem,
     Relation,
@@ -540,7 +539,7 @@ class TestExcessKernel:
         ev, x = self.kernel_and_point(builtin_case("thm2-claim"), seed=4)
         x = np.array([x, [0.5 * v for v in x]])
         for k, moving in enumerate(ev.moving):
-            slope, offset = ev.sections(x, k)
+            slope, offset = oracles.sections(ev, x, k)
             for t in (0.0, -2.0, 0.3, 1.7):
                 moved = x.copy()
                 moved[:, k] = t
@@ -557,9 +556,9 @@ class TestExcessKernel:
         ev = _PenaltyEvaluator(system)
         box = math.sqrt(float(system.norm_a2_target))
         x = np.random.default_rng(3).uniform(-box, box, size=(6, len(ev.free0)))
-        batch = _gauss_newton(ev, x)
+        batch = oracles.gauss_newton(ev, x)
         for start, end in zip(x, batch):
-            np.testing.assert_array_equal(_gauss_newton(ev, start[None, :])[0], end)
+            np.testing.assert_array_equal(oracles.gauss_newton(ev, start[None, :])[0], end)
         assert np.all(ev.penalty(batch) <= ev.penalty(x))
 
     @staticmethod
@@ -582,7 +581,7 @@ class TestExcessKernel:
         retired = 0
         for system in systems:
             ev, x, flat = self.polish_batch(system)
-            plain, ranked = _gauss_newton(ev, x), _gauss_newton(ev, x, ranks=flat)
+            plain, ranked = oracles.gauss_newton(ev, x), oracles.gauss_newton(ev, x, ranks=flat)
             pick = np.lexsort((flat, ev.penalty(plain)))[0]
             assert np.lexsort((flat, ev.penalty(ranked)))[0] == pick
             np.testing.assert_array_equal(ranked[pick], plain[pick])
@@ -603,10 +602,10 @@ class TestExcessKernel:
         seen = []
         jacobian = ev.jacobian
         ev.jacobian = lambda rows: seen.append(len(rows)) or jacobian(rows)
-        plain = _gauss_newton(ev, x)
+        plain = oracles.gauss_newton(ev, x)
         assert seen[0] == 5
         seen.clear()
-        ranked = _gauss_newton(ev, x, ranks=ranks)
+        ranked = oracles.gauss_newton(ev, x, ranks=ranks)
         assert seen[0] == 2 and max(seen) <= 2
         before, after = ranks < 3, ranks > 3
         np.testing.assert_array_equal(ranked[before], plain[before])
@@ -671,7 +670,7 @@ class TestExcessKernel:
                 assert np.all(np.diff(moving) > 0)
                 still = np.setdiff1d(np.arange(ev.terms), moving)
                 assert np.all(jac[:, still, k] == 0.0)
-                slope, offset = ev.sections(x, k)
+                slope, offset = oracles.sections(ev, x, k)
                 np.testing.assert_array_equal(slope, jac[:, moving, k])
                 at_zero = x.copy()
                 at_zero[:, k] = 0.0
@@ -749,15 +748,25 @@ def _section_rows(kind, rng, m=40, terms=9):
 
 
 class TestLineMinimum:
+    """``_section_minimum``, the descent's line minimiser, on row-major sections."""
+
     LO, HI = -4.0, 3.0
+
+    @staticmethod
+    def minimum(slope, offset, lo, hi, now):
+        # Term-major, as the descent hands sections over, and with the
+        # zero-slope warnings silenced, as the descent silences them; any
+        # other RuntimeWarning is an error in this suite.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _section_minimum(np.ascontiguousarray(slope.T),
+                                    np.ascontiguousarray(offset.T), lo, hi, now)
 
     @pytest.mark.parametrize("seed, kind", enumerate(
         ["random", "zero-slopes", "equalities-only", "breakpoints-outside", "tied-breakpoints"]))
     def test_no_point_of_a_dense_sweep_is_lower(self, seed, kind):
-        # Zero slopes divide by zero; the suite turns a RuntimeWarning into an error.
         slope, offset = _section_rows(kind, np.random.default_rng(seed))
         now = np.linspace(self.LO, self.HI, len(slope))
-        t = _line_minimum(slope, offset, self.LO, self.HI, now)
+        t = self.minimum(slope, offset, self.LO, self.HI, now)
         assert np.all((self.LO <= t) & (t <= self.HI))
         sweep = np.broadcast_to(np.linspace(self.LO, self.HI, 20001), (len(t), 20001))
         dense = _section_values(slope, offset, sweep).min(axis=1)
@@ -769,22 +778,22 @@ class TestLineMinimum:
         slope = np.zeros((2, 4))
         offset = np.array([[1.0, -2.0, -1.0, 0.5], [0.0, 0.0, -3.0, -1.0]])
         np.testing.assert_array_equal(
-            _line_minimum(slope, offset, self.LO, self.HI, np.full(2, self.LO)),
+            self.minimum(slope, offset, self.LO, self.HI, np.full(2, self.LO)),
             [self.LO, self.LO])
         now = np.array([0.5, self.HI])
-        np.testing.assert_array_equal(_line_minimum(slope, offset, self.LO, self.HI, now), now)
+        np.testing.assert_array_equal(self.minimum(slope, offset, self.LO, self.HI, now), now)
 
     def test_a_current_minimiser_is_kept_bit_for_bit(self):
         # Row 0 is flat at 0 on [-1, 1]: t - 1 <= 0 and -t - 1 <= 0, no
         # equality moves, so 0.3 is a minimiser although the knot -1 is first.
         slope = np.array([[0.0, 0.0, 1.0, -1.0]])
         offset = np.array([[0.0, 0.0, -1.0, -1.0]])
-        assert _line_minimum(slope, offset, self.LO, self.HI, np.array([0.3]))[0] == 0.3
-        assert _line_minimum(slope, offset, self.LO, self.HI, np.array([2.0]))[0] == -1.0
+        assert self.minimum(slope, offset, self.LO, self.HI, np.array([0.3]))[0] == 0.3
+        assert self.minimum(slope, offset, self.LO, self.HI, np.array([2.0]))[0] == -1.0
         # Random rows: a second search from the first one's minimiser stays put.
         slope, offset = _section_rows("random", np.random.default_rng(7))
-        t = _line_minimum(slope, offset, self.LO, self.HI, np.zeros(len(slope)))
-        np.testing.assert_array_equal(_line_minimum(slope, offset, self.LO, self.HI, t.copy()), t)
+        t = self.minimum(slope, offset, self.LO, self.HI, np.zeros(len(slope)))
+        np.testing.assert_array_equal(self.minimum(slope, offset, self.LO, self.HI, t.copy()), t)
 
     @pytest.mark.parametrize("system", [builtin_case("thm2-claim"), builtin_case("thm1-lambda2"),
                                         planted_system(),
@@ -873,7 +882,7 @@ class TestPrefixDescent:
         # raises to itself.
         system = builtin_case(name)
         x = np.zeros((8, system.n - 1))
-        slope, offset = _PenaltyEvaluator(system).sections(x, 0)
+        slope, offset = oracles.sections(_PenaltyEvaluator(system), x, 0)
         assert np.any((slope[:, 2:] == 0.0) & (offset[:, 2:] == 0.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -507,6 +507,7 @@ class TestMalformedInput:
         (["immersion-eval", "--shape", "sphere", "--dim", "3", "--point", "0.9,,1.0,1.1"],
          None),
         (["immersion-eval", "--shape", "graph", "--dim", "2", "--coeffs", "1,"], None),
+        (["immersion-eval", "--shape", "sphere", "--dim", "300"], None),
         (["ladder", "--n", "-3"], None),
         (["ladder", "--n", "0"], None),
         (SCAN + ["--seed", "-1"], None),
@@ -521,7 +522,8 @@ class TestMalformedInput:
         (["simons", "--input", "point-data.json"], None),
         (["simons", "--input", "string.json"], None),
     ], ids=["empty-lambda", "trailing-comma", "blank-entries", "simons-empty-lambda",
-            "empty-hess-h", "empty-point-entry", "empty-coefficient", "ladder-negative-n",
+            "empty-hess-h", "empty-point-entry", "empty-coefficient", "shape-dim-past-limit",
+            "ladder-negative-n",
             "ladder-zero-n", "scan-negative-seed", "verify-all-negative-seed",
             "config-negative-seed", "env-negative-seed", "verify-all-env-negative-seed",
             "spectrum-string", "spectrum-list", "system-string", "system-list",

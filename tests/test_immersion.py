@@ -122,6 +122,22 @@ class TestMakeShape:
         with pytest.raises(DomainError):
             make_shape("sphere", n=3, radius=0)
 
+    def test_dimension_past_the_limit_is_refused_before_any_build(self, monkeypatch):
+        # A sphere build grows as n^4; past the limit nothing is built at all.
+        from hypercurv import immersion
+
+        builds = []
+        monkeypatch.setattr(immersion, "SymbolicShape", lambda name, n, rows: builds.append(n))
+        limit = immersion._MAX_SHAPE_DIM
+        assert limit == 64
+        make_shape("sphere", limit)
+        assert builds == [limit]
+        for name, k in (("sphere", None), ("cylinder", 1), ("graph", None)):
+            for n in (limit + 1, 300, 10 ** 9):
+                with pytest.raises(DomainError, match=r"n in \[2, 64\], got n="):
+                    make_shape(name, n, k=k)
+        assert builds == [limit]
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "nan", "inf"],
                              ids=["nan", "inf", "-inf", "str-nan", "str-inf"])
     def test_non_finite_radius(self, bad):

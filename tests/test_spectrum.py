@@ -109,6 +109,9 @@ class TestSigma:
                 want = tuple(sigma(vals, r) for r in orders)
                 assert got == want
                 assert [type(v) for v in got] == [type(v) for v in want]
+                every = sigma_all(vals)
+                assert every == sigmas(vals, range(n + 1))
+                assert [type(v) for v in every] == [type(v) for v in sigmas(vals, range(n + 1))]
         with pytest.raises(DomainError):
             sigmas((1, 2), [2, 3])
 
@@ -118,6 +121,9 @@ class TestSigma:
         assert sigmas(x, [3, 2]) == (sigma(x, 3), sigma(x, 2))
         with pytest.raises(DomainError, match="not a finite number"):
             sigmas(x, [2, 4])
+        # sigma_all asks for every order, so the overflow raises there too
+        with pytest.raises(DomainError, match="not a finite number"):
+            sigma_all(x)
 
     def test_recursion_residual_zero_exact(self):
         rng = random.Random(102)
