@@ -144,11 +144,15 @@ def finite_difference_lift(embedding: Callable[[np.ndarray], np.ndarray],
     u + h e_i and u - h e_i for each i, then u +- h e_i +- h e_j for each
     pair i < j, 1 + 2 n^2 rows in all.  The default step is
     eps^(1/3) (1 + |u|), balancing truncation against rounding for first
-    derivatives; second derivatives inherit the same h.
+    derivatives; second derivatives inherit the same h.  A point of more
+    than 64 coordinates raises ``DomainError`` before the stencil is built.
     """
     u = np.asarray(point, dtype=float)
     if u.ndim != 1 or u.size == 0:
         raise DomainError("the parameter point must be a non-empty vector")
+    if u.size > _MAX_SHAPE_DIM:
+        raise DomainError(f"the finite-difference stencil needs at most {_MAX_SHAPE_DIM} "
+                          f"coordinates, got {u.size}")
     if not np.isfinite(u).all():
         raise DomainError(f"the parameter point must be finite, got {u.tolist()}")
     if h is None:
@@ -305,6 +309,8 @@ def _parameter(value, what: str):
 # term, about n^3/6 terms of up to n factors, so it grows as n^4: 0.17 s and
 # 42 MB at n = 32, 0.35 s and 58 MB at n = 40, 1.08 s and 176 MB at n = 64
 # (one build each, 2-core x86-64, CPython 3.11), and n = 300 does not finish.
+# The finite-difference stencil of an external shape, 1 + 2 n^2 rows of n
+# parameters, is bounded by the same limit, since its memory grows as n^3.
 _MAX_SHAPE_DIM = 64
 
 
@@ -374,12 +380,13 @@ class SubprocessShape:
     flush, within ``READ_TIMEOUT_S`` seconds, or it is killed.  A point or an
     (m, n) stack is sent one row per request; the answers come back in the
     same layout, n+1 coordinates a row.  Only the finite-difference path can
-    drive such a shape.
+    drive such a shape.  n must lie in [2, 64]; anything else raises
+    ``DomainError`` before the child is started.
     """
 
     def __init__(self, argv: Sequence[str], n: int):
-        if n < 2:
-            raise DomainError(f"shapes need n >= 2, got n={n}")
+        if not 2 <= n <= _MAX_SHAPE_DIM:
+            raise DomainError(f"shapes need n in [2, {_MAX_SHAPE_DIM}], got n={n}")
         self.n = n
         self.argv = list(argv)
         try:

@@ -18,17 +18,20 @@ All operations accept either numeric regime.  In EXACT the classical
 identities hold literally, e.g. n^2 H^2 = |A|^2 + n(n-1)(R - c) and
 tr A^3 = tr phi^3 + 3 H |phi|^2 + n H^3, and tests compare with ``==``.
 
-One lifted kernel serves both regimes.  A spectrum is lifted once to
-numerators a_i = lambda_i D over a common denominator D; every sum, product
-and recursion runs on the a_i, and each output value is built once as a
-numerator over the matching power of D.  In EXACT, D is the lcm of the
-lambda_i denominators, the a_i are plain ``int`` values, and each output is
-one ``Fraction``, normalized exactly once: sigma_r = e_r(a) / D^r, and the
-traceless eigenvalues are mu_i = (n a_i - e_1(a)) / (n D).  These are the
-same rationals the direct ``Fraction`` arithmetic gives.  In FLOAT the
-values pass through with D = 1, so every division is exact and each output
-is the double the plain float arithmetic gives, checked finite on the way
-out: an overflow raises ``DomainError`` rather than returning ``inf``.
+One lifted kernel serves both regimes.  A spectrum is lifted once, not once
+per call: its first ``invariants``, ``tr_a3_sides`` or ``newton_eigenvalues``
+call computes numerators a_i = lambda_i D over a common denominator D and
+every e_r(a), r = 0..n, and the spectrum keeps them for the later calls.
+Every sum, product and recursion runs on the a_i, and each call builds each
+of its output values once, as a numerator over the matching power of D.  In
+EXACT, D is the lcm of the lambda_i denominators, the a_i are plain ``int``
+values, and each output is one ``Fraction``, normalized exactly once:
+sigma_r = e_r(a) / D^r, and the traceless eigenvalues are
+mu_i = (n a_i - e_1(a)) / (n D).  These are the same rationals the direct
+``Fraction`` arithmetic gives.  In FLOAT the values pass through with
+D = 1, so every division is exact and each output is the double the plain
+float arithmetic gives, checked finite on the way out: an overflow raises
+``DomainError`` rather than returning ``inf``.
 """
 
 from __future__ import annotations
@@ -61,9 +64,14 @@ class CurvatureSpectrum:
     curvature of the ambient space form.  All entries share one regime.
     Passing ``regime`` explicitly both validates and, for FLOAT, acts as
     an explicit promotion of exact inputs.
+
+    Only ``__init__`` assigns ``lambdas``, ``c`` and ``regime``.  The lifted
+    kernel kept in ``_kernel`` relies on that: the first kernel call runs
+    the full sigma pass and stores it there, and later calls read it.
+    Equality, hashing, ``repr`` and JSON ignore it.
     """
 
-    __slots__ = ("lambdas", "c", "regime")
+    __slots__ = ("lambdas", "c", "regime", "_kernel")
 
     def __init__(self, lambdas: Sequence[Scalar], c: Scalar = 0, regime=None):
         values = tuple(lambdas)
@@ -75,6 +83,7 @@ class CurvatureSpectrum:
         self.lambdas: Tuple[Scalar, ...] = tuple(sorted(coerce(v, declared) for v in values))
         self.c: Scalar = coerce(c, declared)
         self.regime: Regime = declared
+        self._kernel: Optional[tuple] = None
 
     @property
     def n(self) -> int:
@@ -181,13 +190,6 @@ def sigma_all(values: Sequence[Scalar]) -> Tuple[Scalar, ...]:
     return sigmas(values, range(len(values) + 1))
 
 
-def _sigma_or_zero(values: Sequence[Scalar], r: int) -> Scalar:
-    # sigma_r of fewer than r values vanishes identically.
-    if r > len(values):
-        return coerce(0, common_regime(values))
-    return sigma(values, r)
-
-
 def sigma_recursion_residual(values: Sequence[Scalar], r: int, i: int) -> Scalar:
     """Residual of sigma_r(x) = x_i sigma_{r-1}(x w/o i) + sigma_r(x w/o i).
 
@@ -200,9 +202,25 @@ def sigma_recursion_residual(values: Sequence[Scalar], r: int, i: int) -> Scalar
         raise DomainError(f"recursion needs 1 <= r <= {n}, got r={r}")
     if not 1 <= i <= n:
         raise DomainError(f"index i must be 1-based in [1, {n}], got {i}")
-    xi = values[i - 1]
-    hat = values[: i - 1] + values[i:]
-    return sigma(values, r) - xi * _sigma_or_zero(hat, r - 1) - _sigma_or_zero(hat, r)
+    # One lift; E from the values and F from the values without i, both
+    # truncated at r.  F_r of the n - 1 values left is 0 when r = n.
+    a, D, over = _lift(values, common_regime(values))
+    E = _sigma_coefficients(a, r)
+    F = _sigma_coefficients(a[: i - 1] + a[i:], r)
+    return over(E[r] - a[i - 1] * F[r - 1] - F[r], D ** r)
+
+
+def _lifted(spectrum: CurvatureSpectrum) -> Tuple[list, int, Callable, list]:
+    # The spectrum's lift (a, D, over) and every e_r(a), r = 0..n, from one
+    # full pass, computed on first use and kept in its ``_kernel``.  Nothing
+    # here is checked finite: in FLOAT a high e_r may be inf or nan, and only
+    # an output built from it raises, so P_r still reads only its own sigmas.
+    # Callers read the lists and never change them.
+    kernel = spectrum._kernel
+    if kernel is None:
+        a, D, over = _lift(spectrum.lambdas, spectrum.regime)
+        kernel = spectrum._kernel = (a, D, over, _sigma_coefficients(a, len(a)))
+    return kernel
 
 
 @dataclass(frozen=True)
@@ -228,8 +246,7 @@ def invariants(spectrum: CurvatureSpectrum) -> InvariantReport:
     lam = spectrum.lambdas
     n = spectrum.n
     regime = spectrum.regime
-    a, D, over = _lift(lam, regime)
-    E = _sigma_coefficients(a, n)
+    a, D, over, E = _lifted(spectrum)
     S = tuple(over(e, D ** r) for r, e in enumerate(E))
     Hr = tuple(over(e, D ** r * comb(n, r)) for r, e in enumerate(E))
     H = Hr[1]
@@ -260,13 +277,13 @@ def tr_a3_sides(spectrum: CurvatureSpectrum) -> Tuple[Scalar, Scalar]:
     # Over D^3: sum a^3, and a1 (3 sum a^2 - a1^2) / 2 + 3 e_3(a).  The rhs
     # stays two terms: in FLOAT, one quotient (a1 (...) + 6 e_3) / 2 rounds
     # differently at subnormals and can overflow where the sum does not.
-    regime = spectrum.regime
-    a, D, over = _lift(spectrum.lambdas, regime)
+    a, D, over, E = _lifted(spectrum)
     a1 = sum(a)
     D3 = D ** 3
     lhs = over(sum(v * v * v for v in a), D3)
     half = over(a1 * (3 * sum(v * v for v in a) - a1 * a1), 2 * D3)
-    return lhs, coerce(half + over(3 * _sigma_coefficients(a, 3)[3], D3), regime)
+    e3 = E[3] if spectrum.n > 2 else 0
+    return lhs, coerce(half + over(3 * e3, D3), spectrum.regime)
 
 
 def newton_eigenvalues(spectrum: CurvatureSpectrum, r: int) -> Tuple[Scalar, ...]:
@@ -281,8 +298,7 @@ def newton_eigenvalues(spectrum: CurvatureSpectrum, r: int) -> Tuple[Scalar, ...
     if not 0 <= r <= n:
         raise DomainError(f"Newton transformation P_{r} undefined for n={n}")
     # q_{r,i} = p_{r,i} D^r obeys q_{r,i} = E_r - a_i q_{r-1,i}.
-    a, D, over = _lift(spectrum.lambdas, spectrum.regime)
-    E = _sigma_coefficients(a, r)
+    a, D, over, E = _lifted(spectrum)
     q = [1] * n
     for j in range(1, r + 1):
         q = [E[j] - a[i] * q[i] for i in range(n)]

@@ -545,6 +545,20 @@ class TestMalformedInput:
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
 
+    def test_external_shape_past_the_dimension_limit_starts_no_child(self, capsys,
+                                                                     monkeypatch):
+        started = []
+        monkeypatch.setattr(subprocess, "Popen", lambda *a, **k: started.append(a))
+        code = cli.run(["immersion-eval", "--shape-cmd", f"{sys.executable} -c pass",
+                        "--dim", "300"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("hypercurv: error:")
+        assert captured.err.count("\n") == 1
+        assert "n in [2, 64], got n=300" in captured.err
+        assert started == []
+
     def test_negative_zero_point_keeps_its_sign(self, capsys):
         code, payload = run_json(capsys, ["immersion-eval", "--shape", "graph", "--dim", "2",
                                           "--point", "-0.0, 0.5"])

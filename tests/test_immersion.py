@@ -265,6 +265,26 @@ class TestFiniteDifferences:
         b = principal_curvatures(fd)
         assert max(abs(x - y) for x, y in zip(a.lambdas, b.lambdas)) <= 1e-5
 
+    def test_too_many_coordinates_are_refused_before_the_stencil(self):
+        # 1 + 2 n^2 stencil rows of n parameters: memory grows as n^3, so the
+        # lift refuses past the shape limit without calling the embedding.
+        from hypercurv import immersion
+
+        calls = []
+
+        def graph(stack):
+            calls.append(stack.shape)
+            return np.column_stack([stack, 0.5 * (stack * stack).sum(axis=1)])
+
+        limit = immersion._MAX_SHAPE_DIM
+        patch = finite_difference_lift(graph, [0.0] * limit)
+        assert patch.point.size == limit
+        assert calls == [(1 + 2 * limit * limit, limit)]
+        for n in (limit + 1, 300):
+            with pytest.raises(DomainError, match=r"at most 64 coordinates, got "):
+                finite_difference_lift(graph, [0.0] * n)
+        assert len(calls) == 1
+
     def test_fd_step_validation(self):
         shape = make_shape("sphere", n=3)
         for h in (0.0, math.nan, math.inf):
@@ -444,6 +464,24 @@ class TestSubprocessShape:
         with pytest.raises(HypercurvError):
             with SubprocessShape(argv, n=2) as shape:
                 shape([0.0, 0.0])
+
+    def test_dimension_past_the_limit_starts_no_child(self, monkeypatch):
+        started = []
+
+        def popen(argv, **kwargs):
+            started.append(argv)
+            raise OSError("stub: no child")
+
+        monkeypatch.setattr(subprocess, "Popen", popen)
+        argv = [sys.executable, "-c", self.CHILD]
+        # the limit itself reaches Popen, whose OSError is a tool error
+        with pytest.raises(HypercurvError, match="could not start shape process"):
+            SubprocessShape(argv, n=64)
+        assert len(started) == 1
+        for n in (65, 300, 10 ** 9, 1):
+            with pytest.raises(DomainError, match=r"n in \[2, 64\], got n="):
+                SubprocessShape(argv, n=n)
+        assert len(started) == 1
 
     def test_dead_child_reported(self):
         argv = [sys.executable, "-c", "import sys; sys.exit(3)"]

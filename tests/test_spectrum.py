@@ -1,9 +1,13 @@
+import dataclasses
+import itertools
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import hypercurv.spectrum as spectrum_module
 import oracles
 from hypercurv.errors import DomainError, RegimeError
 from hypercurv.scalars import Regime, Tolerance
@@ -133,6 +137,28 @@ class TestSigma:
             r = rng.randint(1, n)
             i = rng.randint(1, n)
             assert sigma_recursion_residual(vals, r, i) == 0
+
+    def test_recursion_residual_one_lift_same_values(self, monkeypatch):
+        # EXACT: a literal Fraction(0).  FLOAT: the double of the three-sigma
+        # formula, sigma_r of the n - 1 values left being 0 when r = n.
+        lifts = []
+        lift = spectrum_module._lift
+        monkeypatch.setattr(spectrum_module, "_lift",
+                            lambda values, regime: lifts.append(1) or lift(values, regime))
+        rng = random.Random(103)
+        for _ in range(60):
+            n = rng.randint(2, 9)
+            r, i = rng.randint(1, n), rng.randint(1, n)
+            exact = random_exact(rng, n, span=9)
+            del lifts[:]
+            value = sigma_recursion_residual(exact, r, i)
+            assert type(value) is Fraction and value == 0
+            assert len(lifts) == 1
+            floats = [rng.uniform(-4.0, 4.0) for _ in range(n)]
+            hat = floats[: i - 1] + floats[i:]
+            expected = (sigma(floats, r) - floats[i - 1] * sigma(hat, r - 1)
+                        - (sigma(hat, r) if r < n else 0.0))
+            assert sigma_recursion_residual(floats, r, i).hex() == expected.hex()
 
     def test_recursion_residual_validation(self):
         with pytest.raises(DomainError):
@@ -349,6 +375,111 @@ class TestLiftedKernel:
             "(-0.65, 0.65), 0.8450000000000001, 0.0, 2.1970000000000005)")
         assert repr(SimonsPointData.with_gauss_curvatures(s).k_table) == (
             "((0.0, -0.0), (-0.0, 1.6900000000000002))")
+
+
+def _fingerprint(value):
+    # Type and exact value of a kernel output; a float by float.hex, so that
+    # -0.0 and 0.0 differ.
+    if isinstance(value, float):
+        return ("float", value.hex())
+    if isinstance(value, tuple):
+        return tuple(_fingerprint(v) for v in value)
+    if dataclasses.is_dataclass(value):
+        return (type(value).__name__,) + tuple(
+            _fingerprint(getattr(value, f.name)) for f in dataclasses.fields(value))
+    return (type(value).__name__, value)
+
+
+def _memo_cases():
+    # EXACT and FLOAT spectra for n = 2..12, with zeros, -0.0 and repeats;
+    # n = 2 is the case where tr_a3_sides has no S_3 term.
+    rng = random.Random(113)
+    cases = []
+    for n in range(2, 13):
+        vals = random_exact(rng, n, span=9)
+        vals[rng.randrange(n)] = vals[rng.randrange(n)]
+        cases.append((vals, Fraction(rng.randint(-5, 5), 3), None))
+        floats = [rng.uniform(-3.0, 3.0) for _ in range(n)]
+        floats[rng.randrange(n)] = -0.0
+        floats[rng.randrange(n)] = floats[rng.randrange(n)]
+        cases.append((floats, rng.uniform(-1.0, 1.0), Regime.FLOAT))
+    return cases
+
+
+def _kernel_calls(n):
+    # Every kernel call on one spectrum: invariants, tr_a3_sides and P_r for
+    # each r, keyed for comparison.
+    calls = [("invariants", invariants), ("tr_a3_sides", tr_a3_sides)]
+    return calls + [(f"P_{r}", lambda s, r=r: newton_eigenvalues(s, r)) for r in range(n + 1)]
+
+
+class TestLiftMemo:
+    """A spectrum keeps its lifted kernel; nothing outside can tell."""
+
+    @pytest.mark.parametrize("vals, c, regime", _memo_cases())
+    def test_every_call_order_matches_a_fresh_spectrum(self, vals, c, regime):
+        n = len(vals)
+        calls = _kernel_calls(n)
+        fresh = {key: _fingerprint(call(CurvatureSpectrum(vals, c, regime=regime)))
+                 for key, call in calls}
+        groups = [calls[:1], calls[1:2], calls[2:]]
+        for order in itertools.permutations(range(3)):
+            for newton_first_high in (False, True):
+                s = CurvatureSpectrum(vals, c, regime=regime)
+                for g in order:
+                    group = groups[g][::-1] if g == 2 and newton_first_high else groups[g]
+                    for key, call in group:
+                        assert _fingerprint(call(s)) == fresh[key], (order, key)
+
+    @pytest.mark.parametrize("vals, c, regime",
+                             [case for case in _memo_cases() if len(case[0]) in (2, 3, 12)])
+    def test_equality_hash_repr_and_json_ignore_the_memo(self, vals, c, regime):
+        used = CurvatureSpectrum(vals, c, regime=regime)
+        for _, call in _kernel_calls(len(vals)):
+            call(used)
+        fresh = CurvatureSpectrum(vals, c, regime=regime)
+        assert used == fresh and fresh == used
+        assert hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert json.dumps(used.to_json_dict()) == json.dumps(fresh.to_json_dict())
+        # promote() gets its own kernel: FLOAT outputs, as on a fresh FLOAT copy
+        float_fresh = CurvatureSpectrum(vals, c, regime=Regime.FLOAT)
+        promoted = used.promote()
+        for key, call in _kernel_calls(len(vals)):
+            assert _fingerprint(call(promoted)) == _fingerprint(call(float_fresh)), key
+
+    @pytest.mark.parametrize("failing", [
+        invariants, tr_a3_sides, lambda t: newton_eigenvalues(t, 2)],
+        ids=["invariants", "tr_a3_sides", "P_2"])
+    def test_a_failed_call_leaves_the_kernel_usable(self, failing):
+        # sigma_2 = 1e310 overflows, sigma_1 = 2e155 does not
+        t = CurvatureSpectrum([1e155, 1e155, 0.0])
+        with pytest.raises(DomainError, match="not a finite number"):
+            failing(t)
+        assert newton_eigenvalues(t, 1) == (2e155, 1e155, 1e155)
+        with pytest.raises(DomainError, match="not a finite number"):
+            failing(t)
+        assert newton_eigenvalues(t, 0) == (1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("regime", [Regime.EXACT, Regime.FLOAT])
+    def test_one_lift_per_spectrum(self, monkeypatch, regime):
+        lifts = []
+        lift = spectrum_module._lift
+
+        def counted(values, regime):
+            lifts.append(len(values))
+            return lift(values, regime)
+
+        monkeypatch.setattr(spectrum_module, "_lift", counted)
+        vals = [Fraction(-7, 2), 0, Fraction(5, 6), Fraction(5, 6), 3, Fraction(1, 9)]
+        s = CurvatureSpectrum(vals, regime=regime)
+        invariants(s)
+        tr_a3_sides(s)
+        for r in range(s.n + 1):
+            newton_eigenvalues(s, r)
+        assert lifts == [6]
+        invariants(s.promote())  # a promoted copy lifts once for itself
+        assert lifts == [6, 6]
 
 
 class TestOkumura:
