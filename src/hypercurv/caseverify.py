@@ -23,8 +23,9 @@ is exhaustive-search evidence, not a proof.  A system whose penalty could
 overflow a double over that box is refused with ``DomainError`` before the
 grid, rather than ranked by inf.
 
-The scan encodes its constraint terms once, as a matrix of signed excess
-(one column per term, positive when violated).  Every term is affine in
+The scan encodes its constraint terms once, as a gather plan over a
+workspace of sigma values and coordinates that gives a matrix of signed
+excess (one column per term, positive when violated).  Every term is affine in
 any one coordinate x_j: the trace, the ordering steps and the sign bounds
 trivially, and sigma_r through sigma_r(x) = x_j sigma_{r-1}(x without j) +
 sigma_r(x without j).  So one sigma pass over a point with x_j = 0 gives
@@ -240,7 +241,13 @@ def constraint_violations(system: ConstraintSystem,
     checks.
     """
     x = list(point)
-    regime = common_regime(x)
+    return _violations(system, x, common_regime(x))
+
+
+def _violations(system: ConstraintSystem, x: Sequence[Scalar],
+                regime: Regime) -> Dict[str, Scalar]:
+    # The body of ``constraint_violations``, for a point whose regime the
+    # caller already knows.
     exact = regime is Regime.EXACT
     num = Fraction if exact else float
     x = [v if type(v) is num else num(v) for v in x]
@@ -330,36 +337,63 @@ class FeasibilityVerdict(JsonRecord):
 
 @dataclass(frozen=True)
 class _Part:
-    """A selection of ``excess`` columns for ``_PenaltyEvaluator._terms``.
+    """Terms as a gather plan over a workspace (``_PenaltyEvaluator.workspace``).
 
-    The equalities, the ordering steps in ``steps`` (a slice of step indices,
-    so that reading them off a row copies nothing), the sign bounds on the
-    coordinates ``coords``, the sigma_r bounds for ``orders``, and the
-    threshold ``t`` and ``sense`` of each bound in that order.
+    Term j is ``(w[a_j] - w[b_j] - target_j) * sense_j``, where ``w`` is a
+    workspace: rows of numbers, one column per point.  ``target`` and
+    ``sense`` are column vectors, so that they broadcast along the points.
     """
 
-    steps: slice
-    coords: List[int]
-    orders: List[int]
-    t: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    target: np.ndarray
     sense: np.ndarray
 
-    @property
-    def width(self) -> int:
-        return 2 + self.steps.stop - self.steps.start + len(self.t)
+    def take(self, cols) -> "_Part":
+        return _Part(self.a[cols], self.b[cols], self.target[cols], self.sense[cols])
+
+    def reading(self, rows: np.ndarray, targets: bool = True) -> "_Part":
+        # The same terms with workspace row i read as rows[i], and without
+        # their targets unless ``targets``.
+        return _Part(rows[self.a], rows[self.b],
+                     self.target if targets else np.zeros_like(self.target), self.sense)
+
+    @staticmethod
+    def stack(parts: Sequence["_Part"], shift: int = 0) -> "_Part":
+        # The parts one after another, part i reading its rows i * shift on.
+        return _Part(np.concatenate([p.a + i * shift for i, p in enumerate(parts)]),
+                     np.concatenate([p.b + i * shift for i, p in enumerate(parts)]),
+                     np.concatenate([p.target for p in parts]),
+                     np.concatenate([p.sense for p in parts]))
 
 
-def _one_degree_down(e: np.ndarray) -> np.ndarray:
-    # sigma_{r-1} in the place of sigma_r (sigma_{-1} = 0).
-    return np.concatenate((np.zeros((1, e.shape[1])), e[:-1]))
+def _terms(w: np.ndarray, part: _Part, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The terms of ``part`` on the workspace ``w``, terms x points.
+
+    ``out`` may be the transpose of a points x terms array, which then holds
+    each point's terms together.
+    """
+    out = np.subtract(w[part.a], w[part.b], out=out)
+    out -= part.target
+    out *= part.sense
+    return out
 
 
 class _PenaltyEvaluator:
     """The scan's constraint terms as one vectorized matrix of signed excess.
 
-    ``_terms`` is the only encoding of the terms on this side of the double
-    entry: the penalty (``excess``), the descent's line sections and the
-    Gauss-Newton Jacobian are all read off it.
+    ``whole`` is the only encoding of the terms on this side of the double
+    entry, a ``_Part`` over a workspace whose rows are a zero row,
+    sigma_0 .. sigma_top, the n coordinates and a ones row, one column per
+    point.  Term by term it reads sigma_1 - trace, sigma_2 - sigma_2 target,
+    the steps x_i - x_{i+1}, sense * (x_c - t) and sense * (sigma_r - t),
+    each as (w[a] - w[b] - target) * sense with b the zero row where
+    nothing is subtracted.  The penalty (``excess``), the descent's line
+    sections and the Gauss-Newton Jacobian are all read off it.  A term's
+    slope along x_k is the same term with sigma_r read as sigma_{r-1} (the
+    zero row sits right before sigma_0), x_k as the ones row, every other
+    coordinate as the zero row, and no target, on the sigma values of the
+    point with x_k = 0 (``along``).
     """
 
     def __init__(self, system: ConstraintSystem):
@@ -379,81 +413,83 @@ class _PenaltyEvaluator:
         self.t = np.array([t for _, t in bounds])
         self.top = max([2] + self.orders)
         self.terms = 2 + self.steps + len(bounds)
-        self.whole = _Part(slice(0, self.steps), self.coords, self.orders, self.t, self.sense)
+        # Workspace rows: 0 is the zero row, sig + r holds sigma_r, x + i
+        # coordinate i, and the last one is the ones row.
+        sig, x = 1, self.top + 2
+        self.sig, self.x, self.rows = sig, x, x + self.n + 1
+        ends = ([(sig + 1, 0), (sig + 2, 0)] + [(x + i, x + i + 1) for i in range(self.steps)]
+                + [(x + c, 0) for c in self.coords] + [(sig + r, 0) for r in self.orders])
+        a, b = (np.array(e, dtype=np.intp) for e in zip(*ends))
+        target = np.concatenate(([self.trace, self.sigma2], np.zeros(self.steps), self.t))
+        sense = np.concatenate((np.ones(2 + self.steps), self.sense))
+        self.whole = _Part(a, b, target[:, None], sense[:, None])
         # The terms that can move along each free coordinate c: the
         # equalities, the ordering steps x_{c-1} - x_c and x_c - x_{c+1}, the
         # sign bounds on c and every sigma_r bound.  ``moving`` holds their
         # ``excess`` columns.  Every other term has slope exactly 0 along c.
+        # ``parts[k]`` reads their offsets at x_c = 0 and then their slopes
+        # along x_c, so that one gather gives the section (offsets first).
         signs = 2 + self.steps
-        self.parts, self.moving = [], []
+        self.moving, self.parts = [], []
         for c in self.free0:
-            steps = slice(max(c - 1, 0), min(c + 1, self.steps)) if self.steps else slice(0, 0)
-            own = [b for b, coord in enumerate(self.coords) if coord == c]
-            keep = own + list(range(len(self.coords), len(bounds)))
-            self.parts.append(_Part(steps, [c] * len(own), self.orders,
-                                    self.t[keep], self.sense[keep]))
-            self.moving.append(np.array(
-                [0, 1] + [2 + i for i in range(steps.start, steps.stop)]
-                + [signs + b for b in keep]))
-        self.unit = np.eye(self.n)[self.free0]
+            steps = range(max(c - 1, 0), min(c + 1, self.steps))
+            own = [signs + j for j, coord in enumerate(self.coords) if coord == c]
+            cols = np.array([0, 1, *(2 + i for i in steps), *own,
+                             *range(signs + len(self.coords), self.terms)])
+            moving = self.whole.take(cols)
+            at_zero = np.arange(self.rows)
+            at_zero[x + c] = 0
+            self.moving.append(cols)
+            self.parts.append(_Part.stack([moving.reading(at_zero), self.along(moving, c)]))
+        # The Jacobian gathers the slopes along free coordinate k from the
+        # k-th of a stack of workspaces.
+        self.slopes = _Part.stack([self.along(self.whole, c) for c in self.free0], self.rows)
+
+    def along(self, part: _Part, c: int) -> _Part:
+        """The slopes of ``part`` along coordinate c."""
+        rows = np.zeros(self.rows, dtype=np.intp)
+        rows[self.sig:self.x] = np.arange(self.top + 1)
+        rows[self.x + c] = self.rows - 1
+        return part.reading(rows, targets=False)
 
     def full(self, x_free: np.ndarray) -> np.ndarray:
-        # Coordinate-major, so that each term reads its coordinates contiguously.
-        rows = np.zeros((self.n, x_free.shape[0])).T
+        rows = np.zeros((x_free.shape[0], self.n))
         rows[:, self.free0] = x_free
         return rows
 
-    def _sigmas(self, x_free: np.ndarray) -> np.ndarray:
-        # sigma_0 .. sigma_top of every row, by one pass of prod(1 + x_i t).
-        # Degree-major, so that each step runs over contiguous rows.
-        e = np.zeros((self.top + 1, x_free.shape[0]))
-        e[0] = 1.0
-        for col in range(x_free.shape[1]):
-            e[1:] += x_free[:, col] * e[:-1]
-        return e
+    def workspace(self, x_free: np.ndarray) -> np.ndarray:
+        """The workspace of the points ``x_free`` (one per row), one column each.
 
-    def _terms(self, e: np.ndarray, rows: np.ndarray, part: _Part, targets: bool,
-               order: str = "C") -> np.ndarray:
-        """The columns of ``part``, one row per row of ``e``.
-
-        ``e[r]`` holds sigma_r, r <= top, and ``rows`` the full coordinates
-        (one row broadcasts).  With ``targets`` this is the signed excess,
-        positive when violated: sigma_1 - trace, sigma_2 - sigma_2 target,
-        the steps x_i - x_{i+1}, sense * (x_c - t), sense * (sigma_r - t).
-        Without, the targets and thresholds are left out, so on sigma values
-        one degree down and a unit row e_k it is each term's slope along x_k.
-        ``order`` is the memory layout of the result: "C" keeps each row's
-        terms together (the penalty sums them), "F" each term's rows.
+        Its sigma rows come from one pass of prod(1 + x_i t) over the free
+        coordinates, which runs over contiguous rows.
         """
-        steps = part.steps
-        width = steps.stop - steps.start
-        out = np.empty((e.shape[1], part.width), order=order)
-        out[:, 0] = e[1]
-        out[:, 1] = e[2]
-        if targets:
-            out[:, 0] -= self.trace
-            out[:, 1] -= self.sigma2
-        np.subtract(rows[:, steps], rows[:, steps.start + 1:steps.stop + 1],
-                    out=out[:, 2:2 + width])
-        bounds = out[:, 2 + width:]
-        bounds[:, :len(part.coords)] = rows[:, part.coords]
-        bounds[:, len(part.coords):] = e[part.orders].T
-        if targets:
-            bounds -= part.t
-        bounds *= part.sense
-        return out
+        w = np.zeros((self.rows, x_free.shape[0]))
+        w[[self.sig, -1]] = 1.0
+        coords = w[self.x:-1]
+        coords[self.free0] = x_free.T
+        e = w[self.sig:self.x]
+        for c in self.free0:
+            e[1:] += coords[c] * e[:-1]
+        return w
 
     def excess(self, x_free: np.ndarray) -> np.ndarray:
         """Signed excess of every term, one row per point; positive is violated.
 
         Columns: the trace and sigma_2 equalities, the n-1 ordering steps
-        x_i - x_{i+1}, the sign bounds, then the sigma_r bounds.
+        x_i - x_{i+1}, the sign bounds, then the sigma_r bounds.  Each row
+        holds its terms together, as ``_sum_squares`` sums them.
         """
         x_free = np.atleast_2d(x_free)
-        return self._terms(self._sigmas(x_free), self.full(x_free), self.whole, targets=True)
+        out = np.empty((x_free.shape[0], self.terms))
+        _terms(self.workspace(x_free), self.whole, out.T)
+        return out
 
     def penalty(self, x_free: np.ndarray) -> np.ndarray:
-        return _sum_squares(self.excess(x_free))
+        # Each row's penalty is its own, so the rows run in blocks of
+        # ``_PENALTY_ROWS`` (no rows still make one, empty, block).
+        x_free = np.atleast_2d(x_free)
+        return np.concatenate([_sum_squares(self.excess(x_free[i:i + _PENALTY_ROWS]))
+                               for i in range(0, max(len(x_free), 1), _PENALTY_ROWS)])
 
     def excess_bound(self, reach: float) -> float:
         """Upper bound on any term's |excess| while every |x_i| <= reach.
@@ -473,16 +509,34 @@ class _PenaltyEvaluator:
         """Slope of every term along every free coordinate: rows x terms x coords.
 
         The descent's section slopes (``tests/oracles.sections`` builds them
-        one coordinate at a time) for all coordinates in one stacked sigma
-        pass; a term that does not move along x_k has slope 0 there.
+        one coordinate at a time) for all coordinates at once: workspace k
+        of a stack holds the sigma values of the rows with x_k = 0, and one
+        gather reads every coordinate's slopes off its own workspace.  A
+        term that does not move along x_k has slope 0 there.
         """
         m, d = x_free.shape
-        at_zero = np.repeat(x_free[None], d, axis=0)
-        at_zero[np.arange(d), :, np.arange(d)] = 0.0
-        e = self._sigmas(at_zero.reshape(d * m, d))
-        units = np.repeat(self.unit, m, axis=0)
-        slope = self._terms(_one_degree_down(e), units, self.whole, targets=False)
-        return slope.reshape(d, m, self.terms).transpose(1, 2, 0)
+        w = np.zeros((d, self.rows, m))
+        w[:, [self.sig, -1]] = 1.0
+        at_zero = np.repeat(x_free.T[None], d, axis=0)
+        at_zero[np.arange(d), np.arange(d)] = 0.0
+        e = w[:, self.sig:self.x]
+        for j in range(d):
+            e[:, 1:] += at_zero[:, j, None] * e[:, :-1]
+        slope = _terms(w.reshape(d * self.rows, m), self.slopes)
+        return slope.reshape(d, self.terms, m).transpose(2, 1, 0)
+
+
+# Penalty rows per block.  Blocks bound the gathers' memory and keep a
+# block's workspace near cache.  ``_grid_top`` over the five built-ins at
+# 1M cells (H of case-scans seed 1) and over the custom-scans systems of
+# seed 1, with its tracemalloc peak (2-core x86-64 box, min of 7):
+#   rows a block    built-ins          custom systems
+#   all at once     41.4 ms  7.1 MB    17.8 ms  6.9 MB
+#   1024            38.4 ms  2.6 MB    14.4 ms  1.5 MB
+#   2048            33.7 ms  2.6 MB    13.1 ms  1.7 MB
+#   4096            33.3 ms  2.7 MB    15.8 ms  2.5 MB
+#   8192            39.5 ms  3.4 MB    15.5 ms  3.8 MB
+_PENALTY_ROWS = 2048
 
 
 def _sum_squares(ex: np.ndarray) -> np.ndarray:
@@ -507,27 +561,38 @@ def _section_minimum(s: np.ndarray, o: np.ndarray, lo: float, hi: float,
     the piece.  f is evaluated at ``now`` and at every such candidate,
     knots in ascending order after ``now``, and the first argmin is
     returned: a tie keeps the current value, so a row moves only to a lower
-    section value.  A zero slope divides by zero, so callers run this where
-    those warnings are ignored (``np.errstate(divide="ignore",
-    invalid="ignore")``).
+    section value.  ``lo`` must not be a zero (the scan's is at most
+    -1e-3): ``np.fmax``, which parks the breakpoints at ``lo``, may return
+    either zero when a breakpoint is the other one.  A zero slope divides
+    by zero, so callers run this where those warnings are ignored
+    (``np.errstate(divide="ignore", invalid="ignore")``).
     """
     terms, m = s.shape
     knots = np.empty((terms, m))
     knots[0], knots[-1] = lo, hi
     breaks = knots[1:-1]
-    np.divide(-o[2:], s[2:], out=breaks)
-    # A zero slope has no breakpoint (inf or nan); park it at a bound.
-    breaks[np.isnan(breaks)] = lo
-    np.clip(breaks, lo, hi, out=breaks)
+    rise = -o
+    np.divide(rise[2:], s[2:], out=breaks)
+    # A zero slope has no breakpoint (inf or nan); park it at a bound:
+    # fmax takes lo over a nan.
+    np.fmax(breaks, lo, out=breaks)
+    np.minimum(breaks, hi, out=breaks)
     knots.sort(axis=0)
     left, right = knots[:-1], knots[1:]
-    probe = s * (0.5 * (left + right))[:, None, :]
-    probe += o
-    active = probe > 0.0
+    mid = left + right
+    mid *= 0.5
+    # s t + o > 0 exactly when s t > -o: a float sum is zero only when the
+    # exact one is.
+    active = s * mid[:, None, :] > rise
     active[:, :2] = True
     curvature = (active * (s * s)).sum(axis=1)
-    moment = (active * (s * o)).sum(axis=1)
-    stationary = np.clip(-moment / curvature, left, right)
+    stationary = (active * (s * o)).sum(axis=1)
+    np.negative(stationary, out=stationary)
+    stationary /= curvature
+    # maximum, then minimum, is np.clip bit for bit, signed zeros and nan
+    # included (maximum keeps its second argument on a tie).
+    np.maximum(stationary, left, out=stationary)
+    np.minimum(stationary, right, out=stationary)
     # A piece with no curvature is flat: its knots already cover it.
     stationary = np.where(curvature > 0.0, stationary, left)
     cand = np.concatenate((now[None], knots, stationary))
@@ -552,36 +617,35 @@ def _lockstep_descent(ev: _PenaltyEvaluator, x: np.ndarray, rounds: int,
     # near the float floor could otherwise raise a penalty.  Rows never
     # interact, so they run in blocks of ``_ROW_CHUNK``.
     #
-    # Each sweep updates the coordinates in order and builds, bit for bit,
-    # the sections that a full sigma pass per coordinate gives (the
-    # reference form is ``tests/oracles.sections``), without that pass:
-    # ``prefix`` carries sigma_0 .. sigma_top of the coordinates already
-    # updated, and the section at coordinate k applies only the later ones
-    # to it.  The zero column at k is skipped; that is
-    # exact, because adding +-0 leaves a finite accumulator unchanged and
-    # the accumulator never holds -0.0 (it starts at +0 and 1, and a sum is
-    # -0.0 only when both summands are).  ``rows`` holds the block's full
-    # coordinates, coordinate-major, and each update writes its column.
+    # Each block keeps one workspace, whose coordinate rows are the block's
+    # live storage.  Each sweep updates the coordinates in order and
+    # gathers, bit for bit, the sections that a full sigma pass per
+    # coordinate gives (the reference form is ``tests/oracles.sections``),
+    # without that pass: ``prefix`` carries sigma_0 .. sigma_top of the
+    # coordinates already updated, and the section at coordinate k applies
+    # only the later ones to it, in the workspace's sigma rows.  Coordinate
+    # k itself is skipped, and its plan (``ev.parts[k]``) reads it as the
+    # zero row.  That is exact, because adding +-0 leaves a finite
+    # accumulator unchanged and the accumulator never holds -0.0 (it starts
+    # at +0 and 1, and a sum is -0.0 only when both summands are).
     x = x.copy()
     with np.errstate(divide="ignore", invalid="ignore"):
         for start in range(0, len(x), _ROW_CHUNK):
-            rows = ev.full(x[start:start + _ROW_CHUNK])
-            cols = [rows[:, c] for c in ev.free0]
+            w = ev.workspace(x[start:start + _ROW_CHUNK])
+            e = w[ev.sig:ev.x]
+            cols = [w[ev.x + c] for c in ev.free0]
             for _ in range(rounds):
-                prefix = np.zeros((ev.top + 1, len(rows)))
+                prefix = np.zeros_like(e)
                 prefix[0] = 1.0
                 for k, col in enumerate(cols):
-                    e = prefix.copy()
+                    np.copyto(e, prefix)
                     for later in cols[k + 1:]:
                         e[1:] += later * e[:-1]
-                    now = col.copy()
-                    col[:] = 0.0
-                    part = ev.parts[k]
-                    offset = ev._terms(e, rows, part, True, order="F")
-                    slope = ev._terms(_one_degree_down(e), ev.unit[k:k + 1], part, False, order="F")
-                    col[:] = _section_minimum(slope.T, offset.T, lo, hi, now)
+                    section = _terms(w, ev.parts[k])
+                    half = len(section) // 2
+                    col[:] = _section_minimum(section[half:], section[:half], lo, hi, col)
                     prefix[1:] += col * prefix[:-1]
-            x[start:start + _ROW_CHUNK] = rows[:, ev.free0]
+            x[start:start + _ROW_CHUNK] = w[ev.x + np.array(ev.free0)].T
     return x
 
 
@@ -603,9 +667,12 @@ def _gauss_newton_states(ev: _PenaltyEvaluator, x: np.ndarray,
     # residual is the equalities plus the violated inequalities, so near a
     # solution with a stable active set its squared norm is the penalty.
     # Rows run in lockstep, so each iteration costs one excess, one jacobian,
-    # one stacked pseudo-inverse and one penalty call however many rows are
-    # live or how many halvings they need; a row takes the first halving of
-    # its step that lowers its penalty, and stops at penalty 0, at a
+    # one stacked pseudo-inverse and at most two penalty calls however many
+    # rows are live or how many halvings they need: every row tries its full
+    # step (halving 0), and only the rows it does not improve try the other
+    # halvings (``tests/oracles.gauss_newton_states`` tries all of them at
+    # once, to the same bits).  A row takes the first halving of its step
+    # that lowers its penalty, and stops at penalty 0, at a
     # non-finite step, when no halving helps, or when the halving it takes
     # lowers its penalty by no more than rounding (a row at the float floor).
     # With ``ranks`` (distinct, one per row) the caller keeps only the row
@@ -622,26 +689,34 @@ def _gauss_newton_states(ev: _PenaltyEvaluator, x: np.ndarray,
         rows = np.flatnonzero(live)
         if not rows.size:
             return
-        res = ev.excess(x[rows])
+        start = x[rows]
+        res = ev.excess(start)
         active = res > 0.0
         active[:, :2] = True
         # Inactive terms enter as zero rows, which leaves each least-squares
         # problem unchanged and lets one stacked pseudo-inverse solve them all.
-        jac = np.where(active[:, :, None], ev.jacobian(x[rows]), 0.0)
+        jac = np.where(active[:, :, None], ev.jacobian(start), 0.0)
         pinv = np.linalg.pinv(jac, rcond=max(jac.shape[1:]) * np.finfo(float).eps)
         step = (pinv @ np.where(active, -res, 0.0)[:, :, None])[:, :, 0]
         finite = np.isfinite(step).all(axis=1)
         live[rows[~finite]] = False
-        rows, step = rows[finite], step[finite]
-        trial = x[rows, None, :] + _HALVINGS[:, None] * step[:, None, :]
-        ft = ev.penalty(trial.reshape(-1, x.shape[1])).reshape(len(rows), len(_HALVINGS))
-        better = ft < fx[rows, None]
-        moved = better.any(axis=1)
+        rows, start, step = rows[finite], start[finite], step[finite]
+        # Halving 0 scales by 1, so its trial is x + step.
+        trial = start + step
+        ft = ev.penalty(trial)
+        moved = ft < fx[rows]
+        retry = np.flatnonzero(~moved)
+        if retry.size:
+            more = start[retry, None, :] + _HALVINGS[1:, None] * step[retry, None, :]
+            fm = ev.penalty(more.reshape(-1, x.shape[1])).reshape(retry.size, -1)
+            better = fm < fx[rows[retry], None]
+            found = better.any(axis=1)
+            retry, pick = retry[found], (np.flatnonzero(found), better.argmax(axis=1)[found])
+            trial[retry], ft[retry], moved[retry] = more[pick], fm[pick], True
         live[rows[~moved]] = False
-        pick = np.flatnonzero(moved), better.argmax(axis=1)[moved]
-        rows = rows[moved]
+        rows, trial, ft = rows[moved], trial[moved], ft[moved]
         threshold = fx[rows] * (1.0 - _ROUNDING_GAIN)
-        x[rows], fx[rows] = trial[pick], ft[pick]
+        x[rows], fx[rows] = trial, ft
         live[rows] = (fx[rows] != 0.0) & (fx[rows] < threshold)
     yield x, fx
 
@@ -1258,7 +1333,8 @@ def certificate_check(system: ConstraintSystem, seed: int = 0, count: int = 1000
     margin = math.inf
     witness_ok = False
     for x in points:
-        viol = max_violation(system, x)
+        # The samples are Python floats, so their regime is known.
+        viol = max(_violations(system, x, Regime.FLOAT).values())
         if viol <= tol:
             feasible += 1
         value = case.value(x, trace, s2)

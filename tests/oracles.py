@@ -254,22 +254,21 @@ def sections(ev, x_free, k):
 
     sigma_r(x) = x_k sigma_{r-1}(x without k) + sigma_r(x without k), so
     every term is affine in x_k.  One full sigma pass over the rows with
-    x_k = 0 gives the offsets, the terms there, and one degree down the
-    sigma_r slopes; the other slopes are 1, +-1 and ``sense``, read off the
-    unit row e_k.  Both arrays are rows x ``len(moving[k])``, laid out term
-    by term.  This is the reference form of a section: the descent builds
-    the same arrays, bit for bit, from a sigma prefix carried through each
-    sweep instead of a full sigma pass per coordinate.
+    x_k = 0 gives the workspace from which ``ev.parts[k]`` gathers the
+    offsets, the terms there, and the slopes, the same terms one sigma
+    degree down with x_k read as 1 and the other coordinates as 0.  Both
+    arrays are rows x ``len(moving[k])``, laid out term by term.  This is
+    the reference form of a section: the descent gathers the same arrays,
+    bit for bit, from a sigma prefix carried through each sweep instead of
+    a full sigma pass per coordinate.
     """
-    from hypercurv.caseverify import _one_degree_down
+    from hypercurv.caseverify import _terms
 
     at_zero = x_free.copy()
     at_zero[:, k] = 0.0
-    e = ev._sigmas(at_zero)
-    part = ev.parts[k]
-    offset = ev._terms(e, ev.full(at_zero), part, True, order="F")
-    slope = ev._terms(_one_degree_down(e), ev.unit[k:k + 1], part, False, order="F")
-    return slope, offset
+    section = _terms(ev.workspace(at_zero), ev.parts[k])
+    half = len(section) // 2
+    return section[half:].T, section[:half].T
 
 
 def line_minimum(slope, offset, lo, hi, now):
@@ -312,3 +311,123 @@ def lockstep_descent_per_coordinate(ev, x, rounds, lo, hi):
                 slope, offset = sections(ev, block, col)
                 block[:, col] = line_minimum(slope, offset, lo, hi, block[:, col])
     return x
+
+
+def section_minimum(s, o, lo, hi, now):
+    """``caseverify._section_minimum`` as it was before its clip trims: the
+    nan breakpoints parked by mask, both clips through ``np.clip``.  The
+    production minimiser must return the same bits.
+    """
+    import numpy as np
+
+    terms, m = s.shape
+    knots = np.empty((terms, m))
+    knots[0], knots[-1] = lo, hi
+    breaks = knots[1:-1]
+    np.divide(-o[2:], s[2:], out=breaks)
+    # A zero slope has no breakpoint (inf or nan); park it at a bound.
+    breaks[np.isnan(breaks)] = lo
+    np.clip(breaks, lo, hi, out=breaks)
+    knots.sort(axis=0)
+    left, right = knots[:-1], knots[1:]
+    probe = s * (0.5 * (left + right))[:, None, :]
+    probe += o
+    active = probe > 0.0
+    active[:, :2] = True
+    curvature = (active * (s * s)).sum(axis=1)
+    moment = (active * (s * o)).sum(axis=1)
+    stationary = np.clip(-moment / curvature, left, right)
+    # A piece with no curvature is flat: its knots already cover it.
+    stationary = np.where(curvature > 0.0, stationary, left)
+    cand = np.concatenate((now[None], knots, stationary))
+    vals = s * cand[:, None, :]
+    vals += o
+    np.maximum(vals[:, 2:], 0.0, out=vals[:, 2:])
+    np.square(vals, out=vals)
+    return cand[vals.sum(axis=1).argmin(axis=0), np.arange(m)]
+
+
+def gauss_newton_states(ev, x, ranks=None):
+    """``caseverify._gauss_newton_states`` as it was before its lazy
+    halvings: every live row tries all ``_HALVINGS`` in one penalty call.
+    Updates ``x`` in place and yields ``(x, penalties)`` at the same points.
+    """
+    import numpy as np
+
+    from hypercurv.caseverify import _GN_ITERATIONS, _HALVINGS, _ROUNDING_GAIN
+
+    fx = ev.penalty(x)
+    live = fx != 0.0
+    for _ in range(_GN_ITERATIONS):
+        yield x, fx
+        if ranks is not None and (fx == 0.0).any():
+            live &= ranks < ranks[fx == 0.0].min()
+        rows = np.flatnonzero(live)
+        if not rows.size:
+            return
+        res = ev.excess(x[rows])
+        active = res > 0.0
+        active[:, :2] = True
+        jac = np.where(active[:, :, None], ev.jacobian(x[rows]), 0.0)
+        pinv = np.linalg.pinv(jac, rcond=max(jac.shape[1:]) * np.finfo(float).eps)
+        step = (pinv @ np.where(active, -res, 0.0)[:, :, None])[:, :, 0]
+        finite = np.isfinite(step).all(axis=1)
+        live[rows[~finite]] = False
+        rows, step = rows[finite], step[finite]
+        trial = x[rows, None, :] + _HALVINGS[:, None] * step[:, None, :]
+        ft = ev.penalty(trial.reshape(-1, x.shape[1])).reshape(len(rows), len(_HALVINGS))
+        better = ft < fx[rows, None]
+        moved = better.any(axis=1)
+        live[rows[~moved]] = False
+        pick = np.flatnonzero(moved), better.argmax(axis=1)[moved]
+        rows = rows[moved]
+        threshold = fx[rows] * (1.0 - _ROUNDING_GAIN)
+        x[rows], fx[rows] = trial[pick], ft[pick]
+        live[rows] = (fx[rows] != 0.0) & (fx[rows] < threshold)
+    yield x, fx
+
+
+def excess_and_jacobian(ev, x_free):
+    """``ev.excess`` and ``ev.jacobian`` from the column-by-column encoding
+    that the workspace plan replaced: a degree-major sigma pass, the full
+    coordinates, and each kind of term written into its own columns; the
+    slopes from the sigma values one degree down and a unit row per
+    coordinate.  The excess is rows x terms, row-major; the Jacobian rows x
+    terms x coordinates.
+    """
+    import numpy as np
+
+    def sigmas(x):
+        e = np.zeros((ev.top + 1, x.shape[0]))
+        e[0] = 1.0
+        for col in range(x.shape[1]):
+            e[1:] += x[:, col] * e[:-1]
+        return e
+
+    def terms(e, rows, targets):
+        out = np.empty((e.shape[1], ev.terms))
+        out[:, 0] = e[1]
+        out[:, 1] = e[2]
+        if targets:
+            out[:, 0] -= ev.trace
+            out[:, 1] -= ev.sigma2
+        np.subtract(rows[:, :ev.steps], rows[:, 1:ev.steps + 1], out=out[:, 2:2 + ev.steps])
+        bounds = out[:, 2 + ev.steps:]
+        bounds[:, :len(ev.coords)] = rows[:, ev.coords]
+        bounds[:, len(ev.coords):] = e[ev.orders].T
+        if targets:
+            bounds -= ev.t
+        bounds *= ev.sense
+        return out
+
+    m, d = x_free.shape
+    full = np.zeros((m, ev.n))
+    full[:, ev.free0] = x_free
+    excess = terms(sigmas(x_free), full, True)
+    at_zero = np.repeat(x_free[None], d, axis=0)
+    at_zero[np.arange(d), :, np.arange(d)] = 0.0
+    e = sigmas(at_zero.reshape(d * m, d))
+    down = np.concatenate((np.zeros((1, e.shape[1])), e[:-1]))
+    units = np.repeat(np.eye(ev.n)[ev.free0], m, axis=0)
+    jacobian = terms(down, units, False).reshape(d, m, ev.terms).transpose(1, 2, 0)
+    return excess, jacobian

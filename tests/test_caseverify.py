@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -701,6 +702,28 @@ class TestExcessKernel:
                     got = [jac[i, 1, k]] + list(jac[i, bounds:, k])
                     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * scale)
 
+    def test_excess_and_jacobian_match_the_column_encoding(self):
+        # The workspace plan gives, bit for bit, the excess and the slopes
+        # that writing each kind of term into its own columns gives, and
+        # the excess keeps each row's terms together, as _sum_squares sums them.
+        for ev, x in self.systems_and_points():
+            x[::4, 0] = -0.0
+            x[1::4, -1] = 0.0
+            x[2] = 0.0
+            want, slopes = oracles.excess_and_jacobian(ev, x)
+            got = ev.excess(x)
+            assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+            assert (np.ascontiguousarray(ev.jacobian(x)).tobytes()
+                    == np.ascontiguousarray(slopes).tobytes())
+            assert ev.penalty(x).tobytes() == caseverify._sum_squares(want).tobytes()
+
+    def test_penalty_blocks_keep_every_row(self):
+        ev = _PenaltyEvaluator(planted_system())
+        x = np.random.default_rng(2).uniform(
+            -4.0, 4.0, size=(2 * caseverify._PENALTY_ROWS + 3, len(ev.free0)))
+        assert ev.penalty(x).tobytes() == caseverify._sum_squares(ev.excess(x)).tobytes()
+        assert ev.penalty(x[:0]).shape == (0,)
+
 
 def _random_float_system(rng, free):
     # A FLOAT system with ``free`` free coordinates and random pinned zeros,
@@ -887,6 +910,119 @@ class TestPrefixDescent:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             self.assert_matches_oracle(system, x)
+
+
+class TestPinnedLineMinimum:
+    """``_section_minimum`` against its reference copy (``oracles.section_minimum``),
+    byte for byte, on term-major sections as the descent hands them over."""
+
+    BOUNDS = [(-4.0, 3.0), (-1e-3, 1e-3)]
+
+    @staticmethod
+    def assert_same(s, o, lo, hi, now):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = oracles.section_minimum(s, o, lo, hi, now.copy())
+            got = _section_minimum(s, o, lo, hi, now.copy())
+        assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def term_major(slope, offset):
+        return np.ascontiguousarray(slope.T), np.ascontiguousarray(offset.T)
+
+    @pytest.mark.parametrize("lo, hi", BOUNDS)
+    @pytest.mark.parametrize("rows", [1, 64, 1030])
+    @pytest.mark.parametrize("terms", [3, 4, 7, 12])
+    def test_random_sections(self, terms, rows, lo, hi):
+        rng = np.random.default_rng(terms * rows)
+        for kind in ("random", "zero-slopes", "breakpoints-outside", "tied-breakpoints"):
+            s, o = self.term_major(*_section_rows(kind, rng, m=rows, terms=terms))
+            self.assert_same(s, o, lo, hi, rng.uniform(lo, hi, rows))
+
+    @pytest.mark.parametrize("lo, hi", BOUNDS)
+    def test_zero_slopes(self, lo, hi):
+        # Breakpoints 0/0 (nan) and x/0 (+-inf), whole rows of them too.
+        rng = np.random.default_rng(3)
+        s, o = rng.normal(size=(2, 6, 64))
+        s[2:, ::2] = 0.0
+        o[2:, ::4] = 0.0
+        s[:, 5] = 0.0
+        o[:, 5] = 0.0
+        self.assert_same(s, o, lo, hi, rng.uniform(lo, hi, 64))
+
+    @pytest.mark.parametrize("lo, hi", BOUNDS)
+    def test_signed_zeros(self, lo, hi):
+        # +-0 in the slopes, offsets and current values, whole rows of them
+        # too, as the descent meets them on all-zero start rows.
+        rng = np.random.default_rng(4)
+        for terms in (3, 6, 9):
+            s, o = rng.normal(size=(2, terms, 64))
+            for a in (s, o):
+                a[rng.random(a.shape) < 0.25] = 0.0
+                a[rng.random(a.shape) < 0.25] = -0.0
+            s[:, :6] = np.where(rng.random((terms, 6)) < 0.5, 0.0, -0.0)
+            o[:, :6] = np.where(rng.random((terms, 6)) < 0.5, 0.0, -0.0)
+            now = rng.uniform(lo, hi, 64)
+            now[::3] = 0.0
+            now[1::3] = -0.0
+            self.assert_same(s, o, lo, hi, now)
+
+    @pytest.mark.parametrize("lo, hi", BOUNDS)
+    def test_equalities_only_and_flat_rows(self, lo, hi):
+        rng = np.random.default_rng(5)
+        s, o = self.term_major(*_section_rows("equalities-only", rng, m=64))
+        self.assert_same(s, o, lo, hi, rng.uniform(lo, hi, 64))
+        s = np.zeros((5, 4))
+        o = rng.normal(size=(5, 4))
+        o[2:, 1] = -1.0  # a flat row with no active inequality
+        self.assert_same(s, o, lo, hi, np.array([lo, hi, 0.0, -0.0]))
+
+
+class TestPinnedGaussNewton:
+    """``_gauss_newton_states`` against the loop that tries every halving of
+    every live row in one penalty call (``oracles.gauss_newton_states``):
+    every yielded state, byte for byte, with and without ranks."""
+
+    @staticmethod
+    def assert_same_states(ev, x, ranks):
+        # Returns whether some row tried more than halving 0: each iteration
+        # that evaluates a trial is followed by a state, so more penalty
+        # calls than states means some iteration made two.
+        calls = []
+        penalty = ev.penalty
+        ev.penalty = lambda rows: calls.append(len(rows)) or penalty(rows)
+        try:
+            got = [(y.tobytes(), fy.tobytes())
+                   for y, fy in caseverify._gauss_newton_states(ev, x.copy(), ranks)]
+        finally:
+            del ev.penalty
+        want = [(y.tobytes(), fy.tobytes())
+                for y, fy in oracles.gauss_newton_states(ev, x.copy(), ranks)]
+        assert got == want
+        return len(calls) > len(got)
+
+    @staticmethod
+    def batches(system, seed):
+        # The scan's polish batch, and rows drawn across the search box.
+        ev, x, flat = TestExcessKernel.polish_batch(system, cells=5_000, starts=32)
+        lo, hi = _descent_box(system)
+        drawn = np.random.default_rng(seed).uniform(lo, hi, size=(24, len(ev.free0)))
+        return ev, [(x, flat), (drawn, np.arange(24)[::-1].copy())]
+
+    def assert_system(self, system, seed):
+        ev, batches = self.batches(system, seed)
+        return any([self.assert_same_states(ev, x, ranks)
+                    for x, given in batches for ranks in (None, given)])
+
+    @pytest.mark.parametrize("H", [Fraction(1, 1000), Fraction(3, 4), 1, 1000], ids=str)
+    @pytest.mark.parametrize("name", BUILTIN_CASES)
+    def test_builtins(self, name, H):
+        self.assert_system(builtin_case(name, H=H), seed=1)
+
+    @pytest.mark.parametrize("free", [1, 4, 9])
+    def test_random_float_systems(self, free):
+        rng = random.Random(20 + free)
+        retried = [self.assert_system(_random_float_system(rng, free), seed=i) for i in range(4)]
+        assert any(retried)  # the later halvings ran
 
 
 def _grid(system, points):
