@@ -359,10 +359,9 @@ class _Part:
                      self.target if targets else np.zeros_like(self.target), self.sense)
 
     @staticmethod
-    def stack(parts: Sequence["_Part"], shift: int = 0) -> "_Part":
-        # The parts one after another, part i reading its rows i * shift on.
-        return _Part(np.concatenate([p.a + i * shift for i, p in enumerate(parts)]),
-                     np.concatenate([p.b + i * shift for i, p in enumerate(parts)]),
+    def stack(parts: Sequence["_Part"]) -> "_Part":
+        # The parts one after another.
+        return _Part(np.concatenate([p.a for p in parts]), np.concatenate([p.b for p in parts]),
                      np.concatenate([p.target for p in parts]),
                      np.concatenate([p.sense for p in parts]))
 
@@ -393,57 +392,56 @@ class _PenaltyEvaluator:
     slope along x_k is the same term with sigma_r read as sigma_{r-1} (the
     zero row sits right before sigma_0), x_k as the ones row, every other
     coordinate as the zero row, and no target, on the sigma values of the
-    point with x_k = 0 (``along``).
+    point with x_k = 0 (``along``).  Every other reader (``moving``,
+    ``excess_bound``, ``jacobian`` and ``_PrefixBound``) tells a term's
+    kind by the workspace rows it reads, so the terms change in ``whole``
+    alone.
     """
 
     def __init__(self, system: ConstraintSystem):
         self.system = system
         self.n = system.n
-        self.trace = promote(system.trace_target)
-        self.sigma2 = promote(system.sigma2_target)
-        h = promote(system.mean_curvature)
         self.fixed0 = sorted(i - 1 for i in system.fixed_zeros)
         self.free0 = [i for i in range(self.n) if i + 1 not in system.fixed_zeros]
-        self.steps = self.n - 1 if system.ordering else 0
-        self.coords = [sc.index - 1 for sc in system.sign_constraints]
-        self.orders = [ex.r for ex in system.extra_symmetric]
-        bounds = [c.relation.bound(h) for c in system.sign_constraints + system.extra_symmetric]
-        # excess = sense * (v - t): t - v below a lower bound, v - t past an upper one
-        self.sense = np.array([-1.0 if is_lower else 1.0 for is_lower, _ in bounds])
-        self.t = np.array([t for _, t in bounds])
-        self.top = max([2] + self.orders)
-        self.terms = 2 + self.steps + len(bounds)
+        self.top = max([2] + [ex.r for ex in system.extra_symmetric])
         # Workspace rows: 0 is the zero row, sig + r holds sigma_r, x + i
         # coordinate i, and the last one is the ones row.
         sig, x = 1, self.top + 2
         self.sig, self.x, self.rows = sig, x, x + self.n + 1
-        ends = ([(sig + 1, 0), (sig + 2, 0)] + [(x + i, x + i + 1) for i in range(self.steps)]
-                + [(x + c, 0) for c in self.coords] + [(sig + r, 0) for r in self.orders])
-        a, b = (np.array(e, dtype=np.intp) for e in zip(*ends))
-        target = np.concatenate(([self.trace, self.sigma2], np.zeros(self.steps), self.t))
-        sense = np.concatenate((np.ones(2 + self.steps), self.sense))
+        # Term by term (a, b, target, sense); excess = sense * (v - t) is
+        # t - v below a lower bound and v - t past an upper one.
+        h = promote(system.mean_curvature)
+        steps = self.n - 1 if system.ordering else 0
+        plan = ([(sig + 1, 0, promote(system.trace_target), 1.0),
+                 (sig + 2, 0, promote(system.sigma2_target), 1.0)]
+                + [(x + i, x + i + 1, 0.0, 1.0) for i in range(steps)])
+        for row, c in ([(x + sc.index - 1, sc) for sc in system.sign_constraints]
+                       + [(sig + ex.r, ex) for ex in system.extra_symmetric]):
+            lower, t = c.relation.bound(h)
+            plan.append((row, 0, t, -1.0 if lower else 1.0))
+        self.terms = len(plan)
+        a, b, target, sense = (np.array(v) for v in zip(*plan))
         self.whole = _Part(a, b, target[:, None], sense[:, None])
-        # The terms that can move along each free coordinate c: the
-        # equalities, the ordering steps x_{c-1} - x_c and x_c - x_{c+1}, the
-        # sign bounds on c and every sigma_r bound.  ``moving`` holds their
-        # ``excess`` columns.  Every other term has slope exactly 0 along c.
+        # The terms that can move along free coordinate c are those that read
+        # a sigma row or coordinate c; ``moving`` holds their ``excess``
+        # columns.  Every other term has slope exactly 0 along c.
         # ``parts[k]`` reads their offsets at x_c = 0 and then their slopes
         # along x_c, so that one gather gives the section (offsets first).
-        signs = 2 + self.steps
+        reads_sigma = (a >= sig) & (a < x)
         self.moving, self.parts = [], []
         for c in self.free0:
-            steps = range(max(c - 1, 0), min(c + 1, self.steps))
-            own = [signs + j for j, coord in enumerate(self.coords) if coord == c]
-            cols = np.array([0, 1, *(2 + i for i in steps), *own,
-                             *range(signs + len(self.coords), self.terms)])
+            cols = np.flatnonzero(reads_sigma | (a == x + c) | (b == x + c))
             moving = self.whole.take(cols)
             at_zero = np.arange(self.rows)
             at_zero[x + c] = 0
             self.moving.append(cols)
             self.parts.append(_Part.stack([moving.reading(at_zero), self.along(moving, c)]))
-        # The Jacobian gathers the slopes along free coordinate k from the
-        # k-th of a stack of workspaces.
-        self.slopes = _Part.stack([self.along(self.whole, c) for c in self.free0], self.rows)
+        # The Jacobian's workspace holds the points with x_k = 0 as column
+        # block k of d; read as d times as many rows of one block's width,
+        # row r of block k is row r * d + k.
+        d = len(self.free0)
+        self.slopes = _Part.stack([self.along(self.whole, c).reading(np.arange(self.rows) * d + k)
+                                   for k, c in enumerate(self.free0)]) if d else None
 
     def along(self, part: _Part, c: int) -> _Part:
         """The slopes of ``part`` along coordinate c."""
@@ -495,34 +493,29 @@ class _PenaltyEvaluator:
         """Upper bound on any term's |excess| while every |x_i| <= reach.
 
         |sigma_r| <= C(n, r) reach^r, and r = 1 also covers the ordering
-        steps and the sign bounds.  Products only, so a bound past the double
-        range reads as inf rather than raising.
+        steps and the sign bounds; the plan's largest |target| is added.
+        Products only, so a bound past the double range reads as inf rather
+        than raising.
         """
         power, largest = 1.0, 0.0
         for r in range(1, self.top + 1):
             power *= reach
             largest = max(largest, comb(self.n, r) * power)
-        return largest + max(abs(self.trace), abs(self.sigma2),
-                             float(np.abs(self.t).max(initial=0.0)))
+        return largest + float(np.abs(self.whole.target).max())
 
     def jacobian(self, x_free: np.ndarray) -> np.ndarray:
         """Slope of every term along every free coordinate: rows x terms x coords.
 
         The descent's section slopes (``tests/oracles.sections`` builds them
-        one coordinate at a time) for all coordinates at once: workspace k
-        of a stack holds the sigma values of the rows with x_k = 0, and one
-        gather reads every coordinate's slopes off its own workspace.  A
-        term that does not move along x_k has slope 0 there.
+        one coordinate at a time) for all coordinates at once: the points
+        tiled d times, block k with x_k = 0, make one workspace, and one
+        gather reads every coordinate's slopes off its own block.  A term
+        that does not move along x_k has slope 0 there.
         """
         m, d = x_free.shape
-        w = np.zeros((d, self.rows, m))
-        w[:, [self.sig, -1]] = 1.0
-        at_zero = np.repeat(x_free.T[None], d, axis=0)
-        at_zero[np.arange(d), np.arange(d)] = 0.0
-        e = w[:, self.sig:self.x]
-        for j in range(d):
-            e[:, 1:] += at_zero[:, j, None] * e[:, :-1]
-        slope = _terms(w.reshape(d * self.rows, m), self.slopes)
+        at_zero = np.tile(x_free, (d, 1))
+        at_zero.reshape(d, m, d)[np.arange(d), :, np.arange(d)] = 0.0
+        slope = _terms(self.workspace(at_zero).reshape(self.rows * d, m), self.slopes)
         return slope.reshape(d, self.terms, m).transpose(2, 1, 0)
 
 
@@ -654,11 +647,12 @@ _GN_ITERATIONS = 40  # lockstep Gauss-Newton iterations at most
 _ROUNDING_GAIN = 4 * np.finfo(float).eps  # a relative decrease this small is rounding
 
 
-def _gauss_newton_states(ev: _PenaltyEvaluator, x: np.ndarray,
+def _gauss_newton_states(ev: _PenaltyEvaluator, x: np.ndarray, fx: np.ndarray,
                          ranks: Optional[np.ndarray] = None):
-    # Runs Gauss-Newton on ``x`` in place and yields ``(x, penalties)``
-    # before each lockstep iteration and after the last, so that a caller
-    # can stop it early (``scan`` stops an EXACT system at the first pick
+    # Runs Gauss-Newton on ``x`` and its penalties ``fx`` in place, keeping
+    # fx[i] the bits of ev.penalty(x[i]), and yields ``(x, fx)`` before
+    # each lockstep iteration and after the last, so that a caller can stop
+    # it early (``scan`` stops an EXACT system at the first pick
     # that snaps to an exactly feasible point; ``tests/oracles.gauss_newton``
     # drains it).
     #
@@ -680,7 +674,6 @@ def _gauss_newton_states(ev: _PenaltyEvaluator, x: np.ndarray,
     # ranked after it stops too: a row at 0 never moves, rows never
     # interact, and the pick prefers that row to any of them, so the picked
     # row ends bit for bit where it ends without ``ranks``.
-    fx = ev.penalty(x)
     live = fx != 0.0
     for _ in range(_GN_ITERATIONS):
         yield x, fx
@@ -785,17 +778,22 @@ class _PrefixBound:
 
     A prefix fixes the first k free coordinates.  The penalty is a sum of
     non-negative terms, so the terms a prefix already fixes bound it from
-    below: the ordering steps within it and against pinned zeros, the sign
-    bounds on its coordinates, and the constant terms of the pinned
-    coordinates.  The trace term adds the distance of trace - (prefix sum)
-    from [r axes[0], r axes[-1]], the sums the r coordinates still free can
-    reach.  sigma_2 and the sigma_r bounds are left out.
+    below.  They are the plan's (``ev.whole``) terms on coordinate rows
+    alone with a free one among them: on one free coordinate the term
+    (w[a] - w[b] - t) s, every other row zero, tabulated over the axis
+    (``unary``); on two, the ordering step from the previous free one
+    (``linked``).  A term on pinned zeros alone is 0 there (all that
+    ``ConstraintSystem`` admits) and left out.  The trace term adds the
+    distance of trace - (prefix sum) from [r axes[0], r axes[-1]], the sums
+    the r coordinates still free can reach.  sigma_2 and the sigma_r bounds
+    are left out.
 
     The bound must never exceed the float penalty of a completion, or the
     grid could drop a cell that belongs in its top set:
 
-    - Each ordering and sign term is computed with the float operations of
-      ``excess`` and ``_sum_squares``, so it is bit-equal to the penalty's.
+    - Each ordering and sign term is the plan's term with the float
+      operations of ``excess`` and ``_sum_squares``, so it is bit-equal to
+      the penalty's by construction.
     - The prefix sum is accumulated in the order ``excess`` accumulates
       sigma_1, so with all d coordinates it is the penalty's sum.  With u =
       eps/2 and M = |trace| + d reach, the penalty's sum is within
@@ -814,29 +812,25 @@ class _PrefixBound:
 
     def __init__(self, ev: _PenaltyEvaluator, axes: np.ndarray):
         eps = float(np.finfo(float).eps)
-        self.axes, self.trace, self.d = axes, ev.trace, len(ev.free0)
+        plan = ev.whole
+        self.axes, self.trace, self.d = axes, float(plan.target[0, 0]), len(ev.free0)
         self.lo, self.hi = float(axes[0]), float(axes[-1])
         reach = max(abs(self.lo), abs(self.hi))
-        self.slack = (self.d + 4) * eps * (abs(ev.trace) + self.d * reach)
+        self.slack = (self.d + 4) * eps * (abs(self.trace) + self.d * reach)
         self.shrink = 1.0 - (ev.terms + 1) * eps
-        depth = {c: k for k, c in enumerate(ev.free0)}
-        self.const = 0.0
+        depth = {ev.x + c: k for k, c in enumerate(ev.free0)}
         self.unary = [np.zeros(len(axes)) for _ in ev.free0]
-        for c, sense, t in zip(ev.coords, ev.sense, ev.t):
-            if c in depth:
-                self.unary[depth[c]] += _clipped_square((axes - t) * sense)
-            else:
-                self.const += float(_clipped_square((0.0 - t) * sense))
         self.linked = [False] * self.d
-        if ev.steps:
-            for k, c in enumerate(ev.free0):
-                # step x_{c-1} - x_c: against a pinned zero, or against the
-                # previous free coordinate (``linked``); two pinned zeros give 0
-                if c > 0 and c - 1 not in depth:
-                    self.unary[k] += _clipped_square(0.0 - axes)
-                self.linked[k] = c > 0 and c - 1 in depth
-                if c < ev.n - 1 and c + 1 not in depth:
-                    self.unary[k] += _clipped_square(axes - 0.0)
+        for a, b, t, s in zip(plan.a.tolist(), plan.b.tolist(),
+                              plan.target[:, 0].tolist(), plan.sense[:, 0].tolist()):
+            if a < ev.x:
+                continue  # reads sigma values
+            if a in depth and b in depth:
+                self.linked[depth[b]] = True
+            elif a in depth:
+                self.unary[depth[a]] += _clipped_square((axes - 0.0 - t) * s)
+            elif b in depth:
+                self.unary[depth[b]] += _clipped_square((0.0 - axes - t) * s)
 
     def extend(self, k: int, sep, psum, last, j):
         """Append axis value ``j`` as free coordinate ``k`` to prefixes (broadcast).
@@ -890,7 +884,7 @@ def _cells_at_most(ev: _PenaltyEvaluator, axes: np.ndarray, cap: float):
     # a slice is ``width`` prefixes by ``step`` axis values, at most _GRID_SLICE rows
     step = min(size, _GRID_SLICE)
     width = _GRID_SLICE // step
-    level = (np.zeros(1, np.int64), np.full(1, bound.const), np.zeros(1), np.zeros(1))
+    level = (np.zeros(1, np.int64), np.zeros(1), np.zeros(1), np.zeros(1))
 
     def grow(k: int, part, start: int):
         flat, sep, psum, last = part
@@ -1025,14 +1019,18 @@ def scan(system: ConstraintSystem, budget: Optional[ScanBudget] = None,
         axis_points -= 1
     while (axis_points + 1) ** d <= budget.grid_points:
         axis_points += 1
-    axes = np.linspace(-box, box, axis_points) if box > 0 else np.zeros(axis_points)
     total = axis_points ** d
+    if total > np.iinfo(np.int64).max:  # the grid's flat cell indices are int64
+        raise DomainError(f"the scan's grid of {axis_points}^{d} cells cannot be indexed; "
+                          "scan fewer than 63 free coordinates")
+    axes = np.linspace(-box, box, axis_points) if box > 0 else np.zeros(axis_points)
     stats.update({"gridCells": total, "axisPoints": axis_points,
                   "coarseStarts": min(budget.polish_starts, total)})
 
     _, flat_polish, x_polish = _grid_top(ev, axes, budget.polish_starts)
     x_polish = _lockstep_descent(ev, x_polish, budget.polish_rounds, lo=lo, hi=hi)
-    states = _gauss_newton_states(ev, x_polish, ranks=flat_polish)  # updates x_polish
+    pen = ev.penalty(x_polish)
+    states = _gauss_newton_states(ev, x_polish, pen, ranks=flat_polish)  # updates both
     failed = None
     if system.regime is Regime.EXACT:
         # An exactly feasible snap has exact residual 0, which no later
@@ -1045,7 +1043,6 @@ def scan(system: ConstraintSystem, budget: Optional[ScanBudget] = None,
         failed = point
     for _ in states:
         pass
-    pen = ev.penalty(x_polish)
     best_idx = np.lexsort((flat_polish, pen))[0]
     best = x_polish[best_idx].copy()
     best_pen = float(pen[best_idx])

@@ -291,7 +291,7 @@ def gauss_newton(ev, x, ranks=None):
     from hypercurv.caseverify import _gauss_newton_states
 
     x = x.copy()
-    for _ in _gauss_newton_states(ev, x, ranks):
+    for _ in _gauss_newton_states(ev, x, ev.penalty(x), ranks):
         pass
     return x
 
@@ -387,47 +387,69 @@ def gauss_newton_states(ev, x, ranks=None):
     yield x, fx
 
 
+def search_bound(relation, h):
+    """``(sense, t)`` of a sign relation as the scan searches it: the excess
+    sense * (v - t) is positive exactly when v violates the relation, a
+    strict one held ``STRICT_MARGIN`` from zero.
+    """
+    from hypercurv.caseverify import STRICT_MARGIN
+
+    return {">=0": (-1.0, 0.0), "<=0": (1.0, 0.0), ">0": (-1.0, STRICT_MARGIN),
+            "<0": (1.0, -STRICT_MARGIN), ">=H": (-1.0, h)}[relation.value]
+
+
 def excess_and_jacobian(ev, x_free):
     """``ev.excess`` and ``ev.jacobian`` from the column-by-column encoding
-    that the workspace plan replaced: a degree-major sigma pass, the full
-    coordinates, and each kind of term written into its own columns; the
-    slopes from the sigma values one degree down and a unit row per
-    coordinate.  The excess is rows x terms, row-major; the Jacobian rows x
-    terms x coordinates.
+    that the workspace plan replaced, built from ``ev.system`` alone: a
+    degree-major sigma pass, the full coordinates, and each kind of term
+    written into its own columns; the slopes from the sigma values one
+    degree down and a unit row per coordinate.  The excess is rows x terms,
+    row-major; the Jacobian rows x terms x coordinates.
     """
     import numpy as np
 
+    system = ev.system
+    n, h = system.n, float(system.mean_curvature)
+    free0 = [i for i in range(n) if i + 1 not in system.fixed_zeros]
+    steps = n - 1 if system.ordering else 0
+    coords = [sc.index - 1 for sc in system.sign_constraints]
+    orders = [ex.r for ex in system.extra_symmetric]
+    searched = [search_bound(c.relation, h)
+                for c in system.sign_constraints + system.extra_symmetric]
+    sense, t = np.array([s for s, _ in searched]), np.array([v for _, v in searched])
+    top = max([2] + orders)
+
     def sigmas(x):
-        e = np.zeros((ev.top + 1, x.shape[0]))
+        e = np.zeros((top + 1, x.shape[0]))
         e[0] = 1.0
         for col in range(x.shape[1]):
             e[1:] += x[:, col] * e[:-1]
         return e
 
     def terms(e, rows, targets):
-        out = np.empty((e.shape[1], ev.terms))
+        out = np.empty((e.shape[1], 2 + steps + len(sense)))
         out[:, 0] = e[1]
         out[:, 1] = e[2]
         if targets:
-            out[:, 0] -= ev.trace
-            out[:, 1] -= ev.sigma2
-        np.subtract(rows[:, :ev.steps], rows[:, 1:ev.steps + 1], out=out[:, 2:2 + ev.steps])
-        bounds = out[:, 2 + ev.steps:]
-        bounds[:, :len(ev.coords)] = rows[:, ev.coords]
-        bounds[:, len(ev.coords):] = e[ev.orders].T
+            out[:, 0] -= float(system.trace_target)
+            out[:, 1] -= float(system.sigma2_target)
+        np.subtract(rows[:, :steps], rows[:, 1:steps + 1], out=out[:, 2:2 + steps])
+        bounds = out[:, 2 + steps:]
+        bounds[:, :len(coords)] = rows[:, coords]
+        bounds[:, len(coords):] = e[orders].T
         if targets:
-            bounds -= ev.t
-        bounds *= ev.sense
+            bounds -= t
+        bounds *= sense
         return out
 
     m, d = x_free.shape
-    full = np.zeros((m, ev.n))
-    full[:, ev.free0] = x_free
+    full = np.zeros((m, n))
+    full[:, free0] = x_free
     excess = terms(sigmas(x_free), full, True)
     at_zero = np.repeat(x_free[None], d, axis=0)
     at_zero[np.arange(d), :, np.arange(d)] = 0.0
     e = sigmas(at_zero.reshape(d * m, d))
     down = np.concatenate((np.zeros((1, e.shape[1])), e[:-1]))
-    units = np.repeat(np.eye(ev.n)[ev.free0], m, axis=0)
-    jacobian = terms(down, units, False).reshape(d, m, ev.terms).transpose(1, 2, 0)
+    units = np.repeat(np.eye(n)[free0], m, axis=0)
+    jacobian = terms(down, units, False).reshape(d, m, -1).transpose(1, 2, 0)
     return excess, jacobian

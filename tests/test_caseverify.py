@@ -410,6 +410,20 @@ class TestScan:
         with pytest.raises(DomainError, match="penalty can overflow a double"):
             scan(builtin_case("thm2-claim", H=10 ** 50), budget=small_budget(1000), seed=1)
 
+    @pytest.mark.parametrize("n", [63, 70])
+    def test_grid_past_the_flat_index_refused(self, n):
+        # two points per axis give 2^n cells, past the int64 flat index
+        with pytest.raises(DomainError, match="cannot be indexed"):
+            scan(ConstraintSystem(n, 1.0, 0.0), budget=small_budget(1000), seed=1)
+
+    def test_every_coordinate_pinned(self):
+        # no free coordinate: the one point is all zeros, feasible exactly
+        # when both targets are 0
+        for trace, status in ((0, "WITNESS"), (1, "NO_WITNESS")):
+            v = scan(ConstraintSystem(3, trace, 0, fixed_zeros={1, 2, 3}), seed=1)
+            assert v.status == status and v.best_point == (0.0, 0.0, 0.0)
+            assert v.stats["gridCells"] == 1
+
     @pytest.mark.parametrize("name", ["thm1-claim", "thm2-claim", "thm2-lambda2"])
     def test_excess_bound_covers_the_box(self, name):
         ev = _PenaltyEvaluator(builtin_case(name, H=Fraction(7, 3)))
@@ -628,7 +642,7 @@ class TestExcessKernel:
         monkeypatch.setattr(caseverify, "_exact_snap",
                             lambda ev, row: snaps.append(row.tobytes()) or snap(ev, row))
         found, exact = caseverify._first_exact_pick(
-            ev, caseverify._gauss_newton_states(ev, x.copy(), ranks=ranks), ranks)
+            ev, caseverify._gauss_newton_states(ev, x.copy(), ev.penalty(x), ranks=ranks), ranks)
         np.testing.assert_array_equal(found, (0.0, 2.0, 2.0))
         assert exact and seen == [] and len(snaps) == 1
 
@@ -636,11 +650,11 @@ class TestExcessKernel:
         x = np.delete(x, 2, axis=0)
         ranks = np.arange(5)
         picks, snaps[:] = [], []
-        for y, fy in caseverify._gauss_newton_states(ev, x.copy(), ranks=ranks):
+        for y, fy in caseverify._gauss_newton_states(ev, x.copy(), ev.penalty(x), ranks=ranks):
             i = np.lexsort((ranks, fy))[0]
             picks.append((i, y[i].tobytes()))
         failed, exact = caseverify._first_exact_pick(
-            ev, caseverify._gauss_newton_states(ev, x.copy(), ranks=ranks), ranks)
+            ev, caseverify._gauss_newton_states(ev, x.copy(), ev.penalty(x), ranks=ranks), ranks)
         distinct = [p for k, p in enumerate(picks) if k == 0 or p != picks[k - 1]]
         assert snaps == [row for _, row in distinct]
         assert not exact and failed.tobytes() == snaps[-1]
@@ -658,17 +672,23 @@ class TestExcessKernel:
             yield ev, np.random.default_rng(i).uniform(-box, box, size=(30, len(ev.free0)))
 
     def test_moving_terms_match_sections(self):
-        # A term left out of ``moving[k]`` has slope exactly 0 along x_k; the
-        # trace has slope 1, the ordering steps on x_k exactly +-1 and its
-        # sign bounds exactly their ``sense``.  ``sections`` gives the
-        # Jacobian's slopes on the moving columns, and its offsets are the
-        # moving terms at x_k = 0.
+        # ``moving[k]`` is the equalities, the ordering steps on x_k, its
+        # sign bounds and every sigma_r bound, in column order.  A term left
+        # out of it has slope exactly 0 along x_k; the trace has slope 1,
+        # the ordering steps on x_k exactly +-1 and its sign bounds exactly
+        # their sense.  ``sections`` gives the Jacobian's slopes on the
+        # moving columns, and its offsets are the moving terms at x_k = 0.
         for ev, x in self.systems_and_points():
+            system = ev.system
             jac = ev.jacobian(x)
-            signs = 2 + ev.steps
+            signs = 2 + (system.n - 1 if system.ordering else 0)
+            coords = [sc.index - 1 for sc in system.sign_constraints]
+            h = float(system.mean_curvature)
             for k, (c, moving) in enumerate(zip(ev.free0, ev.moving)):
-                assert list(moving[:2]) == [0, 1]
-                assert np.all(np.diff(moving) > 0)
+                assert list(moving) == [
+                    0, 1, *(2 + i for i in range(max(c - 1, 0), min(c + 1, signs - 2))),
+                    *(signs + j for j, coord in enumerate(coords) if coord == c),
+                    *range(signs + len(coords), ev.terms)]
                 still = np.setdiff1d(np.arange(ev.terms), moving)
                 assert np.all(jac[:, still, k] == 0.0)
                 slope, offset = oracles.sections(ev, x, k)
@@ -681,24 +701,28 @@ class TestExcessKernel:
                     if col < signs:
                         step = col - 2  # x_step - x_{step+1}
                         assert np.all(jac[:, col, k] == (1.0 if step == c else -1.0))
-                    elif col < signs + len(ev.coords):
-                        assert ev.coords[col - signs] == c
-                        assert np.all(jac[:, col, k] == ev.sense[col - signs])
+                    elif col < signs + len(coords):
+                        assert coords[col - signs] == c
+                        sense, _ = oracles.search_bound(
+                            system.sign_constraints[col - signs].relation, h)
+                        assert np.all(jac[:, col, k] == sense)
 
     def test_sigma_slopes_match_the_other_coordinates(self):
         # sigma_r(x) = x_k sigma_{r-1}(x without k) + sigma_r(x without k):
         # the sigma_2 slope is sigma_1 of the other coordinates and each
         # sigma_r bound's is sense * sigma_{r-1}, against spectrum.sigma.
         for ev, x in self.systems_and_points():
+            system = ev.system
             jac = ev.jacobian(x)
-            bounds = 2 + ev.steps + len(ev.coords)
+            bounds = ev.terms - len(system.extra_symmetric)
+            senses = [oracles.search_bound(ex.relation, 0.0)[0] for ex in system.extra_symmetric]
             for i, row in enumerate(ev.full(x).tolist()):
                 for k, c in enumerate(ev.free0):
                     rest = row[:c] + row[c + 1:]
                     scale = 1.0 + sum(abs(v) for v in rest) ** (ev.top - 1)
                     want = [sigma(rest, 1)] + [
-                        sense * sigma(rest, r - 1) if r > 1 else sense
-                        for r, sense in zip(ev.orders, ev.sense[len(ev.coords):])]
+                        sense * sigma(rest, ex.r - 1) if ex.r > 1 else sense
+                        for ex, sense in zip(system.extra_symmetric, senses)]
                     got = [jac[i, 1, k]] + list(jac[i, bounds:, k])
                     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * scale)
 
@@ -984,15 +1008,16 @@ class TestPinnedGaussNewton:
 
     @staticmethod
     def assert_same_states(ev, x, ranks):
-        # Returns whether some row tried more than halving 0: each iteration
-        # that evaluates a trial is followed by a state, so more penalty
-        # calls than states means some iteration made two.
+        # Returns whether some row tried more than halving 0: the starting
+        # penalties and each iteration that evaluates a trial are followed by
+        # a state, so more penalty calls than states means some iteration
+        # made two.
         calls = []
         penalty = ev.penalty
         ev.penalty = lambda rows: calls.append(len(rows)) or penalty(rows)
         try:
-            got = [(y.tobytes(), fy.tobytes())
-                   for y, fy in caseverify._gauss_newton_states(ev, x.copy(), ranks)]
+            got = [(y.tobytes(), fy.tobytes()) for y, fy in
+                   caseverify._gauss_newton_states(ev, x.copy(), ev.penalty(x), ranks)]
         finally:
             del ev.penalty
         want = [(y.tobytes(), fy.tobytes())
@@ -1024,6 +1049,24 @@ class TestPinnedGaussNewton:
         retried = [self.assert_system(_random_float_system(rng, free), seed=i) for i in range(4)]
         assert any(retried)  # the later halvings ran
 
+    @pytest.mark.parametrize("kind", ["builtins", "float-systems"])
+    def test_yielded_penalties_are_the_rows_penalties(self, kind):
+        # The scan ranks its rows by the penalties Gauss-Newton updates in
+        # place, so each must be, byte for byte, the penalty of its row.
+        rng = random.Random(31)
+        systems = ([builtin_case(name, H=H) for name in BUILTIN_CASES
+                    for H in (Fraction(3, 4), 1, 1000)] if kind == "builtins" else
+                   [_random_float_system(rng, free) for free in (1, 4, 9) for _ in range(4)])
+        states = 0
+        for i, system in enumerate(systems):
+            ev, batches = self.batches(system, seed=i)
+            for x, ranks in batches:
+                for r in (None, ranks):
+                    for y, fy in caseverify._gauss_newton_states(ev, x.copy(), ev.penalty(x), r):
+                        assert fy.tobytes() == ev.penalty(y).tobytes()
+                        states += 1
+        assert states > 4 * len(systems)
+
 
 def _grid(system, points):
     # the scan's axes: `points` values across [-|A|, |A|]
@@ -1053,6 +1096,23 @@ def _assert_top(ev, axes, keep):
     np.testing.assert_array_equal(cells, _grid_cells(axes, len(ev.free0), want_flat))
 
 
+def _pinned_sign_systems():
+    # Terms on pinned zeros alone, which the prefix bound leaves out: >=0
+    # and <=0 on pinned zeros, >=H on a pinned zero at H < 0, and ordering
+    # steps between adjacent pinned zeros; ordered and unordered, EXACT and
+    # FLOAT, with sign bounds on free coordinates too.
+    ge, le, ge_h = Relation.GE_ZERO, Relation.LE_ZERO, Relation.GE_H
+    for ordering in (True, False):
+        yield ConstraintSystem(
+            7, Fraction(-7, 2), -2, fixed_zeros={2, 3, 5}, ordering=ordering,
+            sign_constraints=tuple(SignConstraint(i, rel) for i, rel in (
+                (2, ge), (3, le), (5, ge_h), (1, le), (7, ge_h))))
+        yield ConstraintSystem(
+            5, -1.25, -3.0, fixed_zeros={1, 2, 5}, ordering=ordering,
+            sign_constraints=tuple(SignConstraint(i, rel) for i, rel in (
+                (1, ge_h), (2, le), (2, ge), (5, le), (4, Relation.GT_ZERO))))
+
+
 class TestPrunedGrid:
     """The pruned grid keeps the same cells as evaluating and sorting all of them."""
 
@@ -1072,6 +1132,12 @@ class TestPrunedGrid:
                              max(3, round(100_000 ** (1 / free))))
             _assert_top(ev, axes, keep)
 
+    def test_pinned_sign_systems_match_the_full_grid(self):
+        for system in _pinned_sign_systems():
+            ev, axes = _grid(system, {2: 300, 4: 17}[len(_PenaltyEvaluator(system).free0)])
+            for keep in (64, 777):
+                _assert_top(ev, axes, keep)
+
     @pytest.mark.parametrize("free, points", [(1, 60_001), (2, 251), (3, 41)])
     def test_slices_hold_at_most_grid_slice_rows(self, monkeypatch, free, points):
         # an axis longer than a slice is split across slices, so no penalty
@@ -1088,12 +1154,19 @@ class TestPrunedGrid:
         np.testing.assert_array_equal(got_pen[order], pen)
         assert max(rows) <= 64
 
-    @pytest.mark.parametrize("name", BUILTIN_CASES)
+    @pytest.mark.parametrize("name", [*BUILTIN_CASES, "one-free"])
     def test_peak_memory_at_a_million_cells(self, name):
         # the slice size bounds the grid's working set; 2^17-row slices
-        # peak near 14 MB here
-        system = builtin_case(name)
-        ev, axes = _grid(system, {3: 100, 4: 31}[len(_PenaltyEvaluator(system).free0)])
+        # peak near 14 MB here.  With one free coordinate the axis is the
+        # million cells, and the prefix bound tabulates its terms over it
+        # (about 32.5 MB here, several 8 MB arrays).
+        if name == "one-free":
+            system = ConstraintSystem(3, 1, -1, fixed_zeros={1, 3}, sign_constraints=(
+                SignConstraint(2, Relation.GE_H),))
+        else:
+            system = builtin_case(name)
+        points = {1: 1_000_000, 3: 100, 4: 31}[len(_PenaltyEvaluator(system).free0)]
+        ev, axes = _grid(system, points)
         keep = len(axes) ** len(ev.free0) // 100
         tracemalloc.start()
         try:
@@ -1101,7 +1174,7 @@ class TestPrunedGrid:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8_000_000
+        assert peak <= (40_000_000 if name == "one-free" else 8_000_000)
 
     def test_ties_straddling_keep_break_by_flat_index(self):
         # No ordering and no sign terms: the penalty is symmetric in the four
@@ -1149,7 +1222,8 @@ def _tight_system(rng, free):
     cell = np.array([rng.randrange(9) for _ in range(free)])
     ex = ev.excess(axes[cell][None, :])[0]
     system = ConstraintSystem(
-        system.n, ev.trace + ex[0], ev.sigma2 + ex[1], fixed_zeros=system.fixed_zeros,
+        system.n, system.trace_target + ex[0], system.sigma2_target + ex[1],
+        fixed_zeros=system.fixed_zeros,
         ordering=system.ordering, sign_constraints=system.sign_constraints,
         extra_symmetric=system.extra_symmetric)
     return system, axes, cell
@@ -1163,7 +1237,7 @@ class TestPrefixBound:
         bound = _PrefixBound(ev, axes)
         pen = ev.penalty(axes[idx])
         m = len(idx)
-        sep, psum, last = np.full(m, bound.const), np.zeros(m), np.zeros(m)
+        sep, psum, last = np.zeros(m), np.zeros(m), np.zeros(m)
         for k in range(len(ev.free0)):
             sep, psum, last, low = bound.extend(k, sep, psum, last, idx[:, k])
             assert np.all(low <= pen), (k, np.max(low - pen))
@@ -1183,6 +1257,18 @@ class TestPrefixBound:
                 ev, axes = _grid(_random_float_system(rng, free), 25)
                 cells = np.random.default_rng(free).integers(0, 25, size=(2000, free))
                 self.assert_bounds(ev, axes, cells)
+
+    def test_pinned_sign_systems(self):
+        # The terms on pinned zeros alone, which the bound leaves out, are
+        # never violated, and the bound still stays at or below the penalty.
+        for i, system in enumerate(_pinned_sign_systems()):
+            ev, axes = _grid(system, 25)
+            plan, free = ev.whole, ev.x + np.array(ev.free0)
+            pinned = (plan.a >= ev.x) & ~np.isin(plan.a, free) & ~np.isin(plan.b, free)
+            assert pinned.sum() >= 3
+            cells = np.random.default_rng(i).integers(0, 25, size=(3000, len(ev.free0)))
+            assert np.all(ev.excess(axes[cells])[:, pinned] <= 0.0)
+            self.assert_bounds(ev, axes, cells)
 
     def test_cells_where_only_separable_terms_remain(self):
         # the bound is not slack here: it meets the penalty up to the

@@ -397,6 +397,17 @@ class TestErrors:
         assert captured.out == ""
         assert "penalty can overflow a double" in captured.err
 
+    def test_scan_grid_past_the_flat_index(self, capsys, tmp_path):
+        # 63 free coordinates keep two points per axis: 2^63 cells
+        sysfile = tmp_path / "sys.json"
+        sysfile.write_text(json.dumps({"n": 63, "traceTarget": "1", "sigma2Target": "0"}))
+        assert cli.run(["scan", "--system", str(sysfile), "--seed", "1",
+                        "--budget", "1000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("hypercurv: error:") and captured.err.count("\n") == 1
+        assert "cannot be indexed" in captured.err
+
     @pytest.mark.parametrize("argv, message", [
         (["scan", "--case", "thm1-lambda2", "--seed", "1", "--budget", "20000",
           "--tol", "nan"], "tol must be finite"),
