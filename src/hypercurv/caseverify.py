@@ -75,7 +75,6 @@ from .scalars import (
     promote,
 )
 from . import spectrum
-from .spectrum import sigma
 
 STRICT_MARGIN = 1e-6  # strict inequalities are searched as >= this margin
 
@@ -1077,7 +1076,8 @@ class _Case:
     """A built-in case: its shape, recorded witness and optional certificate.
 
     ``witness`` is in units of H, ``None`` for NO_WITNESS.  A certificate is
-    its value ``value(x, trace, s2)``; an ``audit(x, E, s2, h)`` giving one
+    its value ``value(x, trace, s2, regime)`` at a point ``x`` already in
+    ``regime``; an ``audit(x, E, s2, h)`` giving one
     sample's identity and margin terms (0.0 and inf where a term does not
     apply); the ``drawn`` coordinates of its samples, first at ``anchor``
     (units of H); and the ``detail`` of a pass.
@@ -1096,21 +1096,22 @@ class _Case:
     detail: str = ""
 
 
-def _pinned_identity(x, trace, s2):
+def _pinned_identity(x, trace, s2, regime):
     # E = (x_4 - 2H)^2 + (sigma_2(x) - 4H^2) - x_1 x_3, with sigma_2 read off
     # the point.  E vanishes identically on the set {x_2 = 0, sum x_i = 4H}
     # (where sigma_2(x) - 4H^2 = 6(R - (2/3)H^2)); every term is zero at the
     # witness, and E = 2H^2 at the umbilic point.
     h = trace / 4
     gap = x[3] - 2 * h
-    return gap * gap + (sigma(x, 2) - 4 * h * h) - x[0] * x[2]
+    s2x, = spectrum._sigma_values(x, regime, (2,))
+    return gap * gap + (s2x - 4 * h * h) - x[0] * x[2]
 
 
-def _sigma3_squeeze(x, trace, s2):
+def _sigma3_squeeze(x, trace, s2, regime):
     # E = max(10RH - sigma_3, sigma_3), the gap of the two-sided squeeze: the
     # premise forces sigma_3 >= 10RH and sigma_3 <= 0 simultaneously, so
     # E >= 5RH > 0 certifies infeasibility.
-    s3 = sigma(x, 3)
+    s3, = spectrum._sigma_values(x, regime, (3,))
     return max(s2 * (trace / 5) - s3, s3)
 
 
@@ -1120,7 +1121,7 @@ _CASES: Dict[str, _Case] = {
     # contradicting x_2 <= 0: no witness exists.
     "thm1-claim": _Case(
         n=4, ratio=Fraction(2, 3), fixed=3, signs=((4, Relation.GE_H),),
-        value=lambda x, trace, s2: trace * x[1] - s2,
+        value=lambda x, trace, s2, regime: trace * x[1] - s2,
         audit=lambda x, e, s2, h: (abs(e - (x[1] * x[1] - x[0] * x[3])), x[0] * x[3]),
         drawn=(2,), anchor=(2,),
         detail="x_1 x_4 stays non-negative on the equality set, so the sign "
@@ -1212,8 +1213,10 @@ def expected_outcome(system: ConstraintSystem) -> Optional[ExpectedOutcome]:
 
 
 def has_certificate(system: ConstraintSystem) -> bool:
+    # A certificate is derived for its case's n; a system that only borrows
+    # the name has none.
     case = _CASES.get(system.name or "")
-    return case is not None and case.value is not None
+    return case is not None and case.value is not None and system.n == case.n
 
 
 def _certified(system: ConstraintSystem) -> _Case:
@@ -1238,7 +1241,7 @@ def closed_form_contradiction(system: ConstraintSystem, point: Sequence[Scalar])
     regime = common_regime(x)
     x = tuple(coerce(v, regime) for v in x)
     return _certified(system).value(
-        x, coerce(system.trace_target, regime), coerce(system.sigma2_target, regime))
+        x, coerce(system.trace_target, regime), coerce(system.sigma2_target, regime), regime)
 
 
 @dataclass(frozen=True)
@@ -1334,7 +1337,7 @@ def certificate_check(system: ConstraintSystem, seed: int = 0, count: int = 1000
         viol = max(_violations(system, x, Regime.FLOAT).values())
         if viol <= tol:
             feasible += 1
-        value = case.value(x, trace, s2)
+        value = case.value(x, trace, s2, Regime.FLOAT)
         identity, gap = case.audit(x, value, s2, h)
         identity_residual = max(identity_residual, identity)
         margin = min(margin, gap)

@@ -242,11 +242,28 @@ class ClassificationVerdict(JsonRecord):
     tolerance: Optional[float]
 
 
+def _nearest_rung(n: int, ratio: Fraction) -> Tuple[int, Fraction]:
+    # The first k with the least |ratio - ladder_ratio(n, k)|, and that gap.
+    # The gap to rung k is num_k / (q k m) with m = n - 1, so |gap_k| <
+    # |gap_best| is |num_k| best < |num_best| k once q m > 0 cancels.
+    p, q, m = ratio.numerator, ratio.denominator, n - 1
+    best, best_num = 1, p * m
+    for k in range(2, n + 1):
+        num = p * k * m - q * n * (k - 1)
+        if abs(num) * best < abs(best_num) * k:
+            best, best_num = k, num
+    return best, Fraction(best_num, q * best * m)
+
+
 def classify(n: int, H: Scalar, R: Scalar, tol: Optional[float] = None) -> ClassificationVerdict:
     """Match (H, R) against the dimension-n ladder.
 
-    With ``tol=None`` the comparison is exact and requires rational inputs.
-    With a float tolerance the ratio comparison is |R/H^2 - rung| <= tol.
+    With ``tol=None`` the comparison is exact and requires rational inputs;
+    it runs in integers: with R/H^2 = p/q, the gap to rung k is
+    (p k(n-1) - q n(k-1)) / (q k(n-1)), the nearest rung is found by
+    cross-multiplying those numerators, and only the reported ``gap`` is
+    built as a ``Fraction``.  With a float tolerance the ratio comparison is
+    |R/H^2 - rung| <= tol.  Either way a tie in |gap| goes to the smaller k.
     """
     if n < 3:
         raise DomainError(f"classification covers n >= 3, got n={n}")
@@ -262,13 +279,14 @@ def classify(n: int, H: Scalar, R: Scalar, tol: Optional[float] = None) -> Class
     if H == 0:
         raise DomainError("classification needs H != 0")
     ratio = R / (H * H)
-    signed_gaps = {
-        k: ratio - (r if regime is Regime.EXACT else promote(r))
-        for k, r in scalar_ladder(n)
-    }
-    nearest_k = min(signed_gaps, key=lambda k: (abs(signed_gaps[k]), k))
-    gap = signed_gaps[nearest_k]
-    hit = gap == 0 if regime is Regime.EXACT else abs(gap) <= tol
+    if regime is Regime.EXACT:
+        nearest_k, gap = _nearest_rung(n, ratio)
+        hit = gap == 0
+    else:
+        signed_gaps = {k: ratio - promote(r) for k, r in scalar_ladder(n)}
+        nearest_k = min(signed_gaps, key=lambda k: (abs(signed_gaps[k]), k))
+        gap = signed_gaps[nearest_k]
+        hit = abs(gap) <= tol
     return ClassificationVerdict(
         n=n, H=H, ratio=ratio, on_ladder=hit,
         k=nearest_k if hit else None,

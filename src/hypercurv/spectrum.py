@@ -21,7 +21,10 @@ tr A^3 = tr phi^3 + 3 H |phi|^2 + n H^3, and tests compare with ``==``.
 One lifted kernel serves both regimes.  A spectrum is lifted once, not once
 per call: its first ``invariants``, ``tr_a3_sides`` or ``newton_eigenvalues``
 call computes numerators a_i = lambda_i D over a common denominator D and
-every e_r(a), r = 0..n, and the spectrum keeps them for the later calls.
+every e_r(a), r = 0..n, and the spectrum keeps them for the later calls.  It
+also keeps the integer Newton rows q_{r,i} = p_{r,i} D^r, extended on demand
+up to the highest r asked for so far, so asking for every P_r runs the
+recursion once, not once per r.  The outputs are still built per call.
 Every sum, product and recursion runs on the a_i, and each call builds each
 of its output values once, as a numerator over the matching power of D.  In
 EXACT, D is the lcm of the lambda_i denominators, the a_i are plain ``int``
@@ -66,12 +69,14 @@ class CurvatureSpectrum:
     an explicit promotion of exact inputs.
 
     Only ``__init__`` assigns ``lambdas``, ``c`` and ``regime``.  The lifted
-    kernel kept in ``_kernel`` relies on that: the first kernel call runs
-    the full sigma pass and stores it there, and later calls read it.
-    Equality, hashing, ``repr`` and JSON ignore it.
+    kernel kept in ``_kernel`` and the Newton rows kept in ``_rows`` rely on
+    that: the first kernel call runs the full sigma pass and stores it
+    there, ``newton_eigenvalues`` replaces ``_rows`` with a longer tuple when
+    it needs a higher row, and later calls read both.  Equality, hashing,
+    ``repr`` and JSON ignore them.
     """
 
-    __slots__ = ("lambdas", "c", "regime", "_kernel")
+    __slots__ = ("lambdas", "c", "regime", "_kernel", "_rows")
 
     def __init__(self, lambdas: Sequence[Scalar], c: Scalar = 0, regime=None):
         values = tuple(lambdas)
@@ -84,6 +89,7 @@ class CurvatureSpectrum:
         self.c: Scalar = coerce(c, declared)
         self.regime: Regime = declared
         self._kernel: Optional[tuple] = None
+        self._rows: Tuple[list, ...] = ()
 
     @property
     def n(self) -> int:
@@ -297,13 +303,22 @@ def newton_eigenvalues(spectrum: CurvatureSpectrum, r: int) -> Tuple[Scalar, ...
     n = spectrum.n
     if not 0 <= r <= n:
         raise DomainError(f"Newton transformation P_{r} undefined for n={n}")
-    # q_{r,i} = p_{r,i} D^r obeys q_{r,i} = E_r - a_i q_{r-1,i}.
+    # q_{r,i} = p_{r,i} D^r obeys q_{r,i} = E_r - a_i q_{r-1,i}.  Row r reads
+    # only E_1..E_r, so in FLOAT a non-finite sigma_j reaches only rows j and
+    # up, and only an output built from such a row raises.
     a, D, over, E = _lifted(spectrum)
-    q = [1] * n
-    for j in range(1, r + 1):
-        q = [E[j] - a[i] * q[i] for i in range(n)]
+    rows = spectrum._rows
+    if len(rows) <= r:
+        # Grow a copy and store it whole, so no reader sees a half-built table.
+        grown = list(rows) or [[1] * n]
+        q = grown[-1]
+        for j in range(len(grown), r + 1):
+            e = E[j]
+            q = [e - v * p for v, p in zip(a, q)]
+            grown.append(q)
+        rows = spectrum._rows = tuple(grown)
     den = D ** r
-    return tuple(over(v, den) for v in q)
+    return tuple([over(v, den) for v in rows[r]])
 
 
 @dataclass(frozen=True)

@@ -168,6 +168,33 @@ def cholesky_curvatures(patch, cond_limit=1e8):
     return np.linalg.eigvalsh(np.linalg.solve(chol, half.T))
 
 
+def classify_by_fraction_gaps(n, H, R):
+    """EXACT ``cylinders.classify`` by ``Fraction`` subtraction against every
+    rung of the ladder, the nearest rung by ``(abs(gap), k)``: the rule the
+    integer cross-multiplication of ``classify`` replaced.
+    """
+    from hypercurv.cylinders import (
+        ClassificationVerdict,
+        cylinder_from_H,
+        rigidity_annotation,
+        scalar_ladder,
+    )
+
+    H, R = Fraction(H), Fraction(R)
+    ratio = R / (H * H)
+    signed_gaps = {k: ratio - rung for k, rung in scalar_ladder(n)}
+    nearest_k = min(signed_gaps, key=lambda k: (abs(signed_gaps[k]), k))
+    gap = signed_gaps[nearest_k]
+    hit = gap == 0
+    return ClassificationVerdict(
+        n=n, H=H, ratio=ratio, on_ladder=hit,
+        k=nearest_k if hit else None,
+        model=cylinder_from_H(n, nearest_k, H) if hit else None,
+        nearest_k=nearest_k, gap=gap,
+        annotation=rigidity_annotation(n, nearest_k), tolerance=None,
+    )
+
+
 def certificate_samples_per_draw(system, seed=0, count=1000):
     """The per-draw loop that the block sampler of ``certificate_samples``
     replaced: one ``rng.uniform`` call and one Python-float completion per

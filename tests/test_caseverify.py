@@ -1313,6 +1313,34 @@ class TestCertificates:
             value = closed_form_contradiction(s, x)
             assert value == pytest.approx(x[1] * x[1] - x[0] * x[3], abs=1e-9)
 
+    @pytest.mark.parametrize("name", ["thm1-lambda2", "thm2-claim"])
+    def test_closed_form_sigmas_match_the_public_sigma(self, name):
+        # The certificates read sigma_r through the regime-known body; the
+        # values equal those from the public ``sigma`` bit for bit.
+        s = builtin_case(name)
+        points = certificate_samples(s, seed=3, count=40)
+        points += [tuple(Fraction(v).limit_denominator(50) for v in x) for x in points[:10]]
+        for x in points:
+            num = type(x[0])
+            trace, s2 = num(s.trace_target), num(s.sigma2_target)
+            if name == "thm1-lambda2":
+                h = trace / 4
+                gap = x[3] - 2 * h
+                expected = gap * gap + (sigma(x, 2) - 4 * h * h) - x[0] * x[2]
+            else:
+                expected = max(s2 * (trace / 5) - sigma(x, 3), sigma(x, 3))
+            assert repr(closed_form_contradiction(s, x)) == repr(expected), x
+
+    def test_borrowed_name_has_no_certificate(self):
+        # A certificate holds for its case's n only.
+        s = ConstraintSystem(n=3, trace_target=Fraction(3), sigma2_target=Fraction(3),
+                             name="thm2-claim")
+        assert not has_certificate(s)
+        with pytest.raises(UnsupportedCaseError):
+            closed_form_contradiction(s, (0, 1, 2))
+        with pytest.raises(UnsupportedCaseError):
+            certificate_check(s, count=10)
+
     def test_unsupported_cases_raise(self):
         with pytest.raises(UnsupportedCaseError):
             closed_form_contradiction(builtin_case("thm2-lambda3"), (0,) * 5)

@@ -1,9 +1,11 @@
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import oracles
 from hypercurv.cylinders import (
     CylinderModel,
     classify,
@@ -166,6 +168,32 @@ class TestClassify:
         v = classify(4, Fraction(-1), Fraction(2, 3))
         assert v.on_ladder and v.k == 2
         assert v.model.radius == Fraction(1, 2)
+
+    @pytest.mark.parametrize("kind", ["random", "rung", "midpoint"])
+    def test_exact_matches_the_fraction_gap_rule(self, kind):
+        # Random (H, R) of both signs, every rung exactly, and every midpoint
+        # between adjacent rungs, where the two gaps tie and the smaller k
+        # must win.
+        rng = random.Random(f"classify-{kind}")
+        for n in range(3, 13):
+            rungs = [r for _, r in scalar_ladder(n)]
+            if kind == "random":
+                ratios = [Fraction(rng.randint(-300, 300), rng.randint(1, 120))
+                          for _ in range(60)]
+            elif kind == "rung":
+                ratios = rungs
+            else:
+                ratios = [(lo + hi) / 2 for lo, hi in zip(rungs, rungs[1:])]
+            for j, ratio in enumerate(ratios):
+                H = Fraction(rng.choice([-1, 1]) * rng.randint(1, 50), rng.randint(1, 50))
+                R = ratio * H * H
+                v = classify(n, H, R)
+                assert json.dumps(v.to_json_dict()) == json.dumps(
+                    oracles.classify_by_fraction_gaps(n, H, R).to_json_dict()), (n, H, R)
+                if kind == "rung":
+                    assert v.on_ladder and v.k == j + 1 and v.gap == 0
+                elif kind == "midpoint":
+                    assert not v.on_ladder and v.nearest_k == j + 1
 
 
 class TestRigidityNotes:

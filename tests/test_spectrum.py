@@ -449,10 +449,12 @@ class TestLiftMemo:
             assert _fingerprint(call(promoted)) == _fingerprint(call(float_fresh)), key
 
     @pytest.mark.parametrize("failing", [
-        invariants, tr_a3_sides, lambda t: newton_eigenvalues(t, 2)],
-        ids=["invariants", "tr_a3_sides", "P_2"])
+        invariants, tr_a3_sides, lambda t: newton_eigenvalues(t, 2),
+        lambda t: newton_eigenvalues(t, t.n)],
+        ids=["invariants", "tr_a3_sides", "P_2", "P_n"])
     def test_a_failed_call_leaves_the_kernel_usable(self, failing):
-        # sigma_2 = 1e310 overflows, sigma_1 = 2e155 does not
+        # sigma_2 = 1e310 overflows, sigma_1 = 2e155 does not; a failed P_r
+        # keeps its rows, and P_1 and P_0 read theirs afterwards.
         t = CurvatureSpectrum([1e155, 1e155, 0.0])
         with pytest.raises(DomainError, match="not a finite number"):
             failing(t)
@@ -460,6 +462,20 @@ class TestLiftMemo:
         with pytest.raises(DomainError, match="not a finite number"):
             failing(t)
         assert newton_eigenvalues(t, 0) == (1.0, 1.0, 1.0)
+
+    def test_newton_rows_in_either_order_match_the_subsets(self):
+        vals = _lift_cases()[5]  # n = 12 over twelve prime denominators
+        lam = sorted(vals)
+        n = len(lam)
+        expected = [tuple(oracles.newton_eigenvalue_subsets(lam, r, i) for i in range(n))
+                    for r in range(n + 1)]
+        s = CurvatureSpectrum(vals)
+        for r in [*range(n, -1, -1), *range(n + 1)]:
+            assert newton_eigenvalues(s, r) == expected[r], r
+        # P_1 on a fresh spectrum computes rows 0 and 1 only.
+        fresh = CurvatureSpectrum(vals)
+        assert newton_eigenvalues(fresh, 1) == expected[1]
+        assert len(fresh._rows) == 2
 
     @pytest.mark.parametrize("regime", [Regime.EXACT, Regime.FLOAT])
     def test_one_lift_per_spectrum(self, monkeypatch, regime):
