@@ -861,7 +861,20 @@ class _PrefixBound:
 # 2^13 to 2^15 are within noise of each other (other seeds order them
 # differently); 2^15 is the largest of them.
 _GRID_SLICE = 1 << 15
-_SAMPLE_CELLS = 20_000  # least size of the strided sample that sets the first threshold
+# Cells in the random sample that sets the first threshold; a grid of at
+# most this many cells is evaluated whole.  ``_grid_top`` at keep = 64 over
+# the 50 built-in grids of case-scans seeds 1-10 (1M cells) and the 50
+# custom-scans systems of those seeds (512 to 16 807 cells): total time
+# (process time, best of 5), penalty rows per grid and tracemalloc peak
+# (2-core x86-64 box):
+#   cells    built-ins                         custom systems
+#   1 000    167 ms   3.5-21.2k rows  2.0 MB    31 ms  0.5-3.3k rows   0.8 MB
+#   2 000    137 ms   2.4-10.2k rows  1.8 MB    40 ms  0.5-3.9k rows   0.9 MB
+#   4 000    170 ms   4.4-9.1k rows   1.8 MB    64 ms  0.5-5.1k rows   1.0 MB
+#   20 000   283 ms  20.4-25.4k rows  2.0 MB   131 ms  0.5-16.8k rows  1.7 MB
+# A strided sample of 20 000 cells and a cap that never falls read 333 ms,
+# 20.6-29.0k rows and 2.6 MB on the built-ins.
+_SAMPLE_CELLS = 2_000
 _SAMPLE_MARGIN = 1.25  # first threshold: this times the sample's keep/total quantile
 
 
@@ -869,67 +882,87 @@ def _grid_cells(axes: np.ndarray, d: int, flat: np.ndarray) -> np.ndarray:
     return axes[np.stack(np.unravel_index(flat, (len(axes),) * d), axis=1)]
 
 
-def _cells_at_most(ev: _PenaltyEvaluator, axes: np.ndarray, cap: float):
-    """Penalty and flat index of every grid cell whose penalty is <= ``cap``.
+def _cells_at_most(ev: _PenaltyEvaluator, axes: np.ndarray, cap: float,
+                   keep: Optional[int] = None):
+    """Penalty and flat index of the grid cells within a cap that starts at
+    ``cap`` and, given ``keep``, drops as cells are found.
 
     Prefixes grow one free axis at a time, in the C order of the flat index,
-    and a prefix survives while its ``_PrefixBound`` is <= ``cap``.  Each
+    and a prefix survives while its ``_PrefixBound`` is <= the cap.  Each
     level expands in slices of at most ``_GRID_SLICE`` candidate rows; on
-    the last axis a slice's surviving cells are evaluated at once, so only
-    the cells within ``cap`` are kept.
+    the last axis a slice's surviving cells are evaluated at once.  After
+    each such slice the cap drops to the ``keep``-th smallest penalty found
+    so far, and found cells above it are dropped.  That penalty is a real
+    cell's, so the cap never falls below the grid's ``keep``-th penalty,
+    and the bound never exceeds the penalty, so no cell within the final
+    cap is pruned on the way.  The result is exactly the cells whose
+    penalty is <= its largest penalty; without ``keep``, every cell within
+    ``cap``.
     """
     bound = _PrefixBound(ev, axes)
     size, d = len(axes), bound.d
     # a slice is ``width`` prefixes by ``step`` axis values, at most _GRID_SLICE rows
     step = min(size, _GRID_SLICE)
     width = _GRID_SLICE // step
-    level = (np.zeros(1, np.int64), np.zeros(1), np.zeros(1), np.zeros(1))
 
-    def grow(k: int, part, start: int):
+    def slices(level):
+        for s in range(0, max(len(level[0]), 1), width):
+            part = tuple(a[s:s + width] for a in level)
+            for start in range(0, size, step):
+                yield part, start
+
+    def grow(k: int, part, start: int, cap: float):
         flat, sep, psum, last = part
         cols = np.arange(start, min(start + step, size))
         sep, psum, x, low = bound.extend(k, sep[:, None], psum[:, None], last[:, None], cols)
         i, j = np.nonzero(low <= cap)
         flat = flat[i] * size + cols[j]
-        if k < d - 1:
-            return flat, sep[i, j], psum[i, j], x[j]
-        pen = ev.penalty(_grid_cells(axes, d, flat))
-        within = pen <= cap
-        return pen[within], flat[within]
+        return flat if k == d - 1 else (flat, sep[i, j], psum[i, j], x[j])
 
-    for k in range(d):
-        parts = [grow(k, tuple(a[s:s + width] for a in level), start)
-                 for s in range(0, max(len(level[0]), 1), width)
-                 for start in range(0, size, step)]
+    level = (np.zeros(1, np.int64), np.zeros(1), np.zeros(1), np.zeros(1))
+    for k in range(d - 1):
+        parts = [grow(k, part, start, cap) for part, start in slices(level)]
         level = tuple(np.concatenate(column) for column in zip(*parts))
-    return level
+    pen, flat = np.zeros(0), np.zeros(0, np.int64)
+    for part, start in slices(level):
+        cells = grow(d - 1, part, start, cap)
+        pen = np.concatenate((pen, ev.penalty(_grid_cells(axes, d, cells))))
+        flat = np.concatenate((flat, cells))
+        if keep is not None and len(pen) >= keep:
+            cap = min(cap, float(np.partition(pen, keep - 1)[keep - 1]))
+        within = pen <= cap
+        pen, flat = pen[within], flat[within]
+    return pen, flat
 
 
 def _grid_top(ev: _PenaltyEvaluator, axes: np.ndarray, keep: int):
     """The ``keep`` best grid cells by (penalty, flat index): penalties, flat
     indices and coordinates, as if every cell were evaluated and sorted.
 
-    A strided sample sets the first threshold, ``_SAMPLE_MARGIN`` times its
-    keep/total quantile, and ``_cells_at_most`` finds every cell within it.
-    Fewer than ``keep`` such cells doubles the threshold and starts again.
-    A sample that covers the whole grid is the answer itself.
+    A grid of at most ``_SAMPLE_CELLS`` cells is evaluated whole.  On a
+    larger one, ``_SAMPLE_CELLS`` cells drawn by a generator of fixed seed
+    (not the scan's) set the first threshold, ``_SAMPLE_MARGIN`` times the
+    sample's keep/total quantile, and ``_cells_at_most`` searches within it,
+    lowering it as cells are found.  Fewer than ``keep`` cells within it
+    doubles the threshold and starts again.
     """
     d = len(ev.free0)
     total = len(axes) ** d
     keep = min(keep, total)
-    stride = max(1, total // _SAMPLE_CELLS)
-    while math.gcd(stride, len(axes)) > 1:  # a stride sharing a factor with
-        stride -= 1                         # the axis would skip axis values
-    flat = np.arange(0, total, stride, dtype=np.int64)
-    cells = _grid_cells(axes, d, flat)
-    sample = ev.penalty(cells)
-    if stride == 1:
-        order = np.lexsort((flat, sample))[:keep]
-        return sample[order], flat[order], cells[order]
-    rank = min(len(sample) - 1, keep * len(sample) // total)
+    if total <= _SAMPLE_CELLS:
+        flat = np.arange(total, dtype=np.int64)
+        cells = _grid_cells(axes, d, flat)
+        pen = ev.penalty(cells)
+        order = np.lexsort((flat, pen))[:keep]
+        return pen[order], flat[order], cells[order]
+    # A random sample, not a strided one: a stride near the axis length
+    # walks one diagonal of the grid and can set a far too high threshold.
+    flat = np.random.default_rng(0).integers(total, size=_SAMPLE_CELLS)
+    sample = ev.penalty(_grid_cells(axes, d, flat))
+    rank = min(_SAMPLE_CELLS - 1, keep * _SAMPLE_CELLS // total)
     cap = _SAMPLE_MARGIN * float(np.partition(sample, rank)[rank])
     while True:
-        pen, flat = _cells_at_most(ev, axes, cap)
+        pen, flat = _cells_at_most(ev, axes, cap, keep)
         if len(pen) >= keep:
             break
         # a zero cap cannot double: restart from the least positive penalty seen
@@ -962,11 +995,13 @@ def scan(system: ConstraintSystem, budget: Optional[ScanBudget] = None,
     returns at the first snap that is exactly feasible: its exact residual
     is 0, so the rest of Gauss-Newton and the cloud could not improve on it.
     When none is, the final snap is skipped if the cloud left the pick whose
-    snap failed last as it was.  Only the cloud depends on ``seed``.  Ties
+    snap failed last as it was.  Only the cloud depends on ``seed``; the
+    grid's threshold sample comes from a generator of fixed seed.  Ties
     are broken by penalty first, then by lexicographic grid cell index, so
     identical inputs and seed reproduce the identical verdict.  The grid
     keeps the same cells as evaluating all of them would, but evaluates
-    only the cells a separable lower bound cannot rule out (``_grid_top``);
+    only the cells a separable lower bound cannot rule out against a
+    threshold that falls as good cells are found (``_grid_top``);
     ``stats["gridCells"]`` is the grid's size, not the number of cells
     evaluated, and ``stats["coarseStarts"]`` the number of grid cells
     handed to the polish.
@@ -1019,9 +1054,12 @@ def scan(system: ConstraintSystem, budget: Optional[ScanBudget] = None,
     while (axis_points + 1) ** d <= budget.grid_points:
         axis_points += 1
     total = axis_points ** d
-    if total > np.iinfo(np.int64).max:  # the grid's flat cell indices are int64
-        raise DomainError(f"the scan's grid of {axis_points}^{d} cells cannot be indexed; "
-                          "scan fewer than 63 free coordinates")
+    largest = int(np.iinfo(np.int64).max)  # the grid's flat cell indices are int64
+    if total > largest:
+        # past two points per axis the grid fits its budget, so the budget is too large
+        cause = ("scan fewer than 63 free coordinates" if axis_points == 2
+                 else f"lower grid_points ({budget.grid_points}) to at most {largest}")
+        raise DomainError(f"the scan's grid of {axis_points}^{d} cells cannot be indexed; {cause}")
     axes = np.linspace(-box, box, axis_points) if box > 0 else np.zeros(axis_points)
     stats.update({"gridCells": total, "axisPoints": axis_points,
                   "coarseStarts": min(budget.polish_starts, total)})

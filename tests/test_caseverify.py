@@ -416,6 +416,14 @@ class TestScan:
         with pytest.raises(DomainError, match="cannot be indexed"):
             scan(ConstraintSystem(n, 1.0, 0.0), budget=small_budget(1000), seed=1)
 
+    def test_grid_budget_past_the_flat_index_refused(self):
+        # four free coordinates fit any index; 10^21 cells do not, and the
+        # message blames the budget, not the coordinates
+        with pytest.raises(DomainError, match="cannot be indexed") as raised:
+            scan(builtin_case("thm2-claim"), budget=small_budget(10 ** 21), seed=1)
+        assert "177827^4" in str(raised.value) and "grid_points" in str(raised.value)
+        assert "free coordinates" not in str(raised.value)
+
     def test_every_coordinate_pinned(self):
         # no free coordinate: the one point is all zeros, feasible exactly
         # when both targets are 0
@@ -1191,15 +1199,65 @@ class TestPrunedGrid:
     def test_a_low_first_threshold_doubles_until_keep_fit(self, monkeypatch, margin):
         caps = []
 
-        def counting(ev, axes, cap):
+        def counting(ev, axes, cap, keep):
             caps.append(cap)
-            return _cells_at_most(ev, axes, cap)
+            return _cells_at_most(ev, axes, cap, keep)
 
         monkeypatch.setattr(caseverify, "_SAMPLE_MARGIN", margin)
         monkeypatch.setattr(caseverify, "_cells_at_most", counting)
         ev, axes = _grid(builtin_case("thm2-lambda3", H=Fraction(3, 2)), 21)
         _assert_top(ev, axes, keep=1944)
         assert len(caps) > 2 and caps == sorted(caps)
+
+    @pytest.mark.parametrize("family", ["builtin", "random", "pinned", "ties"])
+    def test_cells_at_most_lowers_the_cap_to_the_keep_th_penalty(self, monkeypatch, family):
+        # Small slices give the cap many chances to drop.  From any start at
+        # or above the keep-th penalty, the result is every cell within its
+        # largest penalty, which is the keep-th penalty itself.
+        monkeypatch.setattr(caseverify, "_GRID_SLICE", 256)
+        if family == "builtin":
+            grids = [_grid(builtin_case(name, H=Fraction(5, 4)), 13) for name in BUILTIN_CASES]
+        elif family == "random":
+            rng = random.Random(31)
+            grids = [_grid(_random_float_system(rng, free), max(3, round(20_000 ** (1 / free))))
+                     for free in range(1, 10)]
+        elif family == "pinned":
+            grids = [_grid(system, {2: 120, 4: 11}[len(_PenaltyEvaluator(system).free0)])
+                     for system in _pinned_sign_systems()]
+        else:
+            grids = [_grid(ConstraintSystem(4, 3, Fraction(5, 2), ordering=False), 17)]
+        for ev, axes in grids:
+            pen, flat = _every_cell(ev, axes)
+            for keep in (1, 7, 64, 501):
+                want_pen, want_flat = _top_oracle(ev, axes, keep)
+                for cap in (math.inf, float(np.quantile(pen, 0.3))):
+                    got_pen, got_flat = _cells_at_most(ev, axes, cap, keep)
+                    top = got_pen.max()
+                    assert top == want_pen[-1] and len(got_pen) >= keep
+                    order = np.argsort(got_flat)
+                    np.testing.assert_array_equal(got_flat[order], flat[pen <= top])
+                    np.testing.assert_array_equal(got_pen[order], pen[pen <= top])
+                    first = np.lexsort((got_flat, got_pen))[:keep]
+                    np.testing.assert_array_equal(got_flat[first], want_flat)
+                    np.testing.assert_array_equal(got_pen[first], want_pen)
+
+    def test_penalty_rows_at_a_million_cells(self):
+        # The fixed random sample and the falling cap evaluate 4-10k of
+        # the million cells here.  A strided sample of 1000 cells walks one
+        # diagonal of the 1000 x 1000 grid (stride 999) and lets 0.48M of
+        # its cells through, and all 1M of the d = 6 grid; 20 000 strided
+        # cells and a cap that never falls need 20.7-27.4k rows.
+        systems = [builtin_case(name) for name in BUILTIN_CASES]
+        systems += [_random_float_system(random.Random(2), 2),
+                    _random_float_system(random.Random(5), 6)]
+        for i, system in enumerate(systems):
+            free = len(_PenaltyEvaluator(system).free0)
+            ev, axes = _grid(system, {2: 1000, 3: 100, 4: 31, 6: 10}[free])  # the scan's 1M-cell axes
+            rows = []
+            penalty = ev.penalty
+            ev.penalty = lambda x: rows.append(len(x)) or penalty(x)
+            _grid_top(ev, axes, 64)
+            assert sum(rows) <= 15_000, (i, sum(rows))
 
     @pytest.mark.parametrize("name", BUILTIN_CASES)
     def test_cells_at_most_finds_every_cell_within_the_cap(self, name):

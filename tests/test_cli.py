@@ -408,6 +408,16 @@ class TestErrors:
         assert captured.err.startswith("hypercurv: error:") and captured.err.count("\n") == 1
         assert "cannot be indexed" in captured.err
 
+    def test_scan_budget_past_the_flat_index(self, capsys):
+        # thm2-claim has 4 free coordinates: the budget, not d, is at fault
+        assert cli.run(["scan", "--case", "thm2-claim", "--seed", "1",
+                        "--budget", str(10 ** 21)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("hypercurv: error:") and captured.err.count("\n") == 1
+        assert "cannot be indexed" in captured.err and "grid_points" in captured.err
+        assert "free coordinates" not in captured.err
+
     @pytest.mark.parametrize("argv, message", [
         (["scan", "--case", "thm1-lambda2", "--seed", "1", "--budget", "20000",
           "--tol", "nan"], "tol must be finite"),
