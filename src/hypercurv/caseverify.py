@@ -972,8 +972,11 @@ def _grid_top(ev: _PenaltyEvaluator, axes: np.ndarray, keep: int):
 
 
 def _check_integer(name: str, value, least: int) -> None:
-    """Refuse a ``value`` that is not an integer >= ``least`` with ``DomainError``."""
-    if not isinstance(value, (int, np.integer)) or value < least:
+    """Refuse a ``value`` that is not an integer >= ``least`` with ``DomainError``.
+
+    A ``bool`` is refused too: ``True`` is no count of 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
@@ -1118,7 +1121,10 @@ class _Case:
     ``regime``; an ``audit(x, E, s2, h)`` giving one
     sample's identity and margin terms (0.0 and inf where a term does not
     apply); the ``drawn`` coordinates of its samples, first at ``anchor``
-    (units of H); and the ``detail`` of a pass.
+    (units of H); and the ``detail`` of a pass.  Value and audit are one
+    formula each: ``x`` is a tuple of scalars, or a FLOAT block of samples
+    as an array with one row per coordinate, on which the same operations
+    run elementwise in the same order.
     """
 
     n: int
@@ -1141,7 +1147,7 @@ def _pinned_identity(x, trace, s2, regime):
     # witness, and E = 2H^2 at the umbilic point.
     h = trace / 4
     gap = x[3] - 2 * h
-    s2x, = spectrum._sigma_values(x, regime, (2,))
+    s2x = _certificate_sigma(x, regime, 2)
     return gap * gap + (s2x - 4 * h * h) - x[0] * x[2]
 
 
@@ -1149,8 +1155,28 @@ def _sigma3_squeeze(x, trace, s2, regime):
     # E = max(10RH - sigma_3, sigma_3), the gap of the two-sided squeeze: the
     # premise forces sigma_3 >= 10RH and sigma_3 <= 0 simultaneously, so
     # E >= 5RH > 0 certifies infeasibility.
-    s3, = spectrum._sigma_values(x, regime, (3,))
-    return max(s2 * (trace / 5) - s3, s3)
+    s3 = _certificate_sigma(x, regime, 3)
+    return _python_max(s2 * (trace / 5) - s3, s3)
+
+
+def _certificate_sigma(x, regime, r):
+    # sigma_r of one point in ``regime``, or of a FLOAT block (one row per
+    # coordinate) from the same sigma body, checked finite with the
+    # ``DomainError`` one point's value raises, at the block's first
+    # non-finite sample.
+    if not isinstance(x, np.ndarray):
+        return spectrum._sigma_values(x, regime, (r,))[0]
+    s = spectrum._sigma_coefficients(x, r)[r]
+    bad = s[~np.isfinite(s)]
+    if len(bad):
+        coerce(float(bad[0]), Regime.FLOAT)
+    return s
+
+
+def _python_max(a, b):
+    # ``max(a, b)``: b only when b > a, so a tie or a NaN b keeps a;
+    # elementwise on a block.
+    return np.where(b > a, b, a) if isinstance(a, np.ndarray) else max(a, b)
 
 
 _CASES: Dict[str, _Case] = {
@@ -1349,6 +1375,25 @@ def certificate_samples(system: ConstraintSystem, seed: int = 0,
         tried += rows
 
 
+def _running_max(values, count: int) -> float:
+    # ``r = max(r, v)`` over ``count`` values in order from r = 0.0 (a scalar
+    # stands for ``count`` copies): only a larger value replaces r, never a
+    # NaN, so r ends at 0.0 or at the largest value above it.
+    v = np.broadcast_to(values, (count,))
+    v = v[v > 0.0]
+    return float(v.max()) if len(v) else 0.0
+
+
+def _running_min(values, count: int) -> float:
+    # ``r = min(r, v)`` over ``count`` values in order from r = inf (a scalar
+    # stands for ``count`` copies): only a smaller value replaces r, never a
+    # NaN, so r ends at the first occurrence of the least value, and of
+    # -0.0 and 0.0 the first one seen stays.
+    v = np.broadcast_to(values, (count,))
+    v = v[v < math.inf]
+    return float(v[np.flatnonzero(v == v.min())[0]]) if len(v) else math.inf
+
+
 def certificate_check(system: ConstraintSystem, seed: int = 0, count: int = 1000,
                       tol: float = 1e-8) -> CertificateReport:
     """Verify the registered certificate against scan semantics.
@@ -1358,6 +1403,14 @@ def certificate_check(system: ConstraintSystem, seed: int = 0, count: int = 1000
     for a witness-pinning certificate (a case with a recorded witness) the
     identity must vanish on every sample and the anchored witness must be
     fully feasible.  ``tol`` must be finite and positive, as in ``scan``.
+
+    Each sample's violations come from the pure-Python body of
+    ``constraint_violations``, one call a sample: that loop is the check's
+    independent side.  The certificate's value and audit then run once on
+    the whole block of samples, with the float operations of one sample's
+    call, in its order, and are folded as a per-sample loop folds them
+    (``max`` from 0.0, ``min`` from inf, NaN skipped, the first of a tie
+    kept), so the report is bit-identical to evaluating them per sample.
     """
     if not 0 < tol < math.inf:
         raise DomainError(f"tol must be finite and positive, got {tol}")
@@ -1366,20 +1419,18 @@ def certificate_check(system: ConstraintSystem, seed: int = 0, count: int = 1000
     trace = promote(system.trace_target)
     s2 = promote(system.sigma2_target)
     h = trace / system.n
-    feasible = 0
-    identity_residual = 0.0
-    margin = math.inf
-    witness_ok = False
-    for x in points:
-        # The samples are Python floats, so their regime is known.
-        viol = max(_violations(system, x, Regime.FLOAT).values())
-        if viol <= tol:
-            feasible += 1
-        value = case.value(x, trace, s2, Regime.FLOAT)
-        identity, gap = case.audit(x, value, s2, h)
-        identity_residual = max(identity_residual, identity)
-        margin = min(margin, gap)
-        witness_ok = witness_ok or (viol <= tol and abs(value) <= 1e-6)
+    # The samples are Python floats, so their regime is known.
+    within = [max(_violations(system, x, Regime.FLOAT).values()) <= tol for x in points]
+    m = len(points)
+    block = np.array(points, dtype=float).reshape(m, system.n).T
+    # Python floats overflow to inf and nan without a warning; so does the block.
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = case.value(block, trace, s2, Regime.FLOAT)
+        identity, gap = case.audit(block, value, s2, h)
+    identity_residual = _running_max(identity, m)
+    margin = _running_min(gap, m)
+    witness_ok = bool(np.any(np.array(within, dtype=bool) & (abs(value) <= 1e-6)))
+    feasible = sum(within)
     scale = max(1.0, trace * trace, abs(s2))
     passed = identity_residual <= 1e-7 * scale
     if case.witness is not None:

@@ -480,3 +480,54 @@ def excess_and_jacobian(ev, x_free):
     units = np.repeat(np.eye(n)[free0], m, axis=0)
     jacobian = terms(down, units, False).reshape(d, m, -1).transpose(1, 2, 0)
     return excess, jacobian
+
+
+def certificate_check_per_sample(system, seed=0, count=1000, tol=1e-8):
+    """``caseverify.certificate_check`` as it was before the block pass: the
+    certificate's value and audit called once per sample, folded by Python's
+    ``max`` and ``min`` in sample order.
+    """
+    from hypercurv.caseverify import (
+        CertificateReport, _certified, _violations, certificate_samples)
+    from hypercurv.errors import DomainError
+    from hypercurv.scalars import Regime, promote
+
+    if not 0 < tol < math.inf:
+        raise DomainError(f"tol must be finite and positive, got {tol}")
+    points = certificate_samples(system, seed=seed, count=count)
+    case = _certified(system)
+    trace = promote(system.trace_target)
+    s2 = promote(system.sigma2_target)
+    h = trace / system.n
+    feasible = 0
+    identity_residual = 0.0
+    margin = math.inf
+    witness_ok = False
+    for x in points:
+        # The samples are Python floats, so their regime is known.
+        viol = max(_violations(system, x, Regime.FLOAT).values())
+        if viol <= tol:
+            feasible += 1
+        value = case.value(x, trace, s2, Regime.FLOAT)
+        identity, gap = case.audit(x, value, s2, h)
+        identity_residual = max(identity_residual, identity)
+        margin = min(margin, gap)
+        witness_ok = witness_ok or (viol <= tol and abs(value) <= 1e-6)
+    scale = max(1.0, trace * trace, abs(s2))
+    passed = identity_residual <= 1e-7 * scale
+    if case.witness is not None:
+        kind = "witness-pinning"
+        passed = passed and feasible >= 1 and witness_ok
+        failure = "identity or anchored witness failed"
+        margin = identity_residual
+    else:
+        kind = "infeasibility"
+        passed = passed and bool(points) and feasible == 0 and margin > -1e-9 * scale
+        failure = ("a sample defeated the certificate" if points
+                   else "no sample was drawn: the equalities have no real completion")
+    return CertificateReport(
+        case=system.name, kind=kind, samples=len(points),
+        feasible_samples=feasible, max_identity_residual=identity_residual,
+        margin=margin, passed=passed,
+        detail=case.detail if passed else failure,
+    )

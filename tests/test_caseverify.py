@@ -337,7 +337,7 @@ class TestScan:
             assert v.witness == tuple(float(w) for w in expected.witness)
             assert max_violation(s, v.witness) <= 1e-8
 
-    @pytest.mark.parametrize("seed", [-1, 1.5])
+    @pytest.mark.parametrize("seed", [-1, 1.5, False, True])
     def test_seed_must_be_a_non_negative_integer(self, seed):
         system = builtin_case("thm1-claim")
         for call in (lambda: scan(system, budget=small_budget(1000), seed=seed),
@@ -355,8 +355,13 @@ class TestScan:
         lambda: certificate_check(builtin_case("thm1-claim"), count=10.0),
         lambda: certificate_samples(builtin_case("thm1-claim"), count=10.0),
         lambda: certificate_check(builtin_case("thm1-claim"), count=0),
+        lambda: ScanBudget(grid_points=True, polish_starts=True, polish_rounds=True),
+        lambda: ScanBudget(polish_rounds=True),
+        lambda: certificate_check(builtin_case("thm1-claim"), count=True),
+        lambda: certificate_samples(builtin_case("thm1-claim"), seed=False, count=True),
     ], ids=["grid-half", "grid-zero", "starts-float", "rounds-negative",
-            "rounds-string", "check-count-float", "samples-count-float", "count-zero"])
+            "rounds-string", "check-count-float", "samples-count-float", "count-zero",
+            "budget-bools", "rounds-bool", "check-count-bool", "samples-count-bool"])
     def test_budgets_and_counts_must_be_positive_integers(self, call):
         with pytest.raises(DomainError, match="must be an integer >= 1"):
             call()
@@ -1361,9 +1366,18 @@ class TestCertificates:
             (f(0), f(0), f(0), f(5, 2), f(5, 2))) == f(25, 4)
 
     def test_closed_form_float_points(self):
+        # A FLOAT point gives a built-in float, never np.float64, and an EXACT
+        # point a Fraction: the value reaches CLI output as it is.
+        for name in ("thm1-claim", "thm1-lambda2", "thm2-claim"):
+            s = builtin_case(name)
+            for x in certificate_samples(s, seed=1, count=5):
+                assert type(closed_form_contradiction(s, x)) is float
+                assert type(closed_form_contradiction(s, np.array(x))) is float
+                exact = tuple(Fraction(v).limit_denominator(50) for v in x)
+                assert type(closed_form_contradiction(s, exact)) is Fraction
         value = closed_form_contradiction(
             builtin_case("thm1-claim"), (0.0, 2.0, 0.0, 2.0))
-        assert isinstance(value, float) and value == pytest.approx(4.0)
+        assert value == pytest.approx(4.0)
 
     def test_closed_form_identity_on_equality_samples(self):
         s = builtin_case("thm1-claim")
@@ -1488,6 +1502,81 @@ class TestCertificates:
         rep = certificate_check(builtin_case("thm1-lambda2"), seed=0, count=300)
         assert rep.kind == "witness-pinning"
         assert rep.feasible_samples >= 1
+
+    @pytest.mark.parametrize("H", [Fraction(1, 1000), Fraction(1, 2), 1, Fraction(7, 5),
+                                   2, 1000, 0.75], ids=str)
+    @pytest.mark.parametrize("name", ["thm1-claim", "thm1-lambda2", "thm2-claim"])
+    def test_block_check_matches_the_per_sample_loop(self, name, H):
+        # The certificate's value and audit run once over the sample block;
+        # the report equals the per-sample loop's, bit for bit.
+        def same(system, seed, count, tol):
+            got = certificate_check(system, seed=seed, count=count, tol=tol)
+            want = oracles.certificate_check_per_sample(system, seed=seed, count=count, tol=tol)
+            assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+            assert got.margin.hex() == want.margin.hex()
+            assert got.max_identity_residual.hex() == want.max_identity_residual.hex()
+
+        system = builtin_case(name, H=H)
+        for seed, count, tol in itertools.product((0, 3, 11), (1, 7, 1000), (1e-8, 1.0)):
+            same(system, seed, count, tol)
+        if name != "thm1-lambda2":
+            # at R = 5H^2 no sample has a real completion
+            same(builtin_case(name, H=H, R=5 * H * H), 2, 20, 1e-8)
+
+    @pytest.mark.parametrize("name", ["thm1-claim", "thm1-lambda2"])
+    def test_block_check_at_huge_h(self, name):
+        # sigma_2 terms stay finite at H = 1e100: the report is the loop's.
+        system = builtin_case(name, H=10 ** 100)
+        assert certificate_check(system, seed=1, count=50) == \
+            oracles.certificate_check_per_sample(system, seed=1, count=50)
+
+    def test_block_check_refuses_an_overflow(self):
+        # thm2-claim's sigma_3 and sigma_4 pass the double range at H = 1e100.
+        with pytest.raises(DomainError, match="not a finite number: inf"):
+            certificate_check(builtin_case("thm2-claim", H=10 ** 100), seed=1, count=50)
+
+    def test_block_sigma_is_checked_finite_like_one_point(self):
+        # A block's sigma_r raises the DomainError of its first non-finite
+        # sample, the one that sample alone raises.
+        rows = [(0.0, 1.0, 2.0, 0.0, 3.0), (0.0, 1e200, -1e200, 0.0, 1e200),
+                (0.0, 1e200, 1e200, 0.0, 1e200)]
+        block = np.array(rows).T.copy()
+        with pytest.raises(DomainError) as one:
+            caseverify._certificate_sigma(rows[1], Regime.FLOAT, 3)
+        with pytest.raises(DomainError) as many, np.errstate(over="ignore", invalid="ignore"):
+            caseverify._certificate_sigma(block, Regime.FLOAT, 3)
+        assert str(many.value) == str(one.value) == "not a finite number: nan"
+        assert caseverify._certificate_sigma(block[:, :1], Regime.FLOAT, 3)[0] == \
+            sigma(rows[0], 3)
+
+    def test_block_folds_follow_the_loop(self):
+        # max from 0.0 and min from inf, as ``max``/``min`` fold a sample loop:
+        # NaN skipped, the first of a tie kept (so a zero's sign too).
+        run_max, run_min = caseverify._running_max, caseverify._running_min
+        for zeros in ([0.0, -0.0], [-0.0, 0.0], [2.0, 0.0, -0.0], [math.nan, -0.0, 0.0]):
+            first = next(z for z in zeros if z == 0.0)
+            got = run_min(np.array(zeros), len(zeros))
+            assert got == 0.0 and math.copysign(1.0, got) == math.copysign(1.0, first)
+        assert run_min(np.array([3.0, math.nan, -1.5, 2.0]), 4) == -1.5
+        assert run_max(np.array([3.0, math.nan, 4.5, 2.0]), 4) == 4.5
+        assert run_max(np.array([-0.0, -2.0]), 2) == 0.0
+        assert math.copysign(1.0, run_max(np.array([-0.0, -2.0]), 2)) == 1.0
+        nan = np.full(3, math.nan)
+        assert run_max(nan, 3) == 0.0 and run_min(nan, 3) == math.inf
+        assert run_max(np.empty(0), 0) == 0.0 and run_min(np.empty(0), 0) == math.inf
+        # a scalar term (0.0 or inf where it does not apply) stands for a column
+        assert run_max(0.0, 5) == 0.0 and run_min(math.inf, 5) == math.inf
+        assert run_min(-0.0, 0) == math.inf
+        for v in (run_max(np.array([1.0]), 1), run_min(np.array([1.0]), 1)):
+            assert type(v) is float
+
+    def test_python_max_tie_rule(self):
+        a = np.array([0.0, -0.0, math.nan, 1.0, 2.0])
+        b = np.array([-0.0, 0.0, 1.0, math.nan, 3.0])
+        got = caseverify._python_max(a, b)
+        want = [max(x, y) for x, y in zip(a.tolist(), b.tolist())]
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+        assert caseverify._python_max(Fraction(1, 2), Fraction(1, 3)) == Fraction(1, 2)
 
     def test_report_json(self):
         payload = certificate_check(builtin_case("thm1-claim"),
