@@ -246,21 +246,37 @@ def constraint_violations(system: ConstraintSystem,
 def _violations(system: ConstraintSystem, x: Sequence[Scalar],
                 regime: Regime) -> Dict[str, Scalar]:
     # The body of ``constraint_violations``, for a point whose regime the
-    # caller already knows.
+    # caller already knows: every term of ``_violation_terms``, keyed in
+    # the order trace, sigma2, pinned zeros, ordering, signs, sigma_r bounds
+    # (a key already present keeps its place when its value is written).
+    viol: Dict[str, Scalar] = dict.fromkeys(("trace", "sigma2"))
+    viol.update(_violation_terms(system, x, regime))
+    return viol
+
+
+def _violation_terms(system: ConstraintSystem, x: Sequence[Scalar], regime: Regime,
+                     sigma_first: bool = False):
+    # Yields each ``(key, violation)`` of the point in evaluation order: the
+    # trace, pinned zeros, ordering and sign terms (a subtraction, ``abs``
+    # or ``max`` each, which cannot raise), then one sigma pass for sigma_2
+    # and the sigma_r bounds, which raises ``DomainError`` on a value past
+    # the double range.  So a caller that stops at the first term over a
+    # tolerance skips the sigma pass once a cheap term fails.  With
+    # ``sigma_first`` the sigma pass runs before the first term, so that it
+    # raises wherever evaluating every term would (``certificate_check``).
     exact = regime is Regime.EXACT
     num = Fraction if exact else float
     x = [v if type(v) is num else num(v) for v in x]
     if len(x) != system.n:
         raise DomainError(f"point has {len(x)} coordinates, system has n={system.n}")
     plan = system._exact_plan if exact else system._float_plan
+    sigmas = spectrum._sigma_values(x, regime, plan.orders) if sigma_first else None
     zero = plan.zero
-    viol: Dict[str, Scalar] = {"trace": abs(sum(x) - plan.trace)}
-    s2, *bounded = spectrum._sigma_values(x, regime, plan.orders)
-    viol["sigma2"] = abs(s2 - plan.sigma2)
+    yield "trace", abs(sum(x) - plan.trace)
     for key, i in plan.zeros:
-        viol[key] = abs(x[i])
+        yield key, abs(x[i])
     if system.ordering:
-        viol["ordering"] = max(zero, max(x[i] - x[i + 1] for i in range(system.n - 1)))
+        yield "ordering", max(zero, max(x[i] - x[i + 1] for i in range(system.n - 1)))
     margin, h = plan.margin, plan.h
     for key, i, relation in plan.signs:
         v = x[i]
@@ -274,10 +290,11 @@ def _violations(system: ConstraintSystem, x: Sequence[Scalar],
             bad = max(zero, v + margin)
         else:
             bad = max(zero, h - v)
-        viol[key] = bad
+        yield key, bad
+    s2, *bounded = sigmas if sigma_first else spectrum._sigma_values(x, regime, plan.orders)
+    yield "sigma2", abs(s2 - plan.sigma2)
     for (key, lower), s in zip(plan.symmetric, bounded):
-        viol[key] = max(zero, -s) if lower else max(zero, s)
-    return viol
+        yield key, max(zero, -s) if lower else max(zero, s)
 
 
 class _ViolationPlan:
@@ -303,6 +320,20 @@ class _ViolationPlan:
 
 def max_violation(system: ConstraintSystem, point: Sequence[Scalar]) -> Scalar:
     return max(constraint_violations(system, point).values())
+
+
+def _sigma_bound(n: int, top: int, reach: float) -> float:
+    """max of C(n, r) reach^r over 1 <= r <= top: with every |x_i| <= reach,
+    a bound on |sigma_r(x)| for each such r.
+
+    Products only, so a bound past the double range reads as inf rather
+    than raising.
+    """
+    power, largest = 1.0, 0.0
+    for r in range(1, top + 1):
+        power *= reach
+        largest = max(largest, comb(n, r) * power)
+    return largest
 
 
 @dataclass(frozen=True)
@@ -491,16 +522,11 @@ class _PenaltyEvaluator:
     def excess_bound(self, reach: float) -> float:
         """Upper bound on any term's |excess| while every |x_i| <= reach.
 
-        |sigma_r| <= C(n, r) reach^r, and r = 1 also covers the ordering
-        steps and the sign bounds; the plan's largest |target| is added.
-        Products only, so a bound past the double range reads as inf rather
-        than raising.
+        |sigma_r| <= C(n, r) reach^r (``_sigma_bound``, inf past the double
+        range), and r = 1 also covers the ordering steps and the sign
+        bounds; the plan's largest |target| is added.
         """
-        power, largest = 1.0, 0.0
-        for r in range(1, self.top + 1):
-            power *= reach
-            largest = max(largest, comb(self.n, r) * power)
-        return largest + float(np.abs(self.whole.target).max())
+        return _sigma_bound(self.n, self.top, reach) + float(np.abs(self.whole.target).max())
 
     def jacobian(self, x_free: np.ndarray) -> np.ndarray:
         """Slope of every term along every free coordinate: rows x terms x coords.
@@ -1336,6 +1362,11 @@ def certificate_samples(system: ConstraintSystem, seed: int = 0,
     the float operations of a per-draw loop, in its order, so the points
     do not depend on the block size.
     """
+    return list(map(tuple, _sample_block(system, seed, count).tolist()))
+
+
+def _sample_block(system: ConstraintSystem, seed: int, count: int) -> np.ndarray:
+    # ``certificate_samples`` as one (samples, n) array.
     case = _certified(system)
     _check_integer("count", count, least=1)
     check_seed(seed)
@@ -1347,7 +1378,8 @@ def certificate_samples(system: ConstraintSystem, seed: int = 0,
     s2 = promote(system.sigma2_target)
     h = trace / system.n
     box = math.sqrt(max(promote(system.norm_a2_target), 0.0))
-    points: List[Tuple[float, ...]] = []
+    blocks: List[np.ndarray] = []
+    found = 0
     params = np.array([[a * h for a in case.anchor]])
     tried, cap = 1, 80 * count
     while True:
@@ -1367,9 +1399,10 @@ def certificate_samples(system: ConstraintSystem, seed: int = 0,
         block[:, drawn] = params[real]
         block[:, completed[0]] = (rest - root) / 2.0
         block[:, completed[1]] = (rest + root) / 2.0
-        points += map(tuple, block.tolist())
-        if len(points) >= count or tried == cap:
-            return points[:count]
+        blocks.append(block)
+        found += len(block)
+        if found >= count or tried == cap:
+            return np.concatenate(blocks)[:count]
         rows = min(count, cap - tried)
         params = rng.uniform(-box, box, size=(rows, len(drawn)))
         tried += rows
@@ -1394,6 +1427,35 @@ def _running_min(values, count: int) -> float:
     return float(v[np.flatnonzero(v == v.min())[0]]) if len(v) else math.inf
 
 
+def _feasible_rows(system: ConstraintSystem, samples: np.ndarray, tol: float) -> List[bool]:
+    """Whether each FLOAT row of ``samples`` has every violation <= ``tol``.
+
+    Each row is one call of the pure-Python body (``_violation_terms``),
+    stopped at its first term over ``tol``.  The terms of a finite row are
+    never NaN, so that is ``max(constraint_violations(...).values()) <=
+    tol``, and the cheap terms cannot raise, so the sigma pass that the
+    body runs last is the only place an error can come from.  With M the
+    largest |x_i| of the block, that pass cannot overflow when B = max
+    over 1 <= r <= top of C(n, r) (2M)^r is finite.  Each step is c_r +=
+    x_i c_{r-1}, so by induction every partial coefficient, and every
+    product it adds, is at most (1 + u)^(2n) sigma_r(|x|) <= (1 + u)^(2n)
+    C(n, r) M^r in magnitude (u = eps/2; |x_i| sigma_{r-1}(|x| before i)
+    <= sigma_r(|x|) bounds the product), which is (1 + u)^(2n) / 2^r times
+    a term of B.  The doubled reach absorbs that factor and the rounding
+    of B itself for any n below 10^15, so nothing in the pass reaches inf
+    or NaN, and running it last, or not at all, is unobservable.  Where B
+    is not finite (a non-finite row makes it so) every row runs the pass
+    before its first term, so that an overflow raises at the row where
+    evaluating every term raises.
+    """
+    reach = 2.0 * float(np.abs(samples).max(initial=0.0))
+    top = max(system._float_plan.orders)
+    sigma_first = not (math.isfinite(reach)
+                       and math.isfinite(_sigma_bound(system.n, top, reach)))
+    return [all(v <= tol for _, v in _violation_terms(system, x, Regime.FLOAT, sigma_first))
+            for x in samples.tolist()]
+
+
 def certificate_check(system: ConstraintSystem, seed: int = 0, count: int = 1000,
                       tol: float = 1e-8) -> CertificateReport:
     """Verify the registered certificate against scan semantics.
@@ -1404,25 +1466,29 @@ def certificate_check(system: ConstraintSystem, seed: int = 0, count: int = 1000
     identity must vanish on every sample and the anchored witness must be
     fully feasible.  ``tol`` must be finite and positive, as in ``scan``.
 
-    Each sample's violations come from the pure-Python body of
+    Each sample's feasibility comes from the pure-Python body of
     ``constraint_violations``, one call a sample: that loop is the check's
-    independent side.  The certificate's value and audit then run once on
-    the whole block of samples, with the float operations of one sample's
-    call, in its order, and are folded as a per-sample loop folds them
-    (``max`` from 0.0, ``min`` from inf, NaN skipped, the first of a tie
-    kept), so the report is bit-identical to evaluating them per sample.
+    independent side.  Each call stops at its first term over ``tol``, and
+    the body yields the trace, pinned-zero, ordering and sign terms before
+    its sigma pass, so a sample that fails one of those never runs the
+    pass; a guard keeps any overflow error where evaluating every term
+    raises it (``_feasible_rows``).  The certificate's value and audit then
+    run once on the whole block of samples, with the float operations of
+    one sample's call, in its order, and are folded as a per-sample loop
+    folds them (``max`` from 0.0, ``min`` from inf, NaN skipped, the first
+    of a tie kept), so the report is bit-identical to evaluating every
+    term and the certificate per sample.
     """
     if not 0 < tol < math.inf:
         raise DomainError(f"tol must be finite and positive, got {tol}")
-    points = certificate_samples(system, seed=seed, count=count)
+    samples = _sample_block(system, seed, count)
     case = _certified(system)
     trace = promote(system.trace_target)
     s2 = promote(system.sigma2_target)
     h = trace / system.n
-    # The samples are Python floats, so their regime is known.
-    within = [max(_violations(system, x, Regime.FLOAT).values()) <= tol for x in points]
-    m = len(points)
-    block = np.array(points, dtype=float).reshape(m, system.n).T
+    m = len(samples)
+    within = _feasible_rows(system, samples, tol)
+    block = samples.T
     # Python floats overflow to inf and nan without a warning; so does the block.
     with np.errstate(over="ignore", invalid="ignore"):
         value = case.value(block, trace, s2, Regime.FLOAT)
@@ -1440,11 +1506,11 @@ def certificate_check(system: ConstraintSystem, seed: int = 0, count: int = 1000
         margin = identity_residual
     else:
         kind = "infeasibility"
-        passed = passed and bool(points) and feasible == 0 and margin > -1e-9 * scale
-        failure = ("a sample defeated the certificate" if points
+        passed = passed and m > 0 and feasible == 0 and margin > -1e-9 * scale
+        failure = ("a sample defeated the certificate" if m
                    else "no sample was drawn: the equalities have no real completion")
     return CertificateReport(
-        case=system.name, kind=kind, samples=len(points),
+        case=system.name, kind=kind, samples=m,
         feasible_samples=feasible, max_identity_residual=identity_residual,
         margin=margin, passed=passed,
         detail=case.detail if passed else failure,

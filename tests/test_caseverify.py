@@ -1535,6 +1535,72 @@ class TestCertificates:
         with pytest.raises(DomainError, match="not a finite number: inf"):
             certificate_check(builtin_case("thm2-claim", H=10 ** 100), seed=1, count=50)
 
+    @pytest.mark.parametrize("H, message", [(10 ** 77, "-inf"), (10 ** 80, "inf"),
+                                            (10 ** 90, "inf")], ids=["1e77", "1e80", "1e90"])
+    def test_short_circuit_keeps_the_overflow_refusal(self, H, message):
+        # Most of these samples fail a cheap term, but some sample's sigma
+        # pass overflows: the check still raises at the first such sample,
+        # as evaluating every term of every sample does.
+        with pytest.raises(DomainError) as raised:
+            certificate_check(builtin_case("thm2-claim", H=H), seed=1)
+        assert str(raised.value) == f"not a finite number: {message}"
+
+    @pytest.mark.parametrize("tol", [1e-8, 1.0])
+    @pytest.mark.parametrize("name", ["thm1-claim", "thm2-claim"])
+    def test_sigma_pass_only_where_the_cheap_terms_hold(self, name, tol, monkeypatch):
+        # A sample runs its sigma pass (one lift) only when its trace,
+        # pinned-zero, ordering and sign terms are all within tol.
+        system = builtin_case(name, H=1)
+        cheap_ok = sum(
+            all(v <= tol for key, v in constraint_violations(system, x).items()
+                if not key.startswith("sigma"))
+            for x in certificate_samples(system, seed=1, count=1000))
+        lifts = []
+        lift = spectrum._lift
+        monkeypatch.setattr(spectrum, "_lift", lambda *a: lifts.append(1) or lift(*a))
+        certificate_check(system, seed=1, count=1000, tol=tol)
+        assert len(lifts) == cheap_ok
+
+    @pytest.mark.parametrize("tol", [1e-8, 1.0])
+    def test_short_circuit_verdict_matches_every_term(self, tol):
+        # Each row's verdict is the largest violation's, and a sigma overflow
+        # raises at the row where evaluating every term raises, whether the
+        # block's sigma bound is finite (sigma pass last) or not (first).
+        def every_term(system, rows):
+            verdicts = []
+            for x in rows:
+                try:
+                    verdicts.append(max(constraint_violations(system, x).values()) <= tol)
+                except DomainError as exc:
+                    return verdicts, str(exc)
+            return verdicts, None
+
+        def short_circuit(system, rows):
+            try:
+                return caseverify._feasible_rows(system, np.array(rows).reshape(-1, system.n),
+                                                 tol), None
+            except DomainError as exc:
+                return None, str(exc)
+
+        rng = random.Random(17)
+        raised = 0
+        for system in [_random_float_system(rng, free) for free in (1, 4, 9) for _ in range(4)]:
+            for big in (0.0, 0.1, 0.3):
+                rows = [[rng.choice((1e200, -1e200)) if rng.random() < big
+                         else rng.choice((0.0, -0.0, rng.uniform(-4.0, 4.0)))
+                         for _ in range(system.n)] for _ in range(12)]
+                verdicts, error = every_term(system, rows)
+                got, got_error = short_circuit(system, rows)
+                assert got_error == error
+                if error is None:
+                    assert got == verdicts
+                raised += error is not None
+                for x in rows:
+                    verdicts, error = every_term(system, [x])
+                    assert short_circuit(system, [x]) == ((None, error) if error else
+                                                          (verdicts, None))
+        assert raised  # the overflow path ran
+
     def test_block_sigma_is_checked_finite_like_one_point(self):
         # A block's sigma_r raises the DomainError of its first non-finite
         # sample, the one that sample alone raises.
