@@ -6,18 +6,18 @@ are pinned to targets (equivalently H and the scalar curvature R), selected
 labels are pinned to zero, and the rest carry sign constraints, optionally
 together with sign constraints on higher symmetric values sigma_r.
 
-``scan`` searches the box |x_i| <= |A| = sqrt(trace^2 - 2 sigma_2) in five
+``scan`` searches the box |x_i| <= |A| = sqrt(trace^2 - 2 sigma_2) in four
 stages: a uniform grid keeps its ``polish_starts`` best cells by a
 squared-violation penalty, lockstep coordinate descent and then Gauss-Newton
-polish those cells, a seeded random-perturbation cloud probes around the
-best of them, and an exact snap tries a nearby rational point.  An EXACT
-system already snaps during Gauss-Newton and returns at its first exactly
-feasible snap.  The grid is pruned branch-and-bound style (Land & Doig
-1960): cells grow one coordinate at a time, and a partial cell whose cheap
-separable terms (trace, ordering, sign bounds) already exceed a threshold
-above the kept set's worst penalty is never completed.  The full penalty
-runs only on cells that can still enter the kept set, and the kept set is
-the one a full evaluation would keep.  A returned WITNESS is always
+polish those cells, and an exact snap tries a nearby rational point at the
+best of them.  An EXACT system already snaps during Gauss-Newton and returns
+at its first exactly feasible snap.  No stage reads the seed, so the result
+does not depend on it.  The grid is pruned branch-and-bound style (Land &
+Doig 1960): cells grow one coordinate at a time, and a partial cell whose
+cheap separable terms (trace, ordering, sign bounds) already exceed a
+threshold above the kept set's worst penalty is never completed.  The full
+penalty runs only on cells that can still enter the kept set, and the kept
+set is the one a full evaluation would keep.  A returned WITNESS is always
 re-validated by an independent pure-Python constraint evaluator; NO_WITNESS
 is exhaustive-search evidence, not a proof.  A system whose penalty could
 overflow a double over that box is refused with ``DomainError`` before the
@@ -44,7 +44,7 @@ and on a tie it keeps the current value.
 For the built-in named cases, ``closed_form_contradiction`` evaluates the
 registered one-line certificate whose sign settles the case without any
 search, and ``certificate_check`` cross-examines certificate and scan on a
-seeded cloud of points that satisfy the equality constraints.
+seeded sample of points that satisfy the equality constraints.
 
 ``pct_sets`` classifies a sample of principal-curvature values against the
 two-sided/one-sided alternative for complete CMC hypersurfaces: either both
@@ -743,12 +743,13 @@ def _first_exact_pick(ev: _PenaltyEvaluator, states,
                       ranks: np.ndarray) -> Tuple[Optional[np.ndarray], bool]:
     """The first exactly feasible ``_exact_snap`` of the pick of ``states``.
 
-    The pick of a state is its row first by (penalty, rank), the rule
-    ``scan`` applies after Gauss-Newton; it is snapped whenever its row or
-    its coordinates changed since the last try.  Returns ``(point, True)``
-    for the first snap that verifies, and once the states run out
-    ``(row, False)`` with the last row whose snap failed (``None`` if no
-    state came).
+    ``scan`` ends here in both regimes: an EXACT system passes every
+    Gauss-Newton state, a FLOAT system only the final one.  The pick of a
+    state is its row first by (penalty, rank); it is snapped whenever its
+    row or its coordinates changed since the last try.  Returns
+    ``(point, True)`` for the first snap that verifies, and once the states
+    run out ``(pick, False)`` with the final pick, whose snap failed last
+    (``None`` if no state came).
     """
     tried, failed = None, None
     for x, fx in states:
@@ -1013,27 +1014,27 @@ def check_seed(seed: int) -> None:
 
 def scan(system: ConstraintSystem, budget: Optional[ScanBudget] = None,
          seed: int = 0, tol: float = 1e-8) -> FeasibilityVerdict:
-    """Search for a point satisfying ``system``; deterministic per seed.
+    """Search for a point satisfying ``system``; the result is deterministic.
 
     The stages run in order: the grid keeps its ``budget.polish_starts``
     best cells, ``budget.polish_rounds`` rounds of lockstep descent and then
-    Gauss-Newton polish them, a seeded perturbation cloud probes around the
-    best polished cell, and ``_exact_snap`` tries a nearby rational point.
-    An EXACT system snaps its pick by (penalty, grid index) before each
-    Gauss-Newton iteration and after the last, whenever the pick moved, and
-    returns at the first snap that is exactly feasible: its exact residual
-    is 0, so the rest of Gauss-Newton and the cloud could not improve on it.
-    When none is, the final snap is skipped if the cloud left the pick whose
-    snap failed last as it was.  Only the cloud depends on ``seed``; the
-    grid's threshold sample comes from a generator of fixed seed.  Ties
-    are broken by penalty first, then by lexicographic grid cell index, so
-    identical inputs and seed reproduce the identical verdict.  The grid
-    keeps the same cells as evaluating all of them would, but evaluates
-    only the cells a separable lower bound cannot rule out against a
-    threshold that falls as good cells are found (``_grid_top``);
-    ``stats["gridCells"]`` is the grid's size, not the number of cells
-    evaluated, and ``stats["coarseStarts"]`` the number of grid cells
-    handed to the polish.
+    Gauss-Newton polish them, and ``_exact_snap`` tries a nearby rational
+    point at the pick, the polished row first by (penalty, grid index).
+    An EXACT system snaps its pick before each Gauss-Newton iteration and
+    after the last, whenever the pick moved, and returns at the first snap
+    that is exactly feasible: its exact residual is 0, so the rest of
+    Gauss-Newton could not improve on it.  A FLOAT system snaps only its
+    final pick.  When no snap verifies, the final pick is the best point.
+    No stage reads ``seed``: it is validated and echoed as
+    ``stats["seed"]``, and the grid's threshold sample comes from a
+    generator of fixed seed.  Ties are broken by penalty first, then by
+    lexicographic grid cell index, so identical inputs reproduce the
+    identical verdict.  The grid keeps the same cells as evaluating all of
+    them would, but evaluates only the cells a separable lower bound cannot
+    rule out against a threshold that falls as good cells are found
+    (``_grid_top``); ``stats["gridCells"]`` is the grid's size, not the
+    number of cells evaluated, and ``stats["coarseStarts"]`` the number of
+    grid cells handed to the polish.
     A WITNESS is re-validated with the independent evaluator; NO_WITNESS
     reports the best point found and its violations.
     """
@@ -1097,38 +1098,12 @@ def scan(system: ConstraintSystem, budget: Optional[ScanBudget] = None,
     x_polish = _lockstep_descent(ev, x_polish, budget.polish_rounds, lo=lo, hi=hi)
     pen = ev.penalty(x_polish)
     states = _gauss_newton_states(ev, x_polish, pen, ranks=flat_polish)  # updates both
-    failed = None
-    if system.regime is Regime.EXACT:
-        # An exactly feasible snap has exact residual 0, which no later
-        # stage can improve on.  FLOAT systems practically never snap exactly, so they
-        # keep the single snap at the end.
-        point, exact = _first_exact_pick(ev, states, flat_polish)
-        if exact:
-            stats["snappedExact"] = True
-            return finish(point)
-        failed = point
-    for _ in states:
-        pass
-    best_idx = np.lexsort((flat_polish, pen))[0]
-    best = x_polish[best_idx].copy()
-    best_pen = float(pen[best_idx])
-
-    # Seeded stochastic polish; the only stage the seed influences.
-    rng = np.random.default_rng(seed)
-    scale0 = max(box, 1.0)
-    for exponent in range(2, 10):
-        cloud = best + rng.normal(size=(64, d)) * (scale0 * 10.0 ** -exponent)
-        cloud_pen = ev.penalty(cloud)
-        i = int(np.argmin(cloud_pen))
-        if cloud_pen[i] < best_pen:
-            best, best_pen = cloud[i].copy(), float(cloud_pen[i])
-    if failed is not None and best.tobytes() == failed.tobytes():
-        snapped = False  # the cloud did not win, and this very point failed its snap
-    else:
-        best, snapped = _exact_snap(ev, best)
-    stats["snappedExact"] = snapped
-
-    return finish(best)
+    if system.regime is Regime.FLOAT:
+        # FLOAT snaps practically never verify: snap only the final pick.
+        *_, last = states
+        states = (last,)
+    point, stats["snappedExact"] = _first_exact_pick(ev, states, flat_polish)
+    return finish(point)
 
 
 # ---------------------------------------------------------------------------
@@ -1360,7 +1335,9 @@ def certificate_samples(system: ConstraintSystem, seed: int = 0,
     candidates are tried.  Draws come in blocks of at most ``count`` rows,
     one ``rng.uniform`` call each, and each block is completed at once with
     the float operations of a per-draw loop, in its order, so the points
-    do not depend on the block size.
+    do not depend on the block size.  Where the completion overflows a
+    double (a block's discriminant is not finite), the system is refused
+    with ``DomainError`` rather than sampled.
     """
     return list(map(tuple, _sample_block(system, seed, count).tolist()))
 
@@ -1390,9 +1367,14 @@ def _sample_block(system: ConstraintSystem, seed: int, count: int) -> np.ndarray
         for col in params.T:
             rest -= col
             total += col
-        for a, b in combinations(params.T, 2):
-            pairs += a * b
-        disc = rest * rest - 4.0 * (s2 - pairs - total * rest)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a, b in combinations(params.T, 2):
+                pairs += a * b
+            disc = rest * rest - 4.0 * (s2 - pairs - total * rest)
+        # rest is finite, so a finite discriminant gives finite completions.
+        if not np.isfinite(disc).all():
+            raise DomainError("the certificate samples overflow a double: the equalities' "
+                              "completion is not finite at this scale; rescale the system")
         real = ~(disc < 0)
         rest, root = rest[real], np.sqrt(disc[real])
         block = np.zeros((len(rest), case.n))

@@ -383,13 +383,22 @@ class TestScan:
             assert v.residual > 1e-3  # genuinely far from feasible
             assert v.witness is None
 
-    def test_deterministic_per_seed(self):
-        s = builtin_case("thm2-lambda3")
-        a = scan(s, budget=small_budget(), seed=5)
-        b = scan(s, budget=small_budget(), seed=5)
-        assert a.best_point == b.best_point
-        assert a.residual == b.residual
-        assert a.to_json_dict() == b.to_json_dict()
+    @pytest.mark.parametrize("cells", [2_000, 60_000])
+    @pytest.mark.parametrize("system", [
+        *(builtin_case(name, H=H) for name in BUILTIN_CASES
+          for H in (Fraction(1, 2), 1, 1000)),
+        planted_system(),
+    ], ids=lambda s: f"{s.name}-H{s.mean_curvature}" if s.name else "float-custom")
+    def test_result_does_not_depend_on_the_seed(self, system, cells):
+        # No stage of the search reads the seed; it is only echoed in stats.
+        def result(seed):
+            payload = scan(system, budget=small_budget(cells), seed=seed).to_json_dict()
+            assert payload["stats"].pop("seed") == seed
+            return payload
+
+        first = result(0)
+        assert result(1) == first
+        assert result(5) == first
 
     def test_witness_double_entry(self):
         # hand-built feasible system: x = (1, 1, 2) solves both equalities
@@ -465,11 +474,11 @@ class TestScan:
         stats = scan(system, budget=budget, seed=0).stats
         assert stats["coarseStarts"] == min(budget.polish_starts, stats["gridCells"])
 
-    def test_cloud_pick_goes_straight_to_the_snap(self):
+    def test_polish_pick_at_penalty_zero_goes_straight_to_the_snap(self):
         # custom-scans seed 2's custom-0 (bench/workloads.py) at its bench
         # budget.  Its polish pick sits at penalty exactly 0, and no stage
-        # after the cloud may move it off: one more descent and Gauss-Newton
-        # pass there would leave it at 3.2e-30.
+        # after Gauss-Newton may move it off: one more descent and
+        # Gauss-Newton pass there would leave it at 3.2e-30.
         system = ConstraintSystem.from_json_dict({
             "name": "custom-0", "n": 10, "regime": "float",
             "traceTarget": 11.623707487670726, "sigma2Target": 52.71321980477207,
@@ -509,19 +518,22 @@ class TestScan:
     @pytest.mark.parametrize("name", ["thm1-claim", "thm2-claim"])
     def test_no_snap_repeats_the_one_before(self, monkeypatch, name, H):
         # An EXACT scan with no rational witness snaps its Gauss-Newton picks,
-        # all of which fail; where the cloud leaves the last of them as it
-        # was, snapping it again after the cloud would fail the same way.
+        # all of which fail; the final pick is snapped once, not again after
+        # Gauss-Newton, and it is the best point returned.
         snaps = []
         snap = caseverify._exact_snap
         monkeypatch.setattr(caseverify, "_exact_snap",
                             lambda ev, x: snaps.append(x.tobytes()) or snap(ev, x))
-        v = scan(builtin_case(name, H=H), budget=small_budget(20_000), seed=1)
+        system = builtin_case(name, H=H)
+        v = scan(system, budget=small_budget(20_000), seed=1)
         assert v.status == "NO_WITNESS" and v.stats["snappedExact"] is False
         assert snaps and all(a != b for a, b in zip(snaps, snaps[1:]))
+        free = _PenaltyEvaluator(system).free0
+        assert [v.best_point[j] for j in free] == np.frombuffer(snaps[-1]).tolist()
 
     def test_float_system_snaps_once(self, monkeypatch):
-        # FLOAT snaps practically never verify, so a FLOAT scan keeps its
-        # single snap after the cloud.
+        # FLOAT snaps practically never verify, so a FLOAT scan snaps only
+        # its final Gauss-Newton pick.
         snaps = []
         snap = caseverify._exact_snap
         monkeypatch.setattr(caseverify, "_exact_snap",
@@ -1534,6 +1546,16 @@ class TestCertificates:
         # thm2-claim's sigma_3 and sigma_4 pass the double range at H = 1e100.
         with pytest.raises(DomainError, match="not a finite number: inf"):
             certificate_check(builtin_case("thm2-claim", H=10 ** 100), seed=1, count=50)
+
+    @pytest.mark.parametrize("name", ["thm1-claim", "thm1-lambda2", "thm2-claim"])
+    def test_sampler_refuses_an_overflowing_completion(self, name):
+        # At H = 3e153 the completion's discriminant passes the double range
+        # (inf, or inf - inf = nan): the sampler refuses rather than return
+        # non-finite points or drop the rows.  RuntimeWarnings are errors here.
+        system = builtin_case(name, H=3 * 10 ** 153)
+        for call in (certificate_samples, certificate_check):
+            with pytest.raises(DomainError, match="certificate samples overflow a double"):
+                call(system, seed=1, count=200)
 
     @pytest.mark.parametrize("H, message", [(10 ** 77, "-inf"), (10 ** 80, "inf"),
                                             (10 ** 90, "inf")], ids=["1e77", "1e80", "1e90"])
