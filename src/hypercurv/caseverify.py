@@ -6,22 +6,27 @@ are pinned to targets (equivalently H and the scalar curvature R), selected
 labels are pinned to zero, and the rest carry sign constraints, optionally
 together with sign constraints on higher symmetric values sigma_r.
 
-``scan`` searches the box |x_i| <= |A| = sqrt(trace^2 - 2 sigma_2) in four
-stages: a uniform grid keeps its ``polish_starts`` best cells by a
-squared-violation penalty, lockstep coordinate descent and then Gauss-Newton
-polish those cells, and an exact snap tries a nearby rational point at the
-best of them.  An EXACT system already snaps during Gauss-Newton and returns
-at its first exactly feasible snap.  No stage reads the seed, so the result
-does not depend on it.  The grid is pruned branch-and-bound style (Land &
-Doig 1960): cells grow one coordinate at a time, and a partial cell whose
-cheap separable terms (trace, ordering, sign bounds) already exceed a
-threshold above the kept set's worst penalty is never completed.  The full
-penalty runs only on cells that can still enter the kept set, and the kept
-set is the one a full evaluation would keep.  A returned WITNESS is always
-re-validated by an independent pure-Python constraint evaluator; NO_WITNESS
-is exhaustive-search evidence, not a proof.  A system whose penalty could
-overflow a double over that box is refused with ``DomainError`` before the
-grid, rather than ranked by inf.
+``scan`` first tries to prove an EXACT system empty by interval propagation
+over one box in ``Fraction`` arithmetic (``_proved_empty``); a proved
+system returns NO_WITNESS before any search.  Otherwise it searches the box
+|x_i| <= |A| = sqrt(trace^2 - 2 sigma_2) in four stages: a uniform grid
+keeps its ``polish_starts`` best cells by a squared-violation penalty,
+lockstep coordinate descent and then Gauss-Newton polish those cells, and an
+exact snap tries a nearby rational point at the best of them.  An EXACT
+system already snaps during Gauss-Newton and returns at its first exactly
+feasible snap.  No stage reads the seed, so the result does not depend on
+it.  The grid is pruned branch-and-bound style (Land & Doig 1960): cells
+grow one coordinate at a time, and a partial cell whose cheap separable
+terms (trace, ordering, sign bounds) already exceed a threshold above the
+kept set's worst penalty is never completed.  The full penalty runs only on
+cells that can still enter the kept set, and the kept set is the one a full
+evaluation would keep.  A returned WITNESS is always re-validated by an
+independent pure-Python constraint evaluator.  A NO_WITNESS whose
+``stats["note"]`` gives a reason (the propagation's proof, or equalities
+that force a negative sum of squares) is a proof for an EXACT system; any
+other NO_WITNESS is exhaustive-search evidence, not a proof.  A system whose
+penalty could overflow a double over that box is refused with
+``DomainError`` before the grid, rather than ranked by inf.
 
 The scan encodes its constraint terms once, as a gather plan over a
 workspace of sigma values and coordinates that gives a matrix of signed
@@ -1012,11 +1017,88 @@ def check_seed(seed: int) -> None:
     _check_integer("the seed", seed, least=0)
 
 
+_PROOF_SWEEPS = 8  # propagation sweeps before _proved_empty gives up
+
+
+def _proved_empty(system: ConstraintSystem) -> bool:
+    """True when interval propagation proves that an EXACT ``system`` has no point.
+
+    One box, no bisection (Moore 1966; Benhamou, Goualard, Granvilliers &
+    Puget 1999), in ``Fraction`` arithmetic.  It starts from |x_i| <= r with
+    r^2 >= |A|^2 and applies the pinned zeros and the sign bounds, a strict
+    bound through its closure and ``>=H`` as x >= trace/n.  Each sweep then
+    applies the ordering forwards and backwards and the trace (each
+    coordinate lies within the trace minus the range of the others' sum),
+    and checks that the coordinates' square ranges sum to a range holding
+    |A|^2; the sweeps stop at a fixed point or after ``_PROOF_SWEEPS``.
+    Last, an interval e_r recursion checks that sigma_2's range holds its
+    target and that each bounded sigma_r's range meets its half-line.  An
+    empty range or a failed check proves the system empty; ``False`` proves
+    nothing.
+    """
+    n, trace, norm_a2 = system.n, system.trace_target, system.norm_a2_target
+    if norm_a2 < 0:
+        return True
+    r = Fraction(math.isqrt(norm_a2.numerator * norm_a2.denominator) + 1, norm_a2.denominator)
+    lo, hi = [-r] * n, [r] * n
+    for i in system.fixed_zeros:
+        lo[i - 1] = hi[i - 1] = Fraction(0)
+    for sc in system.sign_constraints:
+        i = sc.index - 1
+        if sc.relation in (Relation.LE_ZERO, Relation.LT_ZERO):
+            hi[i] = min(hi[i], Fraction(0))
+        else:
+            lo[i] = max(lo[i], trace / n if sc.relation is Relation.GE_H else Fraction(0))
+    for _ in range(_PROOF_SWEEPS):
+        before = lo + hi
+        if system.ordering:
+            for i in range(1, n):
+                lo[i] = max(lo[i], lo[i - 1])
+            for i in range(n - 2, -1, -1):
+                hi[i] = min(hi[i], hi[i + 1])
+        low_sum, high_sum = sum(lo), sum(hi)
+        for i, (a, b) in enumerate(zip(lo, hi)):
+            lo[i], hi[i] = max(a, trace - (high_sum - b)), min(b, trace - (low_sum - a))
+        if any(a > b for a, b in zip(lo, hi)):
+            return True
+        least = most = 0
+        for a, b in zip(lo, hi):
+            most += max(a * a, b * b)
+            least += a * a if a > 0 else b * b if b < 0 else 0
+        if not least <= norm_a2 <= most:
+            return True
+        if lo + hi == before:
+            break
+    top = max([2] + [ex.r for ex in system.extra_symmetric])
+    e_lo = [Fraction(1)] + [Fraction(0)] * top
+    e_hi = list(e_lo)
+    for k, (a, b) in enumerate(zip(lo, hi)):
+        if a == b == 0:
+            continue  # a zero coordinate leaves every e_r as it is
+        for s in range(min(k + 1, top), 0, -1):
+            products = (a * e_lo[s - 1], a * e_hi[s - 1], b * e_lo[s - 1], b * e_hi[s - 1])
+            e_lo[s] += min(products)
+            e_hi[s] += max(products)
+    if not e_lo[2] <= system.sigma2_target <= e_hi[2]:
+        return True
+    return any(e_hi[ex.r] < 0 if ex.relation is Relation.GE_ZERO else e_lo[ex.r] > 0
+               for ex in system.extra_symmetric)
+
+
 def scan(system: ConstraintSystem, budget: Optional[ScanBudget] = None,
          seed: int = 0, tol: float = 1e-8) -> FeasibilityVerdict:
     """Search for a point satisfying ``system``; the result is deterministic.
 
-    The stages run in order: the grid keeps its ``budget.polish_starts``
+    After the refusals (``tol``, ``seed``, a penalty that could overflow,
+    a grid that cannot be indexed), an EXACT system with a free coordinate
+    first goes to ``_proved_empty``.  A proved system returns NO_WITNESS at
+    once, as a system whose equalities force a negative sum of squares
+    does: its best point is the zero point with that point's violations,
+    ``stats["gridCells"]`` is 0 and ``stats["note"]`` reads "interval
+    propagation proves the system empty".  For an EXACT system either proof
+    gives NO_WITNESS even when the zero point lies within ``tol`` of every
+    constraint.  A FLOAT system is never tried.  Otherwise the stages run
+    in order: the grid keeps its ``budget.polish_starts``
     best cells, ``budget.polish_rounds`` rounds of lockstep descent and then
     Gauss-Newton polish them, and ``_exact_snap`` tries a nearby rational
     point at the pick, the polished row first by (penalty, grid index).
@@ -1045,13 +1127,14 @@ def scan(system: ConstraintSystem, budget: Optional[ScanBudget] = None,
     ev = _PenaltyEvaluator(system)
     norm_a2 = promote(system.norm_a2_target)
     d = len(ev.free0)
+    exact = system.regime is Regime.EXACT
     stats: Dict[str, object] = {"seed": seed, "freeCoordinates": d}
 
-    def finish(x_free: np.ndarray) -> FeasibilityVerdict:
+    def finish(x_free: np.ndarray, proved: bool = False) -> FeasibilityVerdict:
         point = tuple(float(v) for v in ev.full(np.atleast_2d(x_free))[0])
         viols = constraint_violations(system, point)
         residual = max(viols.values())
-        witness = point if residual <= tol else None
+        witness = None if proved or residual > tol else point
         stats["bestPenalty"] = float(ev.penalty(np.atleast_2d(x_free))[0])
         return FeasibilityVerdict(
             status="WITNESS" if witness is not None else "NO_WITNESS",
@@ -1073,7 +1156,7 @@ def scan(system: ConstraintSystem, budget: Optional[ScanBudget] = None,
     if norm_a2 < 0:
         # sum x_i^2 = trace^2 - 2 sigma_2 < 0 is unsatisfiable outright.
         stats.update({"gridCells": 0, "note": "equalities force a negative sum of squares"})
-        return finish(np.zeros((1, d)))
+        return finish(np.zeros((1, d)), proved=exact)
     if d == 0:
         stats["gridCells"] = 1
         return finish(np.zeros((1, 0)))
@@ -1090,6 +1173,9 @@ def scan(system: ConstraintSystem, budget: Optional[ScanBudget] = None,
         cause = ("scan fewer than 63 free coordinates" if axis_points == 2
                  else f"lower grid_points ({budget.grid_points}) to at most {largest}")
         raise DomainError(f"the scan's grid of {axis_points}^{d} cells cannot be indexed; {cause}")
+    if exact and _proved_empty(system):
+        stats.update({"gridCells": 0, "note": "interval propagation proves the system empty"})
+        return finish(np.zeros((1, d)), proved=True)
     axes = np.linspace(-box, box, axis_points) if box > 0 else np.zeros(axis_points)
     stats.update({"gridCells": total, "axisPoints": axis_points,
                   "coarseStarts": min(budget.polish_starts, total)})
@@ -1098,7 +1184,7 @@ def scan(system: ConstraintSystem, budget: Optional[ScanBudget] = None,
     x_polish = _lockstep_descent(ev, x_polish, budget.polish_rounds, lo=lo, hi=hi)
     pen = ev.penalty(x_polish)
     states = _gauss_newton_states(ev, x_polish, pen, ranks=flat_polish)  # updates both
-    if system.regime is Regime.FLOAT:
+    if not exact:
         # FLOAT snaps practically never verify: snap only the final pick.
         *_, last = states
         states = (last,)

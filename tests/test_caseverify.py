@@ -466,10 +466,10 @@ class TestScan:
         assert isinstance(stats["snappedExact"], bool)
 
     @pytest.mark.parametrize("system, budget", [
-        (builtin_case("thm2-claim"), small_budget()),
+        (builtin_case("thm2-lambda2"), small_budget()),
         (planted_system(), ScanBudget(grid_points=20_000)),
         (planted_system(), ScanBudget(grid_points=300, polish_starts=1000)),
-    ], ids=["thm2-claim", "float-custom", "starts-past-the-grid"])
+    ], ids=["thm2-lambda2", "float-custom", "starts-past-the-grid"])
     def test_polish_starts_from_the_grid(self, system, budget):
         stats = scan(system, budget=budget, seed=0).stats
         assert stats["coarseStarts"] == min(budget.polish_starts, stats["gridCells"])
@@ -515,16 +515,25 @@ class TestScan:
         assert len(calls) < 40
 
     @pytest.mark.parametrize("H", [Fraction(1, 2), 1, Fraction(3, 2), 2], ids=str)
-    @pytest.mark.parametrize("name", ["thm1-claim", "thm2-claim"])
-    def test_no_snap_repeats_the_one_before(self, monkeypatch, name, H):
+    @pytest.mark.parametrize("name, ratio", [
+        ("thm1-claim", None), ("thm2-claim", None),
+        ("thm1-lambda2", Fraction(3, 4)), ("thm2-lambda2", Fraction(9, 10)),
+    ], ids=["thm1-claim", "thm2-claim", "thm1-lambda2-R3/4", "thm2-lambda2-R9/10"])
+    def test_no_snap_repeats_the_one_before(self, monkeypatch, name, ratio, H):
         # An EXACT scan with no rational witness snaps its Gauss-Newton picks,
         # all of which fail; the final pick is snapped once, not again after
-        # Gauss-Newton, and it is the best point returned.
+        # Gauss-Newton, and it is the best point returned.  The two lambda2
+        # cases sit above their largest feasible R (2/3 and 5/6 H^2), where
+        # the interval proof leaves them open; the claims are proved empty
+        # before the search, so they reach it only with the proof turned off.
+        if ratio is None:
+            monkeypatch.setattr(caseverify, "_proved_empty", lambda system: False)
         snaps = []
         snap = caseverify._exact_snap
         monkeypatch.setattr(caseverify, "_exact_snap",
                             lambda ev, x: snaps.append(x.tobytes()) or snap(ev, x))
-        system = builtin_case(name, H=H)
+        system = builtin_case(name, H=H, R=None if ratio is None else ratio * H * H)
+        assert not caseverify._proved_empty(system)
         v = scan(system, budget=small_budget(20_000), seed=1)
         assert v.status == "NO_WITNESS" and v.stats["snappedExact"] is False
         assert snaps and all(a != b for a, b in zip(snaps, snaps[1:]))
@@ -549,6 +558,139 @@ class TestScan:
         assert payload["status"] == "WITNESS"
         assert payload["witness"] == [0.0, 0.0, 2.0, 2.0]
         assert "violations" in payload
+
+
+def planted_exact_system(rng, lower_sigma2=False):
+    # An EXACT system built around a rational point x (n 3-10): its trace and
+    # sigma_2, pinned zeros and sign bounds that hold at x (strict ones only
+    # where x is off zero, >=H wherever x_i >= H) and sigma_r signs read off
+    # x; a quarter of them unordered, around a shuffled x.  With
+    # ``lower_sigma2`` the sigma_2 target drops by 1 + |sigma_2|, which may
+    # leave the system empty.
+    n = rng.randint(3, 10)
+    zeros = rng.randint(0, n - 1)
+    negatives = rng.randint(0, n - zeros)
+    value = lambda: Fraction(rng.randint(1, 40), rng.randint(1, 12))
+    x = (sorted(-value() for _ in range(negatives)) + [Fraction(0)] * zeros
+         + sorted(value() for _ in range(n - zeros - negatives)))
+    ordering = rng.random() < 0.75
+    if not ordering:
+        rng.shuffle(x)
+    fixed = {i + 1 for i, v in enumerate(x) if v == 0 and rng.random() < 0.6}
+    h = sum(x) / n
+    loose = [i for i in range(1, n + 1) if i not in fixed]
+    signs = []
+    for i in sorted(rng.sample(loose, len(loose) // 2)):
+        v = x[i - 1]
+        options = ([Relation.LE_ZERO, Relation.LT_ZERO] if v < 0 else
+                   [Relation.GE_ZERO, Relation.GT_ZERO] if v > 0 else
+                   [Relation.GE_ZERO, Relation.LE_ZERO])
+        signs.append(SignConstraint(i, Relation.GE_H if v >= h and rng.random() < 0.5
+                                    else rng.choice(options)))
+    extra = []
+    for r in sorted(rng.sample(range(3, n + 1), rng.randint(0, min(2, n - 2)))):
+        s_r = oracles.sigma_subsets(x, r)
+        extra.append(SymmetricSignConstraint(
+            r, Relation.GE_ZERO if s_r > 0 or (s_r == 0 and rng.random() < 0.5)
+            else Relation.LE_ZERO))
+    s2 = oracles.sigma_subsets(x, 2)
+    system = ConstraintSystem(n, sum(x), s2 - (1 + abs(s2)) if lower_sigma2 else s2,
+                              fixed_zeros=fixed, ordering=ordering,
+                              sign_constraints=tuple(signs), extra_symmetric=tuple(extra))
+    assert lower_sigma2 or max_violation(system, x) == 0
+    return system
+
+
+class TestIntervalProof:
+    def test_planted_systems_are_never_proved_empty(self):
+        rng = random.Random(20261020)
+        for _ in range(200):
+            system = planted_exact_system(rng)
+            assert not caseverify._proved_empty(system), system.to_json_dict()
+
+    def test_lowered_sigma2_is_proved_empty_somewhere(self):
+        # Not every lowered system is empty, but the proof must bite on some,
+        # or the test above would pass with a proof that never proves.
+        rng = random.Random(20261020)
+        proved = sum(caseverify._proved_empty(planted_exact_system(rng, lower_sigma2=True))
+                     for _ in range(200))
+        assert 0 < proved < 200
+
+    def test_decision_does_not_depend_on_h(self):
+        # Every system is homogeneous: x -> t x maps the case at H onto the
+        # case at t H, so the proof decides each case the same way at every H.
+        for name in BUILTIN_CASES:
+            decisions = {caseverify._proved_empty(builtin_case(name, H=H))
+                         for H in (Fraction(1, 10 ** 6), Fraction(1, 1000), 1, 1000, 10 ** 6)}
+            assert decisions == {name.endswith("-claim")}, name
+
+    def test_a_strict_bound_is_proved_through_its_closure(self):
+        # x_1 > 0 with x_1 <= x_2 and x_1 + x_2 = 0 is empty, but its closure
+        # holds at (0, 0), where sigma_2 = 0 too: no proof.  At trace -1 the
+        # ordering and the trace force x_1 <= -1/2, so the closure is empty
+        # as well and the proof holds.
+        strict = ConstraintSystem(2, 0, 0, sign_constraints=(
+            SignConstraint(1, Relation.GT_ZERO),))
+        assert not caseverify._proved_empty(strict)
+        assert scan(strict, budget=small_budget(1000)).status == "NO_WITNESS"
+        assert caseverify._proved_empty(ConstraintSystem(2, -1, 0, sign_constraints=(
+            SignConstraint(1, Relation.GT_ZERO),)))
+
+    @pytest.mark.parametrize("relation, proved", [(Relation.LE_ZERO, True),
+                                                   (Relation.GE_ZERO, False)])
+    def test_sigma_r_half_lines_are_checked(self, relation, proved):
+        # x_1 >= H = 1 with the ordering and trace 3 leaves only (1, 1, 1),
+        # where the sum of squares and sigma_2 = 3 hold; only sigma_3 = 1
+        # settles the system.
+        system = ConstraintSystem(
+            3, 3, 3, sign_constraints=(SignConstraint(1, Relation.GE_H),),
+            extra_symmetric=(SymmetricSignConstraint(3, relation),))
+        assert caseverify._proved_empty(system) is proved
+
+    def test_proved_verdict_has_the_refusal_stats(self):
+        # A proved system returns as the sum-of-squares refusal does: no grid.
+        proved = scan(builtin_case("thm1-claim"), budget=small_budget(), seed=3)
+        refused = scan(ConstraintSystem(3, 1, 1), budget=small_budget(), seed=3)
+        assert refused.stats["note"] == "equalities force a negative sum of squares"
+        assert set(proved.stats) == set(refused.stats) == {
+            "seed", "freeCoordinates", "gridCells", "note", "bestPenalty"}
+        assert proved.stats["gridCells"] == 0
+        assert proved.stats["note"] == "interval propagation proves the system empty"
+        assert proved.best_point == (0.0, 0.0, 0.0, 0.0)
+        assert proved.residual == 4.0 and proved.witness is None
+
+    @pytest.mark.parametrize("name", ["thm1-claim", "thm2-claim"])
+    def test_claims_skip_every_search_stage(self, monkeypatch, name):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a proved system reached the search")
+
+        for stage in ("_grid_top", "_lockstep_descent", "_gauss_newton_states", "_exact_snap"):
+            monkeypatch.setattr(caseverify, stage, forbidden)
+        assert scan(builtin_case(name, H=Fraction(7, 5)), seed=1).status == "NO_WITNESS"
+
+    @pytest.mark.parametrize("name", ["thm1-claim", "thm2-claim"])
+    def test_tiny_h_claims_are_no_witness(self, name):
+        # At H = 1/100000 the search polished both claims to within tol of
+        # the constraints and reported a WITNESS; the proof ends them first.
+        v = scan(builtin_case(name, H=Fraction(1, 100000)),
+                 budget=ScanBudget(grid_points=20_000))
+        assert v.status == "NO_WITNESS" and v.stats["gridCells"] == 0
+
+    def test_a_proved_system_is_no_witness_whatever_its_residual(self):
+        # The zero point of these EXACT systems is within tol of every
+        # constraint, but no point satisfies them.
+        tiny = scan(ConstraintSystem(2, 0, Fraction(1, 10 ** 10)), budget=small_budget(1000))
+        assert tiny.residual < 1e-8 and tiny.status == "NO_WITNESS"
+        loose = scan(builtin_case("thm1-claim"), budget=small_budget(1000), tol=10.0)
+        assert loose.residual == 4.0 and loose.status == "NO_WITNESS"
+
+    def test_float_systems_are_never_proved(self, monkeypatch):
+        def forbidden(system):
+            raise AssertionError("the proof ran on a FLOAT system")
+
+        monkeypatch.setattr(caseverify, "_proved_empty", forbidden)
+        v = scan(builtin_case("thm1-claim", H=1.0), budget=small_budget(1000), seed=1)
+        assert v.status == "NO_WITNESS" and v.stats["gridCells"] == 1000
 
 
 class TestExcessKernel:

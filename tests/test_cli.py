@@ -156,6 +156,17 @@ class TestScan:
         assert payload["agreesWithExpected"] is True
         assert payload["certificate"]["passed"] is True
 
+    def test_tiny_h_claim_agrees(self, capsys):
+        # The search reported a false WITNESS here (exit 2); the interval
+        # proof settles the claim before it.
+        code, payload = run_json(
+            capsys,
+            ["scan", "--case", "thm2-claim", "--H", "1/100000", "--seed", "1",
+             "--budget", "20000"])
+        assert code == 0
+        assert payload["verdict"]["status"] == "NO_WITNESS"
+        assert payload["agreesWithExpected"] is True
+
     def test_deterministic_output(self, capsys):
         argv = ["scan", "--case", "thm2-lambda3", "--H", "1", "--seed", "3",
                 "--budget", "120000"]
