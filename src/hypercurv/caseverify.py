@@ -9,22 +9,22 @@ together with sign constraints on higher symmetric values sigma_r.
 ``scan`` first tries to prove an EXACT system empty by interval propagation
 over one box in ``Fraction`` arithmetic (``_proved_empty``); a proved
 system returns NO_WITNESS before any search.  Otherwise it searches the box
-|x_i| <= |A| = sqrt(trace^2 - 2 sigma_2) in four stages: a uniform grid
+|x_i| <= |A| = sqrt(trace^2 - 2 sigma_2) in three stages: a uniform grid
 keeps its ``polish_starts`` best cells by a squared-violation penalty,
-lockstep coordinate descent and then Gauss-Newton polish those cells, and an
-exact snap tries a nearby rational point at the best of them.  An EXACT
-system already snaps during Gauss-Newton and returns at its first exactly
-feasible snap.  No stage reads the seed, so the result does not depend on
-it.  The grid is pruned branch-and-bound style (Land & Doig 1960): cells
-grow one coordinate at a time, and a partial cell whose cheap separable
-terms (trace, ordering, sign bounds) already exceed a threshold above the
-kept set's worst penalty is never completed.  The full penalty runs only on
-cells that can still enter the kept set, and the kept set is the one a full
-evaluation would keep.  A returned WITNESS is always re-validated by an
-independent pure-Python constraint evaluator.  A NO_WITNESS whose
-``stats["note"]`` gives a reason (the propagation's proof, or equalities
-that force a negative sum of squares) is a proof for an EXACT system; any
-other NO_WITNESS is exhaustive-search evidence, not a proof.  A system whose
+Gauss-Newton polishes those cells, and an exact snap tries a nearby
+rational point at the best of them.  An EXACT system already snaps during
+Gauss-Newton and returns at its first exactly feasible snap.  No stage
+reads the seed, so the result does not depend on it.  The grid is pruned
+branch-and-bound style (Land & Doig 1960): cells grow one coordinate at a
+time, and a partial cell whose cheap separable terms (trace, ordering,
+sign bounds) already exceed a threshold above the kept set's worst penalty
+is never completed.  The full penalty runs only on cells that can still
+enter the kept set, and the kept set is the one a full evaluation would
+keep.  A returned WITNESS is always re-validated by an independent
+pure-Python constraint evaluator.  A NO_WITNESS whose ``stats["note"]``
+gives a reason (the propagation's proof, or equalities that force a
+negative sum of squares) is a proof for an EXACT system; any other
+NO_WITNESS is exhaustive-search evidence, not a proof.  A system whose
 penalty could overflow a double over that box is refused with
 ``DomainError`` before the grid, rather than ranked by inf.
 
@@ -34,17 +34,11 @@ excess (one column per term, positive when violated).  Every term is affine in
 any one coordinate x_j: the trace, the ordering steps and the sign bounds
 trivially, and sigma_r through sigma_r(x) = x_j sigma_{r-1}(x without j) +
 sigma_r(x without j).  So one sigma pass over a point with x_j = 0 gives
-each term's offset along x_j, the terms there, and its exact slope: 1 for
-the trace, sigma_1(x without j) for sigma_2, +-1 for an ordering step, the
-bound's sense for a sign bound and sense * sigma_{r-1}(x without j) for a
-sigma_r bound.  The penalty is the sum of squares with inequality terms
-clipped at zero, each coordinate section of it is convex piecewise-quadratic
-with knots at the inequality breakpoints (so the descent minimises it in
-closed form: the best of the knots and of each piece's clipped stationary
-point), and the slopes over all coordinates are the Gauss-Newton Jacobian.
-A line search runs over only the terms that move along its coordinate (the
-equalities, the ordering steps and sign bounds on it, the sigma_r bounds),
-and on a tie it keeps the current value.
+each term's exact slope along x_j: 1 for the trace, sigma_1(x without j)
+for sigma_2, +-1 for an ordering step, the bound's sense for a sign bound
+and sense * sigma_{r-1}(x without j) for a sigma_r bound.  The penalty is
+the sum of squares with inequality terms clipped at zero, and the slopes
+over all coordinates are the Gauss-Newton Jacobian.
 
 For the built-in named cases, ``closed_form_contradiction`` evaluates the
 registered one-line certificate whose sign settles the case without any
@@ -343,10 +337,11 @@ def _sigma_bound(n: int, top: int, reach: float) -> float:
 
 @dataclass(frozen=True)
 class ScanBudget:
-    """Search effort: total grid cells, the grid cells polished, and their
-    descent rounds.
+    """Search effort: total grid cells and the grid cells polished.
 
     Every field must be an integer >= 1; anything else raises ``DomainError``.
+    ``polish_rounds`` counted the rounds of a coordinate-descent stage that
+    ``scan`` no longer runs; it is still validated, but nothing reads it.
     """
 
     grid_points: int = 1_000_000
@@ -384,9 +379,6 @@ class _Part:
     target: np.ndarray
     sense: np.ndarray
 
-    def take(self, cols) -> "_Part":
-        return _Part(self.a[cols], self.b[cols], self.target[cols], self.sense[cols])
-
     def reading(self, rows: np.ndarray, targets: bool = True) -> "_Part":
         # The same terms with workspace row i read as rows[i], and without
         # their targets unless ``targets``.
@@ -422,15 +414,14 @@ class _PenaltyEvaluator:
     point.  Term by term it reads sigma_1 - trace, sigma_2 - sigma_2 target,
     the steps x_i - x_{i+1}, sense * (x_c - t) and sense * (sigma_r - t),
     each as (w[a] - w[b] - target) * sense with b the zero row where
-    nothing is subtracted.  The penalty (``excess``), the descent's line
-    sections and the Gauss-Newton Jacobian are all read off it.  A term's
-    slope along x_k is the same term with sigma_r read as sigma_{r-1} (the
-    zero row sits right before sigma_0), x_k as the ones row, every other
-    coordinate as the zero row, and no target, on the sigma values of the
-    point with x_k = 0 (``along``).  Every other reader (``moving``,
-    ``excess_bound``, ``jacobian`` and ``_PrefixBound``) tells a term's
-    kind by the workspace rows it reads, so the terms change in ``whole``
-    alone.
+    nothing is subtracted.  The penalty (``excess``) and the Gauss-Newton
+    Jacobian are both read off it.  A term's slope along x_k is the same
+    term with sigma_r read as sigma_{r-1} (the zero row sits right before
+    sigma_0), x_k as the ones row, every other coordinate as the zero row,
+    and no target, on the sigma values of the point with x_k = 0
+    (``along``).  Every other reader (``excess_bound``, ``jacobian`` and
+    ``_PrefixBound``) tells a term's kind by the workspace rows it reads,
+    so the terms change in ``whole`` alone.
     """
 
     def __init__(self, system: ConstraintSystem):
@@ -457,20 +448,6 @@ class _PenaltyEvaluator:
         self.terms = len(plan)
         a, b, target, sense = (np.array(v) for v in zip(*plan))
         self.whole = _Part(a, b, target[:, None], sense[:, None])
-        # The terms that can move along free coordinate c are those that read
-        # a sigma row or coordinate c; ``moving`` holds their ``excess``
-        # columns.  Every other term has slope exactly 0 along c.
-        # ``parts[k]`` reads their offsets at x_c = 0 and then their slopes
-        # along x_c, so that one gather gives the section (offsets first).
-        reads_sigma = (a >= sig) & (a < x)
-        self.moving, self.parts = [], []
-        for c in self.free0:
-            cols = np.flatnonzero(reads_sigma | (a == x + c) | (b == x + c))
-            moving = self.whole.take(cols)
-            at_zero = np.arange(self.rows)
-            at_zero[x + c] = 0
-            self.moving.append(cols)
-            self.parts.append(_Part.stack([moving.reading(at_zero), self.along(moving, c)]))
         # The Jacobian's workspace holds the points with x_k = 0 as column
         # block k of d; read as d times as many rows of one block's width,
         # row r of block k is row r * d + k.
@@ -536,11 +513,11 @@ class _PenaltyEvaluator:
     def jacobian(self, x_free: np.ndarray) -> np.ndarray:
         """Slope of every term along every free coordinate: rows x terms x coords.
 
-        The descent's section slopes (``tests/oracles.sections`` builds them
-        one coordinate at a time) for all coordinates at once: the points
-        tiled d times, block k with x_k = 0, make one workspace, and one
-        gather reads every coordinate's slopes off its own block.  A term
-        that does not move along x_k has slope 0 there.
+        ``tests/oracles.sections`` builds the same slopes one coordinate at
+        a time.  Here the points tiled d times, block k with x_k = 0, make
+        one workspace, and one gather reads every coordinate's slopes off
+        its own block.  A term that reads neither a sigma row nor x_k has
+        slope 0 along x_k.
         """
         m, d = x_free.shape
         at_zero = np.tile(x_free, (d, 1))
@@ -570,108 +547,6 @@ def _sum_squares(ex: np.ndarray) -> np.ndarray:
     return ex.sum(axis=1)
 
 
-def _section_minimum(s: np.ndarray, o: np.ndarray, lo: float, hi: float,
-                     now: np.ndarray) -> np.ndarray:
-    """Each row's current value ``now``, or a strictly lower minimiser of its
-    section f(t) = sum of (s t + o)^2 on [lo, hi].
-
-    ``s`` and ``o`` are term-major (terms x rows), so that numpy runs each
-    step over the long axis.  Terms 0 and 1 are equalities; the rest are
-    inequalities, clipped at zero, whose breakpoints -o/s cut [lo, hi] into
-    pieces with a fixed active set.  f is convex and quadratic on each
-    piece, so its minimum over [lo, hi] is at a knot or at a piece's
-    stationary point -sum(s o)/sum(s^2) over the active terms, clipped to
-    the piece.  f is evaluated at ``now`` and at every such candidate,
-    knots in ascending order after ``now``, and the first argmin is
-    returned: a tie keeps the current value, so a row moves only to a lower
-    section value.  ``lo`` must not be a zero (the scan's is at most
-    -1e-3): ``np.fmax``, which parks the breakpoints at ``lo``, may return
-    either zero when a breakpoint is the other one.  A zero slope divides
-    by zero, so callers run this where those warnings are ignored
-    (``np.errstate(divide="ignore", invalid="ignore")``).
-    """
-    terms, m = s.shape
-    knots = np.empty((terms, m))
-    knots[0], knots[-1] = lo, hi
-    breaks = knots[1:-1]
-    rise = -o
-    np.divide(rise[2:], s[2:], out=breaks)
-    # A zero slope has no breakpoint (inf or nan); park it at a bound:
-    # fmax takes lo over a nan.
-    np.fmax(breaks, lo, out=breaks)
-    np.minimum(breaks, hi, out=breaks)
-    knots.sort(axis=0)
-    left, right = knots[:-1], knots[1:]
-    mid = left + right
-    mid *= 0.5
-    # s t + o > 0 exactly when s t > -o: a float sum is zero only when the
-    # exact one is.
-    active = s * mid[:, None, :] > rise
-    active[:, :2] = True
-    curvature = (active * (s * s)).sum(axis=1)
-    stationary = (active * (s * o)).sum(axis=1)
-    np.negative(stationary, out=stationary)
-    stationary /= curvature
-    # maximum, then minimum, is np.clip bit for bit, signed zeros and nan
-    # included (maximum keeps its second argument on a tie).
-    np.maximum(stationary, left, out=stationary)
-    np.minimum(stationary, right, out=stationary)
-    # A piece with no curvature is flat: its knots already cover it.
-    stationary = np.where(curvature > 0.0, stationary, left)
-    cand = np.concatenate((now[None], knots, stationary))
-    vals = s * cand[:, None, :]
-    vals += o
-    np.maximum(vals[:, 2:], 0.0, out=vals[:, 2:])
-    np.square(vals, out=vals)
-    return cand[vals.sum(axis=1).argmin(axis=0), np.arange(m)]
-
-
-_ROW_CHUNK = 1024  # descent rows per block: bounds the rows x candidates x terms tensor
-
-
-def _lockstep_descent(ev: _PenaltyEvaluator, x: np.ndarray, rounds: int,
-                      lo: float, hi: float) -> np.ndarray:
-    # Along one coordinate every term is affine, so each coordinate section
-    # of the penalty is convex piecewise-quadratic and ``_section_minimum``
-    # minimises it exactly.  The line search sees only the terms that move
-    # along its coordinate (``ev.moving``): the rest are constant there, so
-    # they shift the section without moving its minimiser.  A tie keeps the
-    # current value, so a row moves only to a lower section value; rounding
-    # near the float floor could otherwise raise a penalty.  Rows never
-    # interact, so they run in blocks of ``_ROW_CHUNK``.
-    #
-    # Each block keeps one workspace, whose coordinate rows are the block's
-    # live storage.  Each sweep updates the coordinates in order and
-    # gathers, bit for bit, the sections that a full sigma pass per
-    # coordinate gives (the reference form is ``tests/oracles.sections``),
-    # without that pass: ``prefix`` carries sigma_0 .. sigma_top of the
-    # coordinates already updated, and the section at coordinate k applies
-    # only the later ones to it, in the workspace's sigma rows.  Coordinate
-    # k itself is skipped, and its plan (``ev.parts[k]``) reads it as the
-    # zero row.  That is exact, because adding +-0 leaves a finite
-    # accumulator unchanged and the accumulator never holds -0.0 (it starts
-    # at +0 and 1, and a sum is -0.0 only when both summands are).
-    x = x.copy()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, len(x), _ROW_CHUNK):
-            w = ev.workspace(x[start:start + _ROW_CHUNK])
-            e = w[ev.sig:ev.x]
-            cols = [w[ev.x + c] for c in ev.free0]
-            for _ in range(rounds):
-                prefix = np.zeros_like(e)
-                prefix[0] = 1.0
-                for k, col in enumerate(cols):
-                    np.copyto(e, prefix)
-                    for later in cols[k + 1:]:
-                        e[1:] += later * e[:-1]
-                    section = _terms(w, ev.parts[k])
-                    half = len(section) // 2
-                    col[:] = _section_minimum(section[half:], section[:half], lo, hi, col)
-                    prefix[1:] += col * prefix[:-1]
-            x[start:start + _ROW_CHUNK] = w[ev.x + np.array(ev.free0)].T
-    return x
-
-
 _HALVINGS = 0.5 ** np.arange(25)  # Gauss-Newton step scales, tried in order
 _GN_ITERATIONS = 40  # lockstep Gauss-Newton iterations at most
 _ROUNDING_GAIN = 4 * np.finfo(float).eps  # a relative decrease this small is rounding
@@ -686,10 +561,9 @@ def _gauss_newton_states(ev: _PenaltyEvaluator, x: np.ndarray, fx: np.ndarray,
     # that snaps to an exactly feasible point; ``tests/oracles.gauss_newton``
     # drains it).
     #
-    # Quadratic local convergence where coordinatewise descent creeps, e.g.
-    # along directions where an equality residual is second-order flat.  The
-    # residual is the equalities plus the violated inequalities, so near a
-    # solution with a stable active set its squared norm is the penalty.
+    # The residual is the equalities plus the violated inequalities, so
+    # near a solution with a stable active set its squared norm is the
+    # penalty.
     # Rows run in lockstep, so each iteration costs one excess, one jacobian,
     # one stacked pseudo-inverse and at most two penalty calls however many
     # rows are live or how many halvings they need: every row tries its full
@@ -773,7 +647,8 @@ def _exact_snap(ev: _PenaltyEvaluator, x: np.ndarray) -> Tuple[np.ndarray, bool]
     """Rational reconstruction of a near-feasible point, exactly verified.
 
     Equality residuals that are second order along some direction leave a
-    feasibility valley that float descent can only pin to about sqrt(eps).
+    feasibility valley that the float Gauss-Newton polish can only pin to
+    about sqrt(eps).
     Clustering the coordinates, reconstructing each cluster as a small
     rational, and checking the candidate in exact arithmetic removes that
     floor whenever the underlying witness is rational.  The candidate is
@@ -1098,10 +973,10 @@ def scan(system: ConstraintSystem, budget: Optional[ScanBudget] = None,
     propagation proves the system empty".  For an EXACT system either proof
     gives NO_WITNESS even when the zero point lies within ``tol`` of every
     constraint.  A FLOAT system is never tried.  Otherwise the stages run
-    in order: the grid keeps its ``budget.polish_starts``
-    best cells, ``budget.polish_rounds`` rounds of lockstep descent and then
-    Gauss-Newton polish them, and ``_exact_snap`` tries a nearby rational
+    in order: the grid keeps its ``budget.polish_starts`` best cells,
+    Gauss-Newton polishes them, and ``_exact_snap`` tries a nearby rational
     point at the pick, the polished row first by (penalty, grid index).
+    ``budget.polish_rounds`` is validated but not read.
     An EXACT system snaps its pick before each Gauss-Newton iteration and
     after the last, whenever the pick moved, and returns at the first snap
     that is exactly feasible: its exact residual is 0, so the rest of
@@ -1144,10 +1019,10 @@ def scan(system: ConstraintSystem, budget: Optional[ScanBudget] = None,
 
     box = math.sqrt(max(norm_a2, 0.0))
     lo, hi = -box - 0.05 * box - 1e-3, box + 0.05 * box + 1e-3
-    # The penalty squares every term, and the descent squares slopes (1, +-1
-    # or sigma_{r-1} of the other coordinates, which excess_bound covers too)
-    # and sums them over the terms; refuse a box where that can overflow
-    # rather than rank points by inf.
+    # The penalty squares every term, and the Gauss-Newton solve squares the
+    # Jacobian's slopes (1, +-1 or sigma_{r-1} of the other coordinates,
+    # which excess_bound covers too) and sums them over the terms; refuse a
+    # box where that can overflow rather than rank points by inf.
     bound = 2.0 * ev.excess_bound(max(hi, 1.0))
     if not math.isfinite(ev.terms * bound * bound):
         raise DomainError(
@@ -1180,9 +1055,7 @@ def scan(system: ConstraintSystem, budget: Optional[ScanBudget] = None,
     stats.update({"gridCells": total, "axisPoints": axis_points,
                   "coarseStarts": min(budget.polish_starts, total)})
 
-    _, flat_polish, x_polish = _grid_top(ev, axes, budget.polish_starts)
-    x_polish = _lockstep_descent(ev, x_polish, budget.polish_rounds, lo=lo, hi=hi)
-    pen = ev.penalty(x_polish)
+    pen, flat_polish, x_polish = _grid_top(ev, axes, budget.polish_starts)
     states = _gauss_newton_states(ev, x_polish, pen, ranks=flat_polish)  # updates both
     if not exact:
         # FLOAT snaps practically never verify: snap only the final pick.

@@ -276,39 +276,37 @@ def constraint_violations_per_call(system, point):
     return viol
 
 
-def sections(ev, x_free, k):
-    """Slope and offset of the terms ``ev.moving[k]`` along free coordinate k.
-
-    sigma_r(x) = x_k sigma_{r-1}(x without k) + sigma_r(x without k), so
-    every term is affine in x_k.  One full sigma pass over the rows with
-    x_k = 0 gives the workspace from which ``ev.parts[k]`` gathers the
-    offsets, the terms there, and the slopes, the same terms one sigma
-    degree down with x_k read as 1 and the other coordinates as 0.  Both
-    arrays are rows x ``len(moving[k])``, laid out term by term.  This is
-    the reference form of a section: the descent gathers the same arrays,
-    bit for bit, from a sigma prefix carried through each sweep instead of
-    a full sigma pass per coordinate.
-    """
-    from hypercurv.caseverify import _terms
-
-    at_zero = x_free.copy()
-    at_zero[:, k] = 0.0
-    section = _terms(ev.workspace(at_zero), ev.parts[k])
-    half = len(section) // 2
-    return section[half:].T, section[:half].T
-
-
-def line_minimum(slope, offset, lo, hi, now):
-    """``_section_minimum`` on row-major sections (rows x terms), with the
-    zero-slope warnings silenced here.
+def moving(ev, k):
+    """The ``excess`` columns that can move along free coordinate k: the terms
+    that read a sigma row or the coordinate's own row of ``ev.whole``.
+    Every other term has slope exactly 0 along it.
     """
     import numpy as np
 
-    from hypercurv.caseverify import _section_minimum
+    a, b, row = ev.whole.a, ev.whole.b, ev.x + ev.free0[k]
+    return np.flatnonzero(((a >= ev.sig) & (a < ev.x)) | (a == row) | (b == row))
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _section_minimum(np.ascontiguousarray(slope.T), np.ascontiguousarray(offset.T),
-                                lo, hi, now)
+
+def sections(ev, x_free, k):
+    """Slope and offset of the terms ``moving(ev, k)`` along free coordinate k.
+
+    sigma_r(x) = x_k sigma_{r-1}(x without k) + sigma_r(x without k), so
+    every term is affine in x_k.  One full sigma pass over the rows with
+    x_k = 0 gives the workspace from which the plan gathers the offsets,
+    the terms there, and the slopes, the same terms one sigma degree down
+    with x_k read as 1 and the other coordinates as 0 (``ev.along``).
+    Both arrays are rows x ``len(moving(ev, k))``, laid out term by term.
+    This is the reference form of the Jacobian's slopes, one coordinate at
+    a time.
+    """
+    from hypercurv.caseverify import _Part, _terms
+
+    whole, cols = ev.whole, moving(ev, k)
+    part = _Part(whole.a[cols], whole.b[cols], whole.target[cols], whole.sense[cols])
+    at_zero = x_free.copy()
+    at_zero[:, k] = 0.0
+    w = ev.workspace(at_zero)
+    return _terms(w, ev.along(part, ev.free0[k])).T, _terms(w, part).T
 
 
 def gauss_newton(ev, x, ranks=None):
@@ -321,57 +319,6 @@ def gauss_newton(ev, x, ranks=None):
     for _ in _gauss_newton_states(ev, x, ev.penalty(x), ranks):
         pass
     return x
-
-
-def lockstep_descent_per_coordinate(ev, x, rounds, lo, hi):
-    """The lockstep descent as it was before the sigma prefix: a full
-    ``sections`` pass and one ``line_minimum`` for every coordinate of
-    every sweep, rows in blocks of ``_ROW_CHUNK``.
-    """
-    from hypercurv.caseverify import _ROW_CHUNK
-
-    x = x.copy()
-    for start in range(0, len(x), _ROW_CHUNK):
-        block = x[start:start + _ROW_CHUNK]
-        for _ in range(rounds):
-            for col in range(x.shape[1]):
-                slope, offset = sections(ev, block, col)
-                block[:, col] = line_minimum(slope, offset, lo, hi, block[:, col])
-    return x
-
-
-def section_minimum(s, o, lo, hi, now):
-    """``caseverify._section_minimum`` as it was before its clip trims: the
-    nan breakpoints parked by mask, both clips through ``np.clip``.  The
-    production minimiser must return the same bits.
-    """
-    import numpy as np
-
-    terms, m = s.shape
-    knots = np.empty((terms, m))
-    knots[0], knots[-1] = lo, hi
-    breaks = knots[1:-1]
-    np.divide(-o[2:], s[2:], out=breaks)
-    # A zero slope has no breakpoint (inf or nan); park it at a bound.
-    breaks[np.isnan(breaks)] = lo
-    np.clip(breaks, lo, hi, out=breaks)
-    knots.sort(axis=0)
-    left, right = knots[:-1], knots[1:]
-    probe = s * (0.5 * (left + right))[:, None, :]
-    probe += o
-    active = probe > 0.0
-    active[:, :2] = True
-    curvature = (active * (s * s)).sum(axis=1)
-    moment = (active * (s * o)).sum(axis=1)
-    stationary = np.clip(-moment / curvature, left, right)
-    # A piece with no curvature is flat: its knots already cover it.
-    stationary = np.where(curvature > 0.0, stationary, left)
-    cand = np.concatenate((now[None], knots, stationary))
-    vals = s * cand[:, None, :]
-    vals += o
-    np.maximum(vals[:, 2:], 0.0, out=vals[:, 2:])
-    np.square(vals, out=vals)
-    return cand[vals.sum(axis=1).argmin(axis=0), np.arange(m)]
 
 
 def gauss_newton_states(ev, x, ranks=None):

@@ -18,8 +18,6 @@ from hypercurv.caseverify import (
     _cells_at_most,
     _grid_cells,
     _grid_top,
-    _lockstep_descent,
-    _section_minimum,
     STRICT_MARGIN,
     ConstraintSystem,
     Relation,
@@ -492,6 +490,30 @@ class TestScan:
         assert v.status == "WITNESS"
         assert v.stats["bestPenalty"] == 0.0
 
+    @pytest.mark.parametrize("payload, seed", [
+        ({"name": "custom-0", "n": 10, "regime": "float",
+          "traceTarget": -9.615055239220833, "sigma2Target": 36.10166831767642,
+          "fixedZeros": [8], "ordering": True,
+          "signConstraints": [{"index": 1, "relation": "<0"}, {"index": 4, "relation": "<=0"},
+                              {"index": 5, "relation": "<=0"}, {"index": 10, "relation": ">=0"}],
+          "extraSymmetric": [{"r": 3, "relation": "<=0"}]}, 1942955373),
+        ({"name": "custom-0", "n": 10, "regime": "float",
+          "traceTarget": -8.365370800907135, "sigma2Target": 22.55420552665264,
+          "fixedZeros": [7], "ordering": True,
+          "signConstraints": [{"index": 1, "relation": "<=0"}, {"index": 4, "relation": "<=0"},
+                              {"index": 5, "relation": "<=0"}, {"index": 6, "relation": "<=0"}],
+          "extraSymmetric": [{"r": 3, "relation": "<=0"}]}, 708452615),
+    ], ids=["custom-scans-seed-11", "custom-scans-seed-21"])
+    def test_planted_systems_at_two_points_per_axis_are_found(self, payload, seed):
+        # custom-scans' custom-0 of seeds 11 and 21 (bench/workloads.py),
+        # built around a feasible point, at their bench budget and scan seed:
+        # 2^9 cells.  A coordinate-descent stage between the grid and
+        # Gauss-Newton left both at NO_WITNESS, residual 19.6 and 16.0.
+        system = ConstraintSystem.from_json_dict(payload)
+        v = scan(system, budget=ScanBudget(grid_points=500), seed=seed)
+        assert v.status == "WITNESS"
+        assert max_violation(system, v.witness) <= 1e-8
+
     @pytest.mark.parametrize("H", [Fraction(1, 2), 1, Fraction(3, 2), 2], ids=str)
     @pytest.mark.parametrize("name", ["thm1-lambda2", "thm2-lambda2", "thm2-lambda3"])
     def test_exact_scan_returns_its_first_exact_snap(self, name, H):
@@ -664,7 +686,7 @@ class TestIntervalProof:
         def forbidden(*args, **kwargs):
             raise AssertionError("a proved system reached the search")
 
-        for stage in ("_grid_top", "_lockstep_descent", "_gauss_newton_states", "_exact_snap"):
+        for stage in ("_grid_top", "_gauss_newton_states", "_exact_snap"):
             monkeypatch.setattr(caseverify, stage, forbidden)
         assert scan(builtin_case(name, H=Fraction(7, 5)), seed=1).status == "NO_WITNESS"
 
@@ -720,7 +742,8 @@ class TestExcessKernel:
         # section slope * t + offset is the excess at x_k = t to rounding.
         ev, x = self.kernel_and_point(builtin_case("thm2-claim"), seed=4)
         x = np.array([x, [0.5 * v for v in x]])
-        for k, moving in enumerate(ev.moving):
+        for k in range(len(ev.free0)):
+            moving = oracles.moving(ev, k)
             slope, offset = oracles.sections(ev, x, k)
             for t in (0.0, -2.0, 0.3, 1.7):
                 moved = x.copy()
@@ -746,12 +769,10 @@ class TestExcessKernel:
     @staticmethod
     def polish_batch(system, cells=20_000, starts=64):
         # The batch the scan hands to Gauss-Newton: the grid's best
-        # ``starts`` cells by (penalty, flat index), after the polish descent.
+        # ``starts`` cells by (penalty, flat index).
         ev, axes = _grid(system, max(2, int(cells ** (1 / len(_PenaltyEvaluator(system).free0)))))
-        box = float(axes[-1])
-        lo, hi = -1.05 * box - 1e-3, 1.05 * box + 1e-3
         _, flat, x = _grid_top(ev, axes, starts)
-        return ev, _lockstep_descent(ev, x, 24, lo, hi), flat
+        return ev, x, flat
 
     def test_retiring_ranked_rows_keeps_the_pick(self):
         # With ranks, rows ranked after a row at penalty 0 stop early; the
@@ -839,11 +860,11 @@ class TestExcessKernel:
             yield ev, np.random.default_rng(i).uniform(-box, box, size=(30, len(ev.free0)))
 
     def test_moving_terms_match_sections(self):
-        # ``moving[k]`` is the equalities, the ordering steps on x_k, its
-        # sign bounds and every sigma_r bound, in column order.  A term left
-        # out of it has slope exactly 0 along x_k; the trace has slope 1,
-        # the ordering steps on x_k exactly +-1 and its sign bounds exactly
-        # their sense.  ``sections`` gives the Jacobian's slopes on the
+        # ``oracles.moving(ev, k)`` is the equalities, the ordering steps on
+        # x_k, its sign bounds and every sigma_r bound, in column order.  A
+        # term left out of it has slope exactly 0 along x_k; the trace has
+        # slope 1, the ordering steps on x_k exactly +-1 and its sign bounds
+        # exactly their sense.  ``sections`` gives the Jacobian's slopes on the
         # moving columns, and its offsets are the moving terms at x_k = 0.
         for ev, x in self.systems_and_points():
             system = ev.system
@@ -851,7 +872,8 @@ class TestExcessKernel:
             signs = 2 + (system.n - 1 if system.ordering else 0)
             coords = [sc.index - 1 for sc in system.sign_constraints]
             h = float(system.mean_curvature)
-            for k, (c, moving) in enumerate(zip(ev.free0, ev.moving)):
+            for k, c in enumerate(ev.free0):
+                moving = oracles.moving(ev, k)
                 assert list(moving) == [
                     0, 1, *(2 + i for i in range(max(c - 1, 0), min(c + 1, signs - 2))),
                     *(signs + j for j, coord in enumerate(coords) if coord == c),
@@ -935,123 +957,143 @@ def _random_float_system(rng, free):
                             sign_constraints=tuple(signs), extra_symmetric=extra)
 
 
-def _section_values(slope, offset, t):
-    # Dense oracle of a coordinate section: f at every t[:, k], one row each.
-    terms = slope[:, None, :] * t[:, :, None] + offset[:, None, :]
-    terms[:, :, 2:] = np.maximum(terms[:, :, 2:], 0.0)
-    return (terms ** 2).sum(axis=2)
-
-
-def _section_rows(kind, rng, m=40, terms=9):
-    slope = rng.normal(size=(m, terms)) * rng.choice([0.1, 1.0, 10.0], size=(m, 1))
-    offset = rng.normal(size=(m, terms)) * 3.0
-    if kind == "zero-slopes":
-        slope[rng.random((m, terms)) < 0.4] = 0.0
-        slope[:4] = 0.0  # whole rows flat
-        offset[:2, 2:] = -1.0  # ... and some of them with no active inequality
-    elif kind == "equalities-only":
-        slope, offset = slope[:, :2], offset[:, :2]
-    elif kind == "breakpoints-outside":
-        # -offset/slope far outside [lo, hi] on both sides
-        offset[:, 2:] = np.sign(rng.normal(size=(m, terms - 2))) * 100.0 * np.abs(slope[:, 2:])
-    elif kind == "tied-breakpoints":
-        # inequality terms sharing one breakpoint, some with opposite slopes
-        slope[:, 3:] = slope[:, 2:3] * rng.choice([-2.0, 0.5, 1.0], size=(m, terms - 3))
-        offset[:, 3:] = offset[:, 2:3] * (slope[:, 3:] / slope[:, 2:3])
-    return slope, offset
+def _search_box(system):
+    # the scan's search interval [lo, hi]
+    box = math.sqrt(max(float(system.norm_a2_target), 0.0))
+    return -1.05 * box - 1e-3, 1.05 * box + 1e-3
 
 
 class TestLineMinimum:
-    """``_section_minimum``, the descent's line minimiser, on row-major sections."""
-
-    LO, HI = -4.0, 3.0
+    """Gauss-Newton's line search: each live row tries its full step, then the
+    other ``_HALVINGS`` of it in order, and takes the first candidate that
+    lowers its penalty; a row at penalty 0 never moves."""
 
     @staticmethod
-    def minimum(slope, offset, lo, hi, now):
-        # Term-major, as the descent hands sections over, and with the
-        # zero-slope warnings silenced, as the descent silences them; any
-        # other RuntimeWarning is an error in this suite.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return _section_minimum(np.ascontiguousarray(slope.T),
-                                    np.ascontiguousarray(offset.T), lo, hi, now)
-
-    @pytest.mark.parametrize("seed, kind", enumerate(
-        ["random", "zero-slopes", "equalities-only", "breakpoints-outside", "tied-breakpoints"]))
-    def test_no_point_of_a_dense_sweep_is_lower(self, seed, kind):
-        slope, offset = _section_rows(kind, np.random.default_rng(seed))
-        now = np.linspace(self.LO, self.HI, len(slope))
-        t = self.minimum(slope, offset, self.LO, self.HI, now)
-        assert np.all((self.LO <= t) & (t <= self.HI))
-        sweep = np.broadcast_to(np.linspace(self.LO, self.HI, 20001), (len(t), 20001))
-        dense = _section_values(slope, offset, sweep).min(axis=1)
-        found = _section_values(slope, offset, t[:, None])[:, 0]
-        assert np.all(found <= dense + 1e-12 * (1.0 + dense))
+    def logged_states(ev, x):
+        # Every state of a Gauss-Newton run from ``x``, and the rows each
+        # Jacobian and penalty call of its iterations saw, in call order.
+        log = []
+        penalty, jacobian = ev.penalty, ev.jacobian
+        ev.penalty = lambda rows: log.append(("penalty", rows.copy())) or penalty(rows)
+        ev.jacobian = lambda rows: log.append(("jacobian", rows.copy())) or jacobian(rows)
+        try:
+            states = [(y.copy(), fy.copy()) for y, fy in
+                      caseverify._gauss_newton_states(ev, x.copy(), penalty(x))]
+        finally:
+            del ev.penalty, ev.jacobian
+        return states, log
 
     def test_flat_rows_take_the_first_candidate(self):
-        # Constant sections tie everywhere; the first argmin is the current value.
-        slope = np.zeros((2, 4))
-        offset = np.array([[1.0, -2.0, -1.0, 0.5], [0.0, 0.0, -3.0, -1.0]])
-        np.testing.assert_array_equal(
-            self.minimum(slope, offset, self.LO, self.HI, np.full(2, self.LO)),
-            [self.LO, self.LO])
-        now = np.array([0.5, self.HI])
-        np.testing.assert_array_equal(self.minimum(slope, offset, self.LO, self.HI, now), now)
+        # thm2-claim has no witness, so rows end where no candidate along
+        # their step lowers the penalty: such a flat row keeps its bits and
+        # leaves the lockstep.  Every other live row takes its first lower
+        # candidate, the full step or the first halving after it.
+        system = builtin_case("thm2-claim")
+        ev = _PenaltyEvaluator(system)
+        lo, hi = _search_box(system)
+        x = np.random.default_rng(6).uniform(lo, hi, size=(24, len(ev.free0)))
+        states, log = self.logged_states(ev, x)
+        iterations = [i for i, (kind, _) in enumerate(log) if kind == "jacobian"]
+        assert len(iterations) == len(states) - 1
+        taken = {"full": 0, "halved": 0, "flat": 0}
+        for it, at in enumerate(iterations):
+            (before, fb), (after, _) = states[it], states[it + 1]
+            starts = log[at][1]
+            calls = [rows for kind, rows in log[at + 1:at + 3] if kind == "penalty"]
+            full = calls[0]
+            more = (calls[1].reshape(-1, len(caseverify._HALVINGS) - 1, x.shape[1])
+                    if len(calls) > 1 else None)
+            assert len(full) == len(starts)  # every step was finite
+            rows = [next(i for i in range(len(before)) if before[i].tobytes() == s.tobytes())
+                    for s in starts]
+            retried = 0
+            for j, i in enumerate(rows):
+                candidates = [full[j]]
+                if not ev.penalty(full[j])[0] < fb[i]:
+                    candidates += list(more[retried])
+                    retried += 1
+                lower = [c for c in candidates if ev.penalty(c)[0] < fb[i]]
+                want = lower[0] if lower else before[i]
+                assert after[i].tobytes() == want.tobytes()
+                taken["flat" if not lower else "full" if len(candidates) == 1 else "halved"] += 1
+                if not lower and it + 1 < len(iterations):
+                    later = log[iterations[it + 1]][1]
+                    assert all(r.tobytes() != before[i].tobytes() for r in later)
+            assert more is None or retried == len(more)
+        assert all(taken.values()), taken
 
     def test_a_current_minimiser_is_kept_bit_for_bit(self):
-        # Row 0 is flat at 0 on [-1, 1]: t - 1 <= 0 and -t - 1 <= 0, no
-        # equality moves, so 0.3 is a minimiser although the knot -1 is first.
-        slope = np.array([[0.0, 0.0, 1.0, -1.0]])
-        offset = np.array([[0.0, 0.0, -1.0, -1.0]])
-        assert self.minimum(slope, offset, self.LO, self.HI, np.array([0.3]))[0] == 0.3
-        assert self.minimum(slope, offset, self.LO, self.HI, np.array([2.0]))[0] == -1.0
-        # Random rows: a second search from the first one's minimiser stays put.
-        slope, offset = _section_rows("random", np.random.default_rng(7))
-        t = self.minimum(slope, offset, self.LO, self.HI, np.zeros(len(slope)))
-        np.testing.assert_array_equal(self.minimum(slope, offset, self.LO, self.HI, t.copy()), t)
+        # The planted system's feasible set is a continuum: rows that end at
+        # penalty 0 lie in it, and a second run keeps every one of them,
+        # yielding once.  In a batch with unsolved rows they keep their bits
+        # at every state while the others move.
+        system = planted_system()
+        ev = _PenaltyEvaluator(system)
+        lo, hi = _search_box(system)
+        x = np.random.default_rng(7).uniform(lo, hi, size=(40, len(ev.free0)))
+        end = oracles.gauss_newton(ev, x)
+        solved = end[ev.penalty(end) == 0.0]
+        assert 2 <= len(solved) < len(end)
+        states = [y.copy() for y, _ in
+                  caseverify._gauss_newton_states(ev, solved.copy(), ev.penalty(solved))]
+        assert len(states) == 1 and states[0].tobytes() == solved.tobytes()
+        batch = np.concatenate([solved, x[:8]])
+        moved = False
+        for y, fy in caseverify._gauss_newton_states(ev, batch.copy(), ev.penalty(batch)):
+            assert y[:len(solved)].tobytes() == solved.tobytes()
+            assert np.all(fy[:len(solved)] == 0.0)
+            moved |= y[len(solved):].tobytes() != x[:8].tobytes()
+        assert moved
 
     @pytest.mark.parametrize("system", [builtin_case("thm2-claim"), builtin_case("thm1-lambda2"),
                                         planted_system(),
                                         _random_float_system(random.Random(9), 9)],
                              ids=["thm2-claim", "thm1-lambda2", "float-custom", "random-9-free"])
     def test_descent_never_raises_a_penalty(self, system):
+        # No state raises any row's penalty above the one before, and every
+        # row ends lower than it started.
         ev = _PenaltyEvaluator(system)
         box = math.sqrt(float(system.norm_a2_target))
-        lo, hi = -1.05 * box - 1e-3, 1.05 * box + 1e-3
         x = np.random.default_rng(5).uniform(-box, box, size=(50, len(ev.free0)))
         before = ev.penalty(x)
-        for rounds in (1, 3):
-            after = ev.penalty(_lockstep_descent(ev, x, rounds, lo, hi))
-            assert np.all(after <= before)
-        assert np.all(after < before)
+        last = before
+        for _, fy in caseverify._gauss_newton_states(ev, x.copy(), before.copy()):
+            assert np.all(fy <= last)
+            last = fy.copy()
+        assert np.all(last < before)
 
     def test_descent_keeps_an_exact_witness(self):
         system = builtin_case("thm1-lambda2")
         ev = _PenaltyEvaluator(system)
         x = np.array([[0.0, 2.0, 2.0]])  # (0, 0, 2, 2) with x_2 pinned
         assert ev.penalty(x)[0] == 0.0
-        np.testing.assert_array_equal(_lockstep_descent(ev, x, 2, -3.0, 3.0), x)
-
-
-def _descent_box(system):
-    # the scan's search interval [lo, hi]
-    box = math.sqrt(max(float(system.norm_a2_target), 0.0))
-    return -1.05 * box - 1e-3, 1.05 * box + 1e-3
+        for ranks in (None, np.array([0])):
+            states = list(caseverify._gauss_newton_states(ev, x.copy(), ev.penalty(x), ranks))
+            assert len(states) == 1
+            np.testing.assert_array_equal(states[0][0], x)
+        np.testing.assert_array_equal(oracles.gauss_newton(ev, x), x)
 
 
 class TestPrefixDescent:
-    """``_lockstep_descent`` against the per-coordinate sections loop, byte for byte."""
+    """The scan's descent, Gauss-Newton, from rows across the search box:
+    ``_gauss_newton_states`` against ``oracles.gauss_newton_states`` byte for
+    byte, state by state, with and without ranks, and no state raises a
+    row's penalty."""
 
     @staticmethod
-    def assert_matches_oracle(system, x, rounds=3):
+    def assert_matches_oracle(system, x):
         ev = _PenaltyEvaluator(system)
-        lo, hi = _descent_box(system)
-        got = _lockstep_descent(ev, x, rounds, lo, hi)
-        want = oracles.lockstep_descent_per_coordinate(ev, x, rounds, lo, hi)
-        assert got.tobytes() == want.tobytes()
+        ranks = np.random.default_rng(len(x)).permutation(len(x))
+        for r in (None, ranks):
+            TestPinnedGaussNewton.assert_same_states(ev, x, r)
+        last = ev.penalty(x)
+        for _, fy in caseverify._gauss_newton_states(ev, x.copy(), last.copy()):
+            assert np.all(fy <= last)
+            last = fy.copy()
 
     @staticmethod
     def start_rows(system, m, seed):
-        lo, hi = _descent_box(system)
+        lo, hi = _search_box(system)
         free = system.n - len(system.fixed_zeros)
         return np.random.default_rng(seed).uniform(lo, hi, size=(m, free))
 
@@ -1075,9 +1117,10 @@ class TestPrefixDescent:
         self.assert_matches_oracle(system, self.start_rows(system, 40, seed=6))
 
     def test_more_rows_than_a_block(self):
+        # The full steps alone fill more than one block of penalty rows.
         system = builtin_case("thm2-claim", H=Fraction(3, 4))
-        assert 1030 > caseverify._ROW_CHUNK
-        self.assert_matches_oracle(system, self.start_rows(system, 1030, seed=7), rounds=2)
+        x = self.start_rows(system, caseverify._PENALTY_ROWS + 30, seed=7)
+        self.assert_matches_oracle(system, x)
 
     def test_start_rows_with_signed_zeros(self):
         for system in (builtin_case("thm2-claim"), planted_system()):
@@ -1092,8 +1135,8 @@ class TestPrefixDescent:
     @pytest.mark.parametrize("name", ["thm2-claim", "thm2-lambda2", "thm2-lambda3"])
     def test_zero_rows_with_zero_slopes(self, name):
         # From all-zero rows the sigma_4 bound's slope sigma_3 is exactly 0,
-        # so its breakpoint is 0/0; the descent must keep the warnings that
-        # raises to itself.
+        # and so is its offset; Gauss-Newton must run from there without a
+        # floating-point warning.
         system = builtin_case(name)
         x = np.zeros((8, system.n - 1))
         slope, offset = oracles.sections(_PenaltyEvaluator(system), x, 0)
@@ -1103,69 +1146,94 @@ class TestPrefixDescent:
             self.assert_matches_oracle(system, x)
 
 
+def _system_with_terms(rng, terms):
+    # An ordered FLOAT system of exactly ``terms`` terms (at least 3): the two
+    # equalities, n - 1 ordering steps and random sign and sigma_r bounds.
+    n = int(rng.integers(2, min(terms - 1, 7) + 1))
+    bounds = terms - 2 - (n - 1)
+    signs = int(rng.integers(0, bounds + 1))
+    relations = [Relation.GE_ZERO, Relation.LE_ZERO, Relation.GT_ZERO, Relation.LT_ZERO,
+                 Relation.GE_H]
+    return ConstraintSystem(
+        n, float(rng.uniform(-2.0, 2.0)), float(rng.uniform(-3.0, 1.0)),
+        sign_constraints=tuple(SignConstraint(int(rng.integers(1, n + 1)),
+                                              relations[rng.integers(len(relations))])
+                               for _ in range(signs)),
+        extra_symmetric=tuple(SymmetricSignConstraint(
+            int(rng.integers(2, n + 1)), [Relation.GE_ZERO, Relation.LE_ZERO][rng.integers(2)])
+            for _ in range(bounds - signs)))
+
+
 class TestPinnedLineMinimum:
-    """``_section_minimum`` against its reference copy (``oracles.section_minimum``),
-    byte for byte, on term-major sections as the descent hands them over."""
+    """Every term is affine along a free coordinate: a line, whose slopes the
+    Jacobian reads.  ``ev.jacobian`` against its reference
+    (``oracles.sections``) byte for byte, coordinate by coordinate: the moving
+    terms' slopes, their offsets as the excess at x_k = 0, and slope 0 for
+    every other term."""
 
     BOUNDS = [(-4.0, 3.0), (-1e-3, 1e-3)]
 
     @staticmethod
-    def assert_same(s, o, lo, hi, now):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            want = oracles.section_minimum(s, o, lo, hi, now.copy())
-            got = _section_minimum(s, o, lo, hi, now.copy())
-        assert got.tobytes() == want.tobytes()
-
-    @staticmethod
-    def term_major(slope, offset):
-        return np.ascontiguousarray(slope.T), np.ascontiguousarray(offset.T)
+    def assert_same(ev, x):
+        jac = ev.jacobian(x)
+        for k in range(len(ev.free0)):
+            moving = oracles.moving(ev, k)
+            slope, offset = oracles.sections(ev, x, k)
+            assert np.ascontiguousarray(jac[:, moving, k]).tobytes() == slope.tobytes()
+            at_zero = x.copy()
+            at_zero[:, k] = 0.0
+            assert np.ascontiguousarray(ev.excess(at_zero)[:, moving]).tobytes() == offset.tobytes()
+            assert np.all(np.delete(jac[:, :, k], moving, axis=1) == 0.0)
 
     @pytest.mark.parametrize("lo, hi", BOUNDS)
     @pytest.mark.parametrize("rows", [1, 64, 1030])
     @pytest.mark.parametrize("terms", [3, 4, 7, 12])
     def test_random_sections(self, terms, rows, lo, hi):
         rng = np.random.default_rng(terms * rows)
-        for kind in ("random", "zero-slopes", "breakpoints-outside", "tied-breakpoints"):
-            s, o = self.term_major(*_section_rows(kind, rng, m=rows, terms=terms))
-            self.assert_same(s, o, lo, hi, rng.uniform(lo, hi, rows))
+        for _ in range(4):
+            ev = _PenaltyEvaluator(_system_with_terms(rng, terms))
+            assert ev.terms == terms
+            self.assert_same(ev, rng.uniform(lo, hi, size=(rows, len(ev.free0))))
 
     @pytest.mark.parametrize("lo, hi", BOUNDS)
     def test_zero_slopes(self, lo, hi):
-        # Breakpoints 0/0 (nan) and x/0 (+-inf), whole rows of them too.
+        # Rows that are zero but for at most one coordinate: there every
+        # sigma_r slope with r > 2 is exactly 0, along every other coordinate.
         rng = np.random.default_rng(3)
-        s, o = rng.normal(size=(2, 6, 64))
-        s[2:, ::2] = 0.0
-        o[2:, ::4] = 0.0
-        s[:, 5] = 0.0
-        o[:, 5] = 0.0
-        self.assert_same(s, o, lo, hi, rng.uniform(lo, hi, 64))
+        for name in ("thm2-claim", "thm2-lambda2", "thm2-lambda3"):
+            ev = _PenaltyEvaluator(builtin_case(name))
+            x = np.zeros((64, len(ev.free0)))
+            x[8:, 0] = rng.uniform(lo, hi, 56)
+            x[40:] = np.roll(x[40:], 1, axis=1)
+            assert np.any(ev.jacobian(x)[:, 2:, 1:] == 0.0)
+            self.assert_same(ev, x)
 
     @pytest.mark.parametrize("lo, hi", BOUNDS)
     def test_signed_zeros(self, lo, hi):
-        # +-0 in the slopes, offsets and current values, whole rows of them
-        # too, as the descent meets them on all-zero start rows.
+        # +-0 in the coordinates, whole rows of them too.
         rng = np.random.default_rng(4)
-        for terms in (3, 6, 9):
-            s, o = rng.normal(size=(2, terms, 64))
-            for a in (s, o):
-                a[rng.random(a.shape) < 0.25] = 0.0
-                a[rng.random(a.shape) < 0.25] = -0.0
-            s[:, :6] = np.where(rng.random((terms, 6)) < 0.5, 0.0, -0.0)
-            o[:, :6] = np.where(rng.random((terms, 6)) < 0.5, 0.0, -0.0)
-            now = rng.uniform(lo, hi, 64)
-            now[::3] = 0.0
-            now[1::3] = -0.0
-            self.assert_same(s, o, lo, hi, now)
+        for system in (builtin_case("thm2-claim"), planted_system(),
+                       _system_with_terms(rng, 12)):
+            ev = _PenaltyEvaluator(system)
+            x = rng.uniform(lo, hi, size=(64, len(ev.free0)))
+            x[rng.random(x.shape) < 0.25] = 0.0
+            x[rng.random(x.shape) < 0.25] = -0.0
+            x[:6] = np.where(rng.random((6, x.shape[1])) < 0.5, 0.0, -0.0)
+            self.assert_same(ev, x)
 
     @pytest.mark.parametrize("lo, hi", BOUNDS)
     def test_equalities_only_and_flat_rows(self, lo, hi):
+        # An unordered system with no bounds has only the trace and sigma_2
+        # terms, and both move along every coordinate.  On the flat rows, all
+        # zero, the sigma_2 slope is exactly 0 along each of them.
         rng = np.random.default_rng(5)
-        s, o = self.term_major(*_section_rows("equalities-only", rng, m=64))
-        self.assert_same(s, o, lo, hi, rng.uniform(lo, hi, 64))
-        s = np.zeros((5, 4))
-        o = rng.normal(size=(5, 4))
-        o[2:, 1] = -1.0  # a flat row with no active inequality
-        self.assert_same(s, o, lo, hi, np.array([lo, hi, 0.0, -0.0]))
+        ev = _PenaltyEvaluator(ConstraintSystem(5, 1.0, -2.0, ordering=False))
+        assert ev.terms == 2
+        x = rng.uniform(lo, hi, size=(64, 5))
+        x[::8] = 0.0
+        self.assert_same(ev, x)
+        assert np.all(ev.jacobian(x[::8])[:, 1, :] == 0.0)
+        assert np.all(ev.jacobian(x)[:, 0, :] == 1.0)
 
 
 class TestPinnedGaussNewton:
@@ -1196,7 +1264,7 @@ class TestPinnedGaussNewton:
     def batches(system, seed):
         # The scan's polish batch, and rows drawn across the search box.
         ev, x, flat = TestExcessKernel.polish_batch(system, cells=5_000, starts=32)
-        lo, hi = _descent_box(system)
+        lo, hi = _search_box(system)
         drawn = np.random.default_rng(seed).uniform(lo, hi, size=(24, len(ev.free0)))
         return ev, [(x, flat), (drawn, np.arange(24)[::-1].copy())]
 
