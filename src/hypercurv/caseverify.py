@@ -192,7 +192,7 @@ class ConstraintSystem(JsonRecord):
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "ConstraintSystem":
-        from .scalars import parse_scalar
+        from .scalars import _json_typed as typed, parse_scalar
 
         if not isinstance(payload, dict):
             raise DomainError("a system payload must be a JSON object, "
@@ -200,20 +200,22 @@ class ConstraintSystem(JsonRecord):
         try:
             regime = Regime(payload.get("regime", "exact"))
             return cls(
-                n=int(payload["n"]),
+                n=typed(payload["n"], int, "n"),
                 trace_target=parse_scalar(payload["traceTarget"], regime),
                 sigma2_target=parse_scalar(payload["sigma2Target"], regime),
-                fixed_zeros=frozenset(payload.get("fixedZeros", ())),
-                ordering=bool(payload.get("ordering", True)),
+                fixed_zeros=frozenset(
+                    typed(i, int, "a fixedZeros entry")
+                    for i in typed(payload.get("fixedZeros", ()), list, "fixedZeros")),
+                ordering=typed(payload.get("ordering", True), bool, "ordering"),
                 sign_constraints=tuple(
-                    SignConstraint(int(sc["index"]), Relation(sc["relation"]))
-                    for sc in payload.get("signConstraints", ())
+                    SignConstraint(typed(sc["index"], int, "index"), Relation(sc["relation"]))
+                    for sc in typed(payload.get("signConstraints", ()), list, "signConstraints")
                 ),
                 extra_symmetric=tuple(
-                    SymmetricSignConstraint(int(ex["r"]), Relation(ex["relation"]))
-                    for ex in payload.get("extraSymmetric", ())
+                    SymmetricSignConstraint(typed(ex["r"], int, "r"), Relation(ex["relation"]))
+                    for ex in typed(payload.get("extraSymmetric", ()), list, "extraSymmetric")
                 ),
-                name=payload.get("name"),
+                name=typed(payload.get("name"), str, "name", nullable=True),
             )
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, DomainError):
@@ -239,37 +241,27 @@ def constraint_violations(system: ConstraintSystem,
     checks.
     """
     x = list(point)
-    return _violations(system, x, common_regime(x))
-
-
-def _violations(system: ConstraintSystem, x: Sequence[Scalar],
-                regime: Regime) -> Dict[str, Scalar]:
-    # The body of ``constraint_violations``, for a point whose regime the
-    # caller already knows: every term of ``_violation_terms``, keyed in
-    # the order trace, sigma2, pinned zeros, ordering, signs, sigma_r bounds
-    # (a key already present keeps its place when its value is written).
+    # Every term of ``_violation_terms``, keyed in the order trace, sigma2,
+    # pinned zeros, ordering, signs, sigma_r bounds (a key already present
+    # keeps its place when its value is written).
     viol: Dict[str, Scalar] = dict.fromkeys(("trace", "sigma2"))
-    viol.update(_violation_terms(system, x, regime))
+    viol.update(_violation_terms(system, x, common_regime(x)))
     return viol
 
 
-def _violation_terms(system: ConstraintSystem, x: Sequence[Scalar], regime: Regime,
-                     sigma_first: bool = False):
+def _violation_terms(system: ConstraintSystem, x: Sequence[Scalar], regime: Regime):
     # Yields each ``(key, violation)`` of the point in evaluation order: the
     # trace, pinned zeros, ordering and sign terms (a subtraction, ``abs``
     # or ``max`` each, which cannot raise), then one sigma pass for sigma_2
     # and the sigma_r bounds, which raises ``DomainError`` on a value past
     # the double range.  So a caller that stops at the first term over a
-    # tolerance skips the sigma pass once a cheap term fails.  With
-    # ``sigma_first`` the sigma pass runs before the first term, so that it
-    # raises wherever evaluating every term would (``certificate_check``).
+    # tolerance skips the sigma pass once a cheap term fails.
     exact = regime is Regime.EXACT
     num = Fraction if exact else float
     x = [v if type(v) is num else num(v) for v in x]
     if len(x) != system.n:
         raise DomainError(f"point has {len(x)} coordinates, system has n={system.n}")
     plan = system._exact_plan if exact else system._float_plan
-    sigmas = spectrum._sigma_values(x, regime, plan.orders) if sigma_first else None
     zero = plan.zero
     yield "trace", abs(sum(x) - plan.trace)
     for key, i in plan.zeros:
@@ -290,7 +282,7 @@ def _violation_terms(system: ConstraintSystem, x: Sequence[Scalar], regime: Regi
         else:
             bad = max(zero, h - v)
         yield key, bad
-    s2, *bounded = sigmas if sigma_first else spectrum._sigma_values(x, regime, plan.orders)
+    s2, *bounded = spectrum._sigma_values(x, regime, plan.orders)
     yield "sigma2", abs(s2 - plan.sigma2)
     for (key, lower), s in zip(plan.symmetric, bounded):
         yield key, max(zero, -s) if lower else max(zero, s)
@@ -789,10 +781,9 @@ def _grid_cells(axes: np.ndarray, d: int, flat: np.ndarray) -> np.ndarray:
     return axes[np.stack(np.unravel_index(flat, (len(axes),) * d), axis=1)]
 
 
-def _cells_at_most(ev: _PenaltyEvaluator, axes: np.ndarray, cap: float,
-                   keep: Optional[int] = None):
+def _cells_at_most(ev: _PenaltyEvaluator, axes: np.ndarray, cap: float, keep: int):
     """Penalty and flat index of the grid cells within a cap that starts at
-    ``cap`` and, given ``keep``, drops as cells are found.
+    ``cap`` and drops as cells are found.
 
     Prefixes grow one free axis at a time, in the C order of the flat index,
     and a prefix survives while its ``_PrefixBound`` is <= the cap.  Each
@@ -803,8 +794,7 @@ def _cells_at_most(ev: _PenaltyEvaluator, axes: np.ndarray, cap: float,
     cell's, so the cap never falls below the grid's ``keep``-th penalty,
     and the bound never exceeds the penalty, so no cell within the final
     cap is pruned on the way.  The result is exactly the cells whose
-    penalty is <= its largest penalty; without ``keep``, every cell within
-    ``cap``.
+    penalty is <= its largest penalty.
     """
     bound = _PrefixBound(ev, axes)
     size, d = len(axes), bound.d
@@ -835,7 +825,7 @@ def _cells_at_most(ev: _PenaltyEvaluator, axes: np.ndarray, cap: float,
         cells = grow(d - 1, part, start, cap)
         pen = np.concatenate((pen, ev.penalty(_grid_cells(axes, d, cells))))
         flat = np.concatenate((flat, cells))
-        if keep is not None and len(pen) >= keep:
+        if len(pen) >= keep:
             cap = min(cap, float(np.partition(pen, keep - 1)[keep - 1]))
         within = pen <= cap
         pen, flat = pen[within], flat[within]
@@ -1121,16 +1111,26 @@ def _sigma3_squeeze(x, trace, s2, regime):
 
 def _certificate_sigma(x, regime, r):
     # sigma_r of one point in ``regime``, or of a FLOAT block (one row per
-    # coordinate) from the same sigma body, checked finite with the
-    # ``DomainError`` one point's value raises, at the block's first
-    # non-finite sample.
+    # coordinate) by ``_block_sigmas``.
     if not isinstance(x, np.ndarray):
         return spectrum._sigma_values(x, regime, (r,))[0]
-    s = spectrum._sigma_coefficients(x, r)[r]
-    bad = s[~np.isfinite(s)]
-    if len(bad):
-        coerce(float(bad[0]), Regime.FLOAT)
-    return s
+    return _block_sigmas(x, (r,))[0]
+
+
+def _block_sigmas(block: np.ndarray, orders: Sequence[int]) -> np.ndarray:
+    # sigma_r for each r in ``orders``, one row each, of a FLOAT block (one
+    # row per coordinate, one column per sample), from the sigma body of
+    # one sample's pass.  The first non-finite value, taking the first such
+    # sample and then the first such order, raises the ``DomainError`` that
+    # sample's own pass raises.
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = spectrum._sigma_coefficients(block, max(orders))
+    values = np.array([coeffs[r] for r in orders])
+    bad = ~np.isfinite(values)
+    if bad.any():
+        sample = bad.any(axis=0).argmax()
+        coerce(float(values[bad[:, sample].argmax(), sample]), Regime.FLOAT)
+    return values
 
 
 def _python_max(a, b):
@@ -1349,51 +1349,21 @@ def _sample_block(system: ConstraintSystem, seed: int, count: int) -> np.ndarray
         tried += rows
 
 
-def _running_max(values, count: int) -> float:
-    # ``r = max(r, v)`` over ``count`` values in order from r = 0.0 (a scalar
-    # stands for ``count`` copies): only a larger value replaces r, never a
-    # NaN, so r ends at 0.0 or at the largest value above it.
-    v = np.broadcast_to(values, (count,))
-    v = v[v > 0.0]
-    return float(v.max()) if len(v) else 0.0
-
-
-def _running_min(values, count: int) -> float:
-    # ``r = min(r, v)`` over ``count`` values in order from r = inf (a scalar
-    # stands for ``count`` copies): only a smaller value replaces r, never a
-    # NaN, so r ends at the first occurrence of the least value, and of
-    # -0.0 and 0.0 the first one seen stays.
-    v = np.broadcast_to(values, (count,))
-    v = v[v < math.inf]
-    return float(v[np.flatnonzero(v == v.min())[0]]) if len(v) else math.inf
-
-
 def _feasible_rows(system: ConstraintSystem, samples: np.ndarray, tol: float) -> List[bool]:
     """Whether each FLOAT row of ``samples`` has every violation <= ``tol``.
 
-    Each row is one call of the pure-Python body (``_violation_terms``),
-    stopped at its first term over ``tol``.  The terms of a finite row are
-    never NaN, so that is ``max(constraint_violations(...).values()) <=
-    tol``, and the cheap terms cannot raise, so the sigma pass that the
-    body runs last is the only place an error can come from.  With M the
-    largest |x_i| of the block, that pass cannot overflow when B = max
-    over 1 <= r <= top of C(n, r) (2M)^r is finite.  Each step is c_r +=
-    x_i c_{r-1}, so by induction every partial coefficient, and every
-    product it adds, is at most (1 + u)^(2n) sigma_r(|x|) <= (1 + u)^(2n)
-    C(n, r) M^r in magnitude (u = eps/2; |x_i| sigma_{r-1}(|x| before i)
-    <= sigma_r(|x|) bounds the product), which is (1 + u)^(2n) / 2^r times
-    a term of B.  The doubled reach absorbs that factor and the rounding
-    of B itself for any n below 10^15, so nothing in the pass reaches inf
-    or NaN, and running it last, or not at all, is unobservable.  Where B
-    is not finite (a non-finite row makes it so) every row runs the pass
-    before its first term, so that an overflow raises at the row where
-    evaluating every term raises.
+    One block check of the sigma values the system bounds
+    (``_block_sigmas``) runs first: it raises where evaluating every term
+    of every row raises, at the first row whose sigma pass is not finite.
+    Past it every row's sigmas are finite (a non-finite coordinate makes
+    sigma_2 non-finite), so each row is one call of the pure-Python body
+    (``_violation_terms``), cheap terms first, stopped at its first term
+    over ``tol``: a row that fails a cheap term never runs its sigma pass.
+    No term is then NaN, so that verdict is
+    ``max(constraint_violations(...).values()) <= tol``.
     """
-    reach = 2.0 * float(np.abs(samples).max(initial=0.0))
-    top = max(system._float_plan.orders)
-    sigma_first = not (math.isfinite(reach)
-                       and math.isfinite(_sigma_bound(system.n, top, reach)))
-    return [all(v <= tol for _, v in _violation_terms(system, x, Regime.FLOAT, sigma_first))
+    _block_sigmas(samples.T, system._float_plan.orders)
+    return [all(v <= tol for _, v in _violation_terms(system, x, Regime.FLOAT))
             for x in samples.tolist()]
 
 
@@ -1407,18 +1377,18 @@ def certificate_check(system: ConstraintSystem, seed: int = 0, count: int = 1000
     identity must vanish on every sample and the anchored witness must be
     fully feasible.  ``tol`` must be finite and positive, as in ``scan``.
 
-    Each sample's feasibility comes from the pure-Python body of
-    ``constraint_violations``, one call a sample: that loop is the check's
-    independent side.  Each call stops at its first term over ``tol``, and
-    the body yields the trace, pinned-zero, ordering and sign terms before
-    its sigma pass, so a sample that fails one of those never runs the
-    pass; a guard keeps any overflow error where evaluating every term
-    raises it (``_feasible_rows``).  The certificate's value and audit then
-    run once on the whole block of samples, with the float operations of
-    one sample's call, in its order, and are folded as a per-sample loop
-    folds them (``max`` from 0.0, ``min`` from inf, NaN skipped, the first
-    of a tie kept), so the report is bit-identical to evaluating every
-    term and the certificate per sample.
+    Feasibility comes in two steps (``_feasible_rows``).  One block check
+    of the system's sigma values raises any overflow at the sample where
+    evaluating every term raises it.  Then each sample is one call of the
+    pure-Python body of ``constraint_violations``, the check's independent
+    side: cheap terms (trace, pinned zeros, ordering, signs) first, stopped
+    at the first term over ``tol``, so a sample that fails one never runs
+    its sigma pass.  The certificate's value and audit run once on the
+    whole block of samples, with the float operations of one sample's
+    call, and are folded by Python's own ``max`` from 0.0 and ``min`` from
+    inf over the samples in order, the per-sample loop's own folds, so the
+    report is bit-identical to evaluating every term and the certificate
+    per sample.
     """
     if not 0 < tol < math.inf:
         raise DomainError(f"tol must be finite and positive, got {tol}")
@@ -1434,8 +1404,8 @@ def certificate_check(system: ConstraintSystem, seed: int = 0, count: int = 1000
     with np.errstate(over="ignore", invalid="ignore"):
         value = case.value(block, trace, s2, Regime.FLOAT)
         identity, gap = case.audit(block, value, s2, h)
-    identity_residual = _running_max(identity, m)
-    margin = _running_min(gap, m)
+    identity_residual = max([0.0, *np.broadcast_to(identity, (m,)).tolist()])
+    margin = min([math.inf, *np.broadcast_to(gap, (m,)).tolist()])
     witness_ok = bool(np.any(np.array(within, dtype=bool) & (abs(value) <= 1e-6)))
     feasible = sum(within)
     scale = max(1.0, trace * trace, abs(s2))

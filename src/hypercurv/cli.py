@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import cylinders, simons, spectrum
 from .errors import DomainError, HypercurvError
-from .scalars import Regime, parse_scalar, promote, to_json
+from .scalars import Regime, _json_typed, parse_scalar, promote, to_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -340,15 +340,16 @@ def _cmd_simons(args) -> Tuple[dict, List[str], List[list], int]:
             spec = spectrum.CurvatureSpectrum.from_json_dict(raw["spectrum"])
             regime = spec.regime
             grad_a2 = parse_scalar(raw.get("gradA2", 0), regime)
-            hess_raw = raw.get("hessH")
+            hess_raw = _json_typed(raw.get("hessH"), list, "hessH", nullable=True)
             hess = tuple(parse_scalar(v, regime) for v in hess_raw) if hess_raw \
                 else None
-            if raw.get("gauss") or "Kij" not in raw:
+            if _json_typed(raw.get("gauss", False), bool, "gauss") or "Kij" not in raw:
                 data = simons.SimonsPointData.with_gauss_curvatures(
                     spec, grad_a2=grad_a2, hess_h=hess)
             else:
-                table = tuple(tuple(parse_scalar(v, regime) for v in row)
-                              for row in raw["Kij"])
+                table = tuple(tuple(parse_scalar(v, regime)
+                                    for v in _json_typed(row, list, "a Kij row"))
+                              for row in _json_typed(raw["Kij"], list, "Kij"))
                 data = simons.SimonsPointData(
                     spectrum=spec, grad_a2=grad_a2,
                     hess_h=hess if hess is not None

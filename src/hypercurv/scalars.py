@@ -109,6 +109,24 @@ def parse_scalar(raw, regime: Regime) -> Scalar:
     return coerce(value, regime)
 
 
+_JSON_TYPES = {int: ((int,), "an integer"), bool: ((bool,), "true or false"),
+               list: ((list, tuple), "an array"), str: ((str,), "a string")}
+
+
+def _json_typed(value, kind: type, field: str, nullable: bool = False):
+    """``value`` of the JSON ``field`` if its type is exactly ``kind``.
+
+    So a bool or a float is no integer and a string is no array; a tuple
+    stands for an array, and ``None`` passes where ``nullable``.
+    Anything else raises ``TypeError``, which each payload reader turns
+    into its ``DomainError``.
+    """
+    types, name = _JSON_TYPES[kind]
+    if type(value) in types or (nullable and value is None):
+        return value
+    raise TypeError(f"{field} must be {name}, got {value!r}")
+
+
 def scalar_to_json(value: Scalar):
     """JSON form: rationals as canonical "p/q" strings, floats as numbers."""
     if isinstance(value, numbers.Integral):

@@ -52,6 +52,7 @@ from .scalars import (
     Regime,
     Scalar,
     Tolerance,
+    _json_typed,
     coerce,
     common_regime,
     parse_scalar,
@@ -121,13 +122,13 @@ class CurvatureSpectrum:
                               f"got {type(payload).__name__}")
         try:
             regime = Regime(payload.get("regime", "exact"))
-            raw = payload["lambdas"]
+            raw = _json_typed(payload["lambdas"], list, "lambdas")
             c = payload.get("c", 0)
+            declared_n = _json_typed(payload.get("n"), int, "n", nullable=True)
         except (KeyError, ValueError, TypeError) as exc:
             raise DomainError(f"malformed spectrum payload: {exc}") from exc
         lambdas = [parse_scalar(v, regime) for v in raw]
         spectrum = cls(lambdas, parse_scalar(c, regime), regime=regime)
-        declared_n = payload.get("n")
         if declared_n is not None and declared_n != spectrum.n:
             raise DomainError(f"payload says n={declared_n} but lists {spectrum.n} curvatures")
         return spectrum

@@ -435,7 +435,7 @@ def certificate_check_per_sample(system, seed=0, count=1000, tol=1e-8):
     ``max`` and ``min`` in sample order.
     """
     from hypercurv.caseverify import (
-        CertificateReport, _certified, _violations, certificate_samples)
+        CertificateReport, _certified, certificate_samples, constraint_violations)
     from hypercurv.errors import DomainError
     from hypercurv.scalars import Regime, promote
 
@@ -451,8 +451,7 @@ def certificate_check_per_sample(system, seed=0, count=1000, tol=1e-8):
     margin = math.inf
     witness_ok = False
     for x in points:
-        # The samples are Python floats, so their regime is known.
-        viol = max(_violations(system, x, Regime.FLOAT).values())
+        viol = max(constraint_violations(system, x).values())
         if viol <= tol:
             feasible += 1
         value = case.value(x, trace, s2, Regime.FLOAT)

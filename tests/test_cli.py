@@ -523,11 +523,31 @@ class TestErrors:
         assert "no answer" in capsys.readouterr().err
 
 
+_SYSTEM = {"n": 4, "traceTarget": "4/1", "sigma2Target": "4/1", "fixedZeros": [2],
+           "ordering": True, "signConstraints": [{"index": 3, "relation": ">0"},
+                                                 {"index": 4, "relation": ">=H"}],
+           "name": "thm1-lambda2"}
+_POINT = {"spectrum": {"lambdas": ["1/1", "2/1", "3/1"]}}
+
+
 class TestMalformedInput:
     """Each malformed input is refused at the boundary: exit 1, one error line."""
 
     FILES = {"string.json": '"just a string"', "list.json": "[1, 2]",
-             "negative-seed.json": '{"seed": -1}', "point-data.json": '{"spectrum": "x"}'}
+             "negative-seed.json": '{"seed": -1}', "point-data.json": '{"spectrum": "x"}',
+             # fields of the wrong JSON type, which a cast would read as another input
+             "ordering-string.json": json.dumps({**_SYSTEM, "ordering": "false"}),
+             "n-float.json": json.dumps({**_SYSTEM, "n": 4.7}),
+             "fixed-zero-float.json": json.dumps({**_SYSTEM, "fixedZeros": [2.9]}),
+             "index-float.json": json.dumps(
+                 {**_SYSTEM, "signConstraints": [{"index": 3.5, "relation": ">0"}]}),
+             "r-float.json": json.dumps(
+                 {**_SYSTEM, "extraSymmetric": [{"r": 3.9, "relation": ">=0"}]}),
+             "name-number.json": json.dumps({**_SYSTEM, "name": 5}),
+             "lambdas-string.json": '{"lambdas": "123"}',
+             "gauss-string.json": json.dumps(
+                 {**_POINT, "gauss": "false", "Kij": [["0/1"] * 3] * 3}),
+             "hess-h-string.json": json.dumps({**_POINT, "gauss": True, "hessH": "000"})}
     SCAN = ["scan", "--case", "thm1-claim", "--budget", "1000"]
 
     @pytest.mark.parametrize("argv, seed_env", [
@@ -553,13 +573,25 @@ class TestMalformedInput:
         (["scan", "--system", "list.json", "--seed", "1"], None),
         (["simons", "--input", "point-data.json"], None),
         (["simons", "--input", "string.json"], None),
+        (["scan", "--system", "ordering-string.json", "--seed", "1"], None),
+        (["scan", "--system", "n-float.json", "--seed", "1"], None),
+        (["scan", "--system", "fixed-zero-float.json", "--seed", "1"], None),
+        (["scan", "--system", "index-float.json", "--seed", "1"], None),
+        (["scan", "--system", "r-float.json", "--seed", "1"], None),
+        (["scan", "--system", "name-number.json", "--seed", "1"], None),
+        (["invariants", "--input", "lambdas-string.json"], None),
+        (["simons", "--input", "gauss-string.json"], None),
+        (["simons", "--input", "hess-h-string.json"], None),
     ], ids=["empty-lambda", "trailing-comma", "blank-entries", "simons-empty-lambda",
             "empty-hess-h", "empty-point-entry", "empty-coefficient", "shape-dim-past-limit",
             "ladder-negative-n",
             "ladder-zero-n", "scan-negative-seed", "verify-all-negative-seed",
             "config-negative-seed", "env-negative-seed", "verify-all-env-negative-seed",
             "spectrum-string", "spectrum-list", "system-string", "system-list",
-            "point-data-spectrum-string", "point-data-string"])
+            "point-data-spectrum-string", "point-data-string", "system-ordering-string",
+            "system-n-float", "system-fixed-zero-float", "system-index-float",
+            "system-r-float", "system-name-number", "spectrum-lambdas-string",
+            "point-data-gauss-string", "point-data-hess-h-string"])
     def test_refused_with_one_error_line(self, capsys, tmp_path, monkeypatch, argv, seed_env):
         for name, text in self.FILES.items():
             (tmp_path / name).write_text(text)
