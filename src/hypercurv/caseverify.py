@@ -145,15 +145,12 @@ class ConstraintSystem(JsonRecord):
         for i in self.fixed_zeros:
             if not 1 <= i <= self.n:
                 raise DomainError(f"fixed-zero index {i} outside [1, {self.n}]")
-        h = self.mean_curvature
-        for sc in self.sign_constraints:
+        for k, sc in enumerate(self.sign_constraints):
             if not 1 <= sc.index <= self.n:
                 raise DomainError(f"sign-constraint index {sc.index} outside [1, {self.n}]")
             if sc.index in self.fixed_zeros:
-                impossible = sc.relation in (Relation.GT_ZERO, Relation.LT_ZERO) or (
-                    sc.relation is Relation.GE_H and promote(h) > 0
-                )
-                if impossible:
+                _, _, (lower, t, _) = self._exact_plan.signs[k]
+                if t > 0 if lower else t < 0:
                     raise DomainError(
                         f"coordinate {sc.index} is pinned to zero but constrained {sc.relation.value}"
                     )
@@ -192,13 +189,16 @@ class ConstraintSystem(JsonRecord):
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "ConstraintSystem":
-        from .scalars import _json_typed as typed, parse_scalar
+        from .scalars import _json_keys as keys, _json_typed as typed, parse_scalar
 
-        if not isinstance(payload, dict):
-            raise DomainError("a system payload must be a JSON object, "
-                              f"got {type(payload).__name__}")
         try:
+            keys(payload, ("n", "regime", "traceTarget", "sigma2Target", "fixedZeros", "ordering",
+                           "signConstraints", "extraSymmetric", "name"), "system")
             regime = Regime(payload.get("regime", "exact"))
+            signs = [keys(sc, ("index", "relation"), "sign constraint")
+                     for sc in typed(payload.get("signConstraints", ()), list, "signConstraints")]
+            extra = [keys(ex, ("r", "relation"), "symmetric constraint")
+                     for ex in typed(payload.get("extraSymmetric", ()), list, "extraSymmetric")]
             return cls(
                 n=typed(payload["n"], int, "n"),
                 trace_target=parse_scalar(payload["traceTarget"], regime),
@@ -209,12 +209,10 @@ class ConstraintSystem(JsonRecord):
                 ordering=typed(payload.get("ordering", True), bool, "ordering"),
                 sign_constraints=tuple(
                     SignConstraint(typed(sc["index"], int, "index"), Relation(sc["relation"]))
-                    for sc in typed(payload.get("signConstraints", ()), list, "signConstraints")
-                ),
+                    for sc in signs),
                 extra_symmetric=tuple(
                     SymmetricSignConstraint(typed(ex["r"], int, "r"), Relation(ex["relation"]))
-                    for ex in typed(payload.get("extraSymmetric", ()), list, "extraSymmetric")
-                ),
+                    for ex in extra),
                 name=typed(payload.get("name"), str, "name", nullable=True),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -233,12 +231,12 @@ def constraint_violations(system: ConstraintSystem,
     targets, H and ``STRICT_MARGIN`` at their exact values (a float target
     at its exact binary value), so a zero maximum proves feasibility; a
     FLOAT point is evaluated in doubles.  Mixing the two raises
-    ``RegimeError``.  Those constants, the sigma orders and the keys come
-    from the system's plan for the point's regime (``_ViolationPlan``),
-    built once per system; sigma_2 and every bounded sigma_r come from one
-    lift of the point and one truncated sigma pass, the values
-    ``spectrum.sigmas`` gives, without its second regime pass and order
-    checks.
+    ``RegimeError``.  Those constants, the sigma orders, the keys and the
+    bounds (a bounded term's violation is how far it lies past t) come from
+    the system's plan for the point's regime (``_ViolationPlan``), built once
+    per system; sigma_2 and every bounded sigma_r come from one lift of the
+    point and one truncated sigma pass, the values ``spectrum.sigmas``
+    gives, without its second regime pass and order checks.
     """
     x = list(point)
     # Every term of ``_violation_terms``, keyed in the order trace, sigma2,
@@ -268,44 +266,38 @@ def _violation_terms(system: ConstraintSystem, x: Sequence[Scalar], regime: Regi
         yield key, abs(x[i])
     if system.ordering:
         yield "ordering", max(zero, max(x[i] - x[i + 1] for i in range(system.n - 1)))
-    margin, h = plan.margin, plan.h
-    for key, i, relation in plan.signs:
+    for key, i, (lower, t, _) in plan.signs:
         v = x[i]
-        if relation is Relation.GE_ZERO:
-            bad = max(zero, -v)
-        elif relation is Relation.LE_ZERO:
-            bad = max(zero, v)
-        elif relation is Relation.GT_ZERO:
-            bad = max(zero, margin - v)
-        elif relation is Relation.LT_ZERO:
-            bad = max(zero, v + margin)
-        else:
-            bad = max(zero, h - v)
-        yield key, bad
+        yield key, max(zero, t - v) if lower else max(zero, v - t)
     s2, *bounded = spectrum._sigma_values(x, regime, plan.orders)
     yield "sigma2", abs(s2 - plan.sigma2)
-    for (key, lower), s in zip(plan.symmetric, bounded):
-        yield key, max(zero, -s) if lower else max(zero, s)
+    for (key, (lower, t, _)), s in zip(plan.symmetric, bounded):
+        yield key, max(zero, t - s) if lower else max(zero, s - t)
 
 
 class _ViolationPlan:
-    """What ``constraint_violations`` reads of a system, in one regime.
+    """What the exact side reads of a system, in one regime.
 
-    ``num`` is the regime's number type: the targets, H, zero and
-    ``STRICT_MARGIN`` as ``num``, the sigma orders (2, then each bounded
-    r), and each constraint's key and coordinate, in the order the
-    violations list them.
+    ``num`` is the regime's number type: the targets and zero as ``num``,
+    the sigma orders (2, then each bounded r), and each constraint's key,
+    coordinate and bound ``(lower, t, closure)``, in the order the
+    violations list them.  The value must be >= t if ``lower``, else <= t;
+    ``closure`` is t without a strict relation's ``STRICT_MARGIN``.  The
+    exact side reads a ``Relation`` through this table alone.
     """
 
     def __init__(self, system: ConstraintSystem, num: type):
-        self.zero, self.margin = num(0), num(STRICT_MARGIN)
+        zero, margin, h = num(0), num(STRICT_MARGIN), num(system.mean_curvature)
+        bounds = {Relation.GE_ZERO: (True, zero, zero), Relation.LE_ZERO: (False, zero, zero),
+                  Relation.GT_ZERO: (True, margin, zero), Relation.LT_ZERO: (False, -margin, zero),
+                  Relation.GE_H: (True, h, h)}
+        self.zero = zero
         self.trace, self.sigma2 = num(system.trace_target), num(system.sigma2_target)
-        self.h = num(system.mean_curvature)
         self.orders = [2] + [ex.r for ex in system.extra_symmetric]
         self.zeros = [(f"lambda{i}=0", i - 1) for i in sorted(system.fixed_zeros)]
-        self.signs = [(f"lambda{sc.index}{sc.relation.value}", sc.index - 1, sc.relation)
+        self.signs = [(f"lambda{sc.index}{sc.relation.value}", sc.index - 1, bounds[sc.relation])
                       for sc in system.sign_constraints]
-        self.symmetric = [(f"sigma{ex.r}{ex.relation.value}", ex.relation is Relation.GE_ZERO)
+        self.symmetric = [(f"sigma{ex.r}{ex.relation.value}", bounds[ex.relation])
                           for ex in system.extra_symmetric]
 
 
@@ -890,30 +882,32 @@ def _proved_empty(system: ConstraintSystem) -> bool:
 
     One box, no bisection (Moore 1966; Benhamou, Goualard, Granvilliers &
     Puget 1999), in ``Fraction`` arithmetic.  It starts from |x_i| <= r with
-    r^2 >= |A|^2 and applies the pinned zeros and the sign bounds, a strict
-    bound through its closure and ``>=H`` as x >= trace/n.  Each sweep then
+    r^2 >= |A|^2 and applies the pinned zeros and each sign bound's closure,
+    so a strict bound without its margin and ``>=H`` as x >= H.  Each sweep then
     applies the ordering forwards and backwards and the trace (each
     coordinate lies within the trace minus the range of the others' sum),
     and checks that the coordinates' square ranges sum to a range holding
     |A|^2; the sweeps stop at a fixed point or after ``_PROOF_SWEEPS``.
     Last, an interval e_r recursion checks that sigma_2's range holds its
-    target and that each bounded sigma_r's range meets its half-line.  An
-    empty range or a failed check proves the system empty; ``False`` proves
-    nothing.
+    target and that each bounded sigma_r's range meets its closed half-line.
+    Targets, zeros, bounds and orders all come from the system's exact
+    ``_ViolationPlan``.  An empty range or a failed check proves the system
+    empty; ``False`` proves nothing.
     """
-    n, trace, norm_a2 = system.n, system.trace_target, system.norm_a2_target
+    plan = system._exact_plan
+    n, trace = system.n, plan.trace
+    norm_a2 = trace * trace - 2 * plan.sigma2
     if norm_a2 < 0:
         return True
     r = Fraction(math.isqrt(norm_a2.numerator * norm_a2.denominator) + 1, norm_a2.denominator)
     lo, hi = [-r] * n, [r] * n
-    for i in system.fixed_zeros:
-        lo[i - 1] = hi[i - 1] = Fraction(0)
-    for sc in system.sign_constraints:
-        i = sc.index - 1
-        if sc.relation in (Relation.LE_ZERO, Relation.LT_ZERO):
-            hi[i] = min(hi[i], Fraction(0))
+    for _, i in plan.zeros:
+        lo[i] = hi[i] = plan.zero
+    for _, i, (lower, _, closure) in plan.signs:
+        if lower:
+            lo[i] = max(lo[i], closure)
         else:
-            lo[i] = max(lo[i], trace / n if sc.relation is Relation.GE_H else Fraction(0))
+            hi[i] = min(hi[i], closure)
     for _ in range(_PROOF_SWEEPS):
         before = lo + hi
         if system.ordering:
@@ -934,7 +928,7 @@ def _proved_empty(system: ConstraintSystem) -> bool:
             return True
         if lo + hi == before:
             break
-    top = max([2] + [ex.r for ex in system.extra_symmetric])
+    top = max(plan.orders)
     e_lo = [Fraction(1)] + [Fraction(0)] * top
     e_hi = list(e_lo)
     for k, (a, b) in enumerate(zip(lo, hi)):
@@ -944,10 +938,10 @@ def _proved_empty(system: ConstraintSystem) -> bool:
             products = (a * e_lo[s - 1], a * e_hi[s - 1], b * e_lo[s - 1], b * e_hi[s - 1])
             e_lo[s] += min(products)
             e_hi[s] += max(products)
-    if not e_lo[2] <= system.sigma2_target <= e_hi[2]:
+    if not e_lo[2] <= plan.sigma2 <= e_hi[2]:
         return True
-    return any(e_hi[ex.r] < 0 if ex.relation is Relation.GE_ZERO else e_lo[ex.r] > 0
-               for ex in system.extra_symmetric)
+    return any(e_hi[r] < closure if lower else e_lo[r] > closure
+               for r, (_, (lower, _, closure)) in zip(plan.orders[1:], plan.symmetric))
 
 
 def scan(system: ConstraintSystem, budget: Optional[ScanBudget] = None,

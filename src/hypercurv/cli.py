@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import cylinders, simons, spectrum
 from .errors import DomainError, HypercurvError
-from .scalars import Regime, _json_typed, parse_scalar, promote, to_json
+from .scalars import Regime, _json_keys, _json_typed, parse_scalar, promote, to_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -202,12 +202,7 @@ def _merge_config(args: argparse.Namespace):
         raw = _load_json(args.config)
         if not isinstance(raw, dict):
             raise DomainError(f"config {args.config} must hold a JSON object")
-        unknown = set(raw) - set(_CONFIG_KEYS)
-        if unknown:
-            raise DomainError(
-                f"unknown config keys: {', '.join(sorted(unknown))}; "
-                f"known: {', '.join(sorted(_CONFIG_KEYS))}")
-        config = raw
+        config = _json_keys(raw, _CONFIG_KEYS, "config")
     for key, value in config.items():
         rule = _CONFIG_KEYS[key]
         try:
@@ -337,12 +332,12 @@ def _cmd_simons(args) -> Tuple[dict, List[str], List[list], int]:
         if not isinstance(raw, dict):
             raise DomainError(f"point data {args.input} must hold a JSON object")
         try:
+            _json_keys(raw, ("spectrum", "gradA2", "hessH", "Kij", "gauss"), "point-data")
             spec = spectrum.CurvatureSpectrum.from_json_dict(raw["spectrum"])
             regime = spec.regime
             grad_a2 = parse_scalar(raw.get("gradA2", 0), regime)
             hess_raw = _json_typed(raw.get("hessH"), list, "hessH", nullable=True)
-            hess = tuple(parse_scalar(v, regime) for v in hess_raw) if hess_raw \
-                else None
+            hess = None if hess_raw is None else [parse_scalar(v, regime) for v in hess_raw]
             if _json_typed(raw.get("gauss", False), bool, "gauss") or "Kij" not in raw:
                 data = simons.SimonsPointData.with_gauss_curvatures(
                     spec, grad_a2=grad_a2, hess_h=hess)
@@ -350,11 +345,8 @@ def _cmd_simons(args) -> Tuple[dict, List[str], List[list], int]:
                 table = tuple(tuple(parse_scalar(v, regime)
                                     for v in _json_typed(row, list, "a Kij row"))
                               for row in _json_typed(raw["Kij"], list, "Kij"))
-                data = simons.SimonsPointData(
-                    spectrum=spec, grad_a2=grad_a2,
-                    hess_h=hess if hess is not None
-                    else (parse_scalar(0, regime),) * spec.n,
-                    k_table=table)
+                data = simons.SimonsPointData(spectrum=spec, grad_a2=grad_a2, hess_h=hess,
+                                              k_table=table)
         except (KeyError, TypeError) as exc:
             raise DomainError(f"malformed point-data payload: {exc}") from exc
     else:

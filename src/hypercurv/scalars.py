@@ -25,7 +25,7 @@ import numbers
 from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Collection, Iterable, Union
 
 from .errors import DomainError, RegimeError
 
@@ -98,9 +98,11 @@ def parse_scalar(raw, regime: Regime) -> Scalar:
     Strings are read as rationals ("3/4", "5", "0.25" all denote exact
     values); numbers are coerced into ``regime``, so a JSON float under
     EXACT is rejected rather than silently exactified, and NaN or infinity
-    is rejected in either regime.
+    is rejected in either regime.  A boolean is refused, not read as 1 or 0.
     """
     value = raw
+    if isinstance(raw, bool):
+        raise DomainError(f"not a scalar: {raw!r}; a boolean is no number")
     if isinstance(raw, str):
         try:
             value = Fraction(raw.strip())
@@ -125,6 +127,22 @@ def _json_typed(value, kind: type, field: str, nullable: bool = False):
     if type(value) in types or (nullable and value is None):
         return value
     raise TypeError(f"{field} must be {name}, got {value!r}")
+
+
+def _json_keys(payload, known: Collection[str], what: str) -> dict:
+    """``payload`` if it is a JSON object whose keys all lie in ``known``.
+
+    An unknown key raises ``DomainError`` naming it and the known ones, so a
+    misspelled key cannot silently drop its field.  A payload that is no
+    object raises ``TypeError``, as in ``_json_typed``.
+    """
+    if not isinstance(payload, dict):
+        raise TypeError(f"a {what} must be a JSON object, got {type(payload).__name__}")
+    unknown = set(payload).difference(known)
+    if unknown:
+        raise DomainError(f"unknown {what} keys: {', '.join(sorted(map(str, unknown)))}; "
+                          f"known: {', '.join(sorted(known))}")
+    return payload
 
 
 def scalar_to_json(value: Scalar):

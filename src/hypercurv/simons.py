@@ -58,24 +58,43 @@ from .scalars import (
 from .spectrum import CurvatureSpectrum, _lift
 
 
+def _point_terms(spectrum: CurvatureSpectrum, grad_a2: Scalar,
+                 hess_h: Optional[Sequence[Scalar]]) -> Tuple[Scalar, Tuple[Scalar, ...]]:
+    # The point check of all three Simons entries: hess_h (None reads as
+    # zeros) has n entries, all share the spectrum's regime, |grad A|^2 >= 0.
+    n = spectrum.n
+    regime = spectrum.regime
+    hess_h = (0,) * n if hess_h is None else tuple(hess_h)
+    if len(hess_h) != n:
+        raise DomainError(f"hess_h needs {n} diagonal entries, got {len(hess_h)}")
+    if common_regime((grad_a2, *hess_h), default=regime) is not regime:
+        raise DomainError("simons data must share the spectrum's regime")
+    grad_a2 = coerce(grad_a2, regime)
+    if grad_a2 < 0:
+        raise DomainError("|grad A|^2 cannot be negative")
+    return grad_a2, tuple(coerce(v, regime) for v in hess_h)
+
+
 @dataclass(frozen=True)
 class SimonsPointData:
     """Pointwise data feeding the diagonalized Simons right-hand side.
 
     ``grad_a2`` is |grad A|^2 >= 0, ``hess_h`` the diagonal of Hess H in the
-    principal frame, and ``k_table`` the symmetric table of sectional
-    curvatures K_ij (diagonal entries are ignored).  Everything must share
-    the spectrum's regime.
+    principal frame (``None`` reads as zeros), and ``k_table`` the symmetric
+    table of sectional curvatures K_ij (diagonal entries are ignored).
+    Everything must share the spectrum's regime; the point inputs pass the
+    one check that ``with_gauss_curvatures`` and ``simons_rhs_space_form`` run.
     """
 
     spectrum: CurvatureSpectrum
     grad_a2: Scalar
-    hess_h: Tuple[Scalar, ...]
+    hess_h: Optional[Tuple[Scalar, ...]]
     k_table: Tuple[Tuple[Scalar, ...], ...]
     gauss: bool = False
 
     def __post_init__(self):
-        self._check_point()
+        grad_a2, hess_h = _point_terms(self.spectrum, self.grad_a2, self.hess_h)
+        vars(self).update(grad_a2=grad_a2, hess_h=hess_h)
         n = self.spectrum.n
         regime = self.spectrum.regime
         if len(self.k_table) != n or any(len(row) != n for row in self.k_table):
@@ -96,28 +115,17 @@ class SimonsPointData:
                 if not symmetric:
                     raise DomainError(f"k_table must be symmetric, K[{i}][{j}] != K[{j}][{i}]")
 
-    def _check_point(self):
-        # Arity, regime and sign of the caller's grad_a2 and hess_h.
-        n = self.spectrum.n
-        regime = self.spectrum.regime
-        if len(self.hess_h) != n:
-            raise DomainError(f"hess_h needs {n} diagonal entries, got {len(self.hess_h)}")
-        if common_regime((self.grad_a2, *self.hess_h), default=regime) is not regime:
-            raise DomainError("simons data must share the spectrum's regime")
-        object.__setattr__(self, "grad_a2", coerce(self.grad_a2, regime))
-        object.__setattr__(self, "hess_h", tuple(coerce(v, regime) for v in self.hess_h))
-        if self.grad_a2 < 0:
-            raise DomainError("|grad A|^2 cannot be negative")
-
     @classmethod
     def with_gauss_curvatures(cls, spectrum: CurvatureSpectrum, grad_a2: Scalar = 0,
                               hess_h: Optional[Sequence[Scalar]] = None) -> "SimonsPointData":
-        """Build the K table from the Gauss equation K_ij = c + lambda_i lambda_j."""
+        """Build the K table from the Gauss equation K_ij = c + lambda_i lambda_j.
+
+        ``grad_a2`` and ``hess_h`` are checked first, as in ``SimonsPointData``.
+        """
+        grad_a2, hess_h = _point_terms(spectrum, grad_a2, hess_h)
         regime = spectrum.regime
         lam = spectrum.lambdas
         n = spectrum.n
-        if hess_h is None:
-            hess_h = (coerce(0, regime),) * n
         # Lifted together, lambda_i = a_i / D and c = c' / D, so
         # K_ij = (c' D + a_i a_j) / D^2, built once per pair i <= j and mirrored.
         a, D, over = _lift((*lam, spectrum.c), regime)
@@ -131,9 +139,8 @@ class SimonsPointData:
         # table is symmetric by construction, so only the caller's grad_a2
         # and hess_h are checked; ``__post_init__`` would re-check all n^2.
         data = object.__new__(cls)
-        vars(data).update(spectrum=spectrum, grad_a2=grad_a2, hess_h=tuple(hess_h),
+        vars(data).update(spectrum=spectrum, grad_a2=grad_a2, hess_h=hess_h,
                           k_table=tuple(tuple(row) for row in rows), gauss=True)
-        data._check_point()
         return data
 
     def to_json_dict(self) -> dict:
@@ -164,17 +171,13 @@ def simons_rhs_general(data: SimonsPointData) -> Scalar:
 
 def simons_rhs_space_form(spectrum: CurvatureSpectrum, grad_a2: Scalar = 0,
                           hess_h: Optional[Sequence[Scalar]] = None) -> Scalar:
-    """Space-form collapse: nc(|A|^2 - nH^2) + nH tr A^3 - |A|^4 plus gradient terms."""
+    """Space-form collapse: nc(|A|^2 - nH^2) + nH tr A^3 - |A|^4 plus gradient terms.
+
+    ``grad_a2`` and ``hess_h`` are checked as in ``SimonsPointData``.
+    """
+    grad_a2, hess_h = _point_terms(spectrum, grad_a2, hess_h)
     regime = spectrum.regime
     n = spectrum.n
-    grad_a2 = coerce(grad_a2, regime)
-    if grad_a2 < 0:
-        raise DomainError("|grad A|^2 cannot be negative")
-    if hess_h is None:
-        hess_h = (coerce(0, regime),) * n
-    hess_h = tuple(coerce(v, regime) for v in hess_h)
-    if len(hess_h) != n:
-        raise DomainError(f"hess_h needs {n} diagonal entries, got {len(hess_h)}")
     # lambda_i = a_i / D, h_i = b_i / D, |grad A|^2 = g / D and c = c' / D over
     # one D.  With p_k = sum a_i^k the value is
     # (g D^3 + n sum a_i b_i D^2 + n c' (p2 - p1^2 / n) D + p1 p3 - p2^2) / D^4.

@@ -52,6 +52,7 @@ from .scalars import (
     Regime,
     Scalar,
     Tolerance,
+    _json_keys,
     _json_typed,
     coerce,
     common_regime,
@@ -117,10 +118,8 @@ class CurvatureSpectrum:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "CurvatureSpectrum":
-        if not isinstance(payload, dict):
-            raise DomainError("a spectrum payload must be a JSON object, "
-                              f"got {type(payload).__name__}")
         try:
+            _json_keys(payload, ("n", "lambdas", "c", "regime"), "spectrum")
             regime = Regime(payload.get("regime", "exact"))
             raw = _json_typed(payload["lambdas"], list, "lambdas")
             c = payload.get("c", 0)

@@ -115,6 +115,22 @@ class TestConstraintSystem:
                        {"extraSymmetric": "sigma3>=0"}, {"name": 5}]:
             with pytest.raises(DomainError, match="malformed system payload: .* must be"):
                 ConstraintSystem.from_json_dict({**good, **change})
+        # a misspelled key is refused, not read as a missing field, and a
+        # boolean is no scalar
+        for change, message in [
+                ({"fixedZero": [2]}, "unknown system keys: fixedZero; known: "),
+                ({"signConstraints": [{"index": 3, "relaton": ">0"}]},
+                 "unknown sign constraint keys: relaton; known: index, relation"),
+                ({"extraSymmetric": [{"r": 3, "relation": ">=0", "strict": False}]},
+                 "unknown symmetric constraint keys: strict; known: r, relation"),
+                ({"signConstraints": ["lambda3>0"]}, "a sign constraint must be a JSON object"),
+                ({"traceTarget": True}, "not a scalar: True"),
+                ({"sigma2Target": False}, "not a scalar: False")]:
+            with pytest.raises(DomainError, match=message):
+                ConstraintSystem.from_json_dict({**good, **change})
+        with pytest.raises(DomainError, match="unknown system keys: fixedZero"):
+            ConstraintSystem.from_json_dict(
+                {"n": 4, "traceTarget": "4", "sigma2Target": "4", "fixedZero": [2]})
 
     def test_norm_a2_negative_detected(self):
         # trace 0 with positive sigma2 forces sum of squares < 0
@@ -122,6 +138,31 @@ class TestConstraintSystem:
         v = scan(s, budget=small_budget(1000), seed=0)
         assert v.status == "NO_WITNESS"
         assert v.stats["gridCells"] == 0
+
+
+class TestBoundTables:
+    @pytest.mark.parametrize("regime", list(Regime))
+    @pytest.mark.parametrize("H", [Fraction(-3, 2), 0, Fraction(5, 4)])
+    def test_exact_side_bounds_match_the_search_side(self, regime, H):
+        # Each Relation has one bound on the exact side (``_ViolationPlan``)
+        # and one on the search side (``Relation.bound``), encoded apart.
+        n = len(Relation)
+        trace = n * H if regime is Regime.EXACT else float(n * H)
+        system = ConstraintSystem(
+            n, trace, -1 if regime is Regime.EXACT else -1.0, ordering=False,
+            sign_constraints=tuple(SignConstraint(i, rel) for i, rel in enumerate(Relation, 1)),
+            extra_symmetric=(SymmetricSignConstraint(3, Relation.GE_ZERO),
+                             SymmetricSignConstraint(4, Relation.LE_ZERO)))
+        h = float(system.mean_curvature)
+        relations = list(Relation) + [Relation.GE_ZERO, Relation.LE_ZERO]
+        for plan, num in ((system._exact_plan, Fraction), (system._float_plan, float)):
+            bounds = [b for _, _, b in plan.signs] + [b for _, b in plan.symmetric]
+            assert len(bounds) == len(relations)
+            for relation, (lower, t, closure) in zip(relations, bounds):
+                assert type(t) is num and type(closure) is num
+                assert (lower, float(t)) == relation.bound(h)
+                strict = {Relation.GT_ZERO: 1, Relation.LT_ZERO: -1}.get(relation, 0)
+                assert closure == t - strict * num(STRICT_MARGIN)
 
 
 class TestViolations:

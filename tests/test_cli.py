@@ -547,7 +547,21 @@ class TestMalformedInput:
              "lambdas-string.json": '{"lambdas": "123"}',
              "gauss-string.json": json.dumps(
                  {**_POINT, "gauss": "false", "Kij": [["0/1"] * 3] * 3}),
-             "hess-h-string.json": json.dumps({**_POINT, "gauss": True, "hessH": "000"})}
+             "hess-h-string.json": json.dumps({**_POINT, "gauss": True, "hessH": "000"}),
+             # misspelled keys, which would silently drop their field
+             "fixed-zero-key.json": json.dumps({**_SYSTEM, "fixedZero": [2]}),
+             "relation-key.json": json.dumps(
+                 {**_SYSTEM, "signConstraints": [{"index": 3, "relaton": ">0"}]}),
+             "r-key.json": json.dumps(
+                 {**_SYSTEM, "extraSymmetric": [{"r": 3, "relation": ">=0", "sign": 1}]}),
+             "spectrum-key.json": '{"lambdas": ["1/1", "2/1"], "lamdbas": ["3/1"]}',
+             "kij-key.json": json.dumps({**_POINT, "kij": [["0/1"] * 3] * 3}),
+             # booleans, which a scalar reader would take for 1 and 0
+             "trace-bool.json": json.dumps({**_SYSTEM, "traceTarget": True}),
+             "lambdas-bool.json": '{"lambdas": [true, false, "2"]}',
+             "grad-bool.json": json.dumps({**_POINT, "gradA2": True}),
+             "kij-bool.json": json.dumps({**_POINT, "Kij": [[False] * 3] * 3}),
+             "hess-h-empty.json": json.dumps({**_POINT, "hessH": []})}
     SCAN = ["scan", "--case", "thm1-claim", "--budget", "1000"]
 
     @pytest.mark.parametrize("argv, seed_env", [
@@ -582,6 +596,16 @@ class TestMalformedInput:
         (["invariants", "--input", "lambdas-string.json"], None),
         (["simons", "--input", "gauss-string.json"], None),
         (["simons", "--input", "hess-h-string.json"], None),
+        (["scan", "--system", "fixed-zero-key.json", "--seed", "1"], None),
+        (["scan", "--system", "relation-key.json", "--seed", "1"], None),
+        (["scan", "--system", "r-key.json", "--seed", "1"], None),
+        (["invariants", "--input", "spectrum-key.json"], None),
+        (["simons", "--input", "kij-key.json"], None),
+        (["scan", "--system", "trace-bool.json", "--seed", "1"], None),
+        (["invariants", "--input", "lambdas-bool.json"], None),
+        (["simons", "--input", "grad-bool.json"], None),
+        (["simons", "--input", "kij-bool.json"], None),
+        (["simons", "--input", "hess-h-empty.json"], None),
     ], ids=["empty-lambda", "trailing-comma", "blank-entries", "simons-empty-lambda",
             "empty-hess-h", "empty-point-entry", "empty-coefficient", "shape-dim-past-limit",
             "ladder-negative-n",
@@ -591,7 +615,10 @@ class TestMalformedInput:
             "point-data-spectrum-string", "point-data-string", "system-ordering-string",
             "system-n-float", "system-fixed-zero-float", "system-index-float",
             "system-r-float", "system-name-number", "spectrum-lambdas-string",
-            "point-data-gauss-string", "point-data-hess-h-string"])
+            "point-data-gauss-string", "point-data-hess-h-string", "system-fixed-zero-key",
+            "system-relation-key", "system-r-key", "spectrum-unknown-key",
+            "point-data-kij-key", "system-trace-bool", "spectrum-lambdas-bool",
+            "point-data-grad-bool", "point-data-kij-bool", "point-data-hess-h-empty"])
     def test_refused_with_one_error_line(self, capsys, tmp_path, monkeypatch, argv, seed_env):
         for name, text in self.FILES.items():
             (tmp_path / name).write_text(text)

@@ -248,6 +248,33 @@ class TestRightHandSides:
             with pytest.raises(DomainError, match="cannot be negative"):
                 SimonsPointData.with_gauss_curvatures(s, bad)
 
+    @pytest.mark.parametrize("lambdas, grad_a2, hess_h", [
+        ([1, 2, 3], 0, (0, 0)),  # a wrong hess_h length
+        ([1.0, 2.0, 3.0], Fraction(1, 2), None),  # an exact value on a FLOAT spectrum
+        ([1, 2, 3], 0, (0.5, 0, 0)),  # a float value on an EXACT spectrum
+        ([1, 2, 3], -1, None),  # a negative |grad A|^2
+    ])
+    def test_one_point_check_for_every_entry(self, lambdas, grad_a2, hess_h):
+        s = CurvatureSpectrum(lambdas)
+        table = SimonsPointData.with_gauss_curvatures(s).k_table
+        entries = [lambda: SimonsPointData(s, grad_a2, hess_h, table),
+                   lambda: SimonsPointData.with_gauss_curvatures(s, grad_a2, hess_h),
+                   lambda: simons_rhs_space_form(s, grad_a2, hess_h)]
+        errors = []
+        for entry in entries:
+            with pytest.raises(DomainError) as caught:
+                entry()
+            errors.append((type(caught.value), str(caught.value)))
+        assert len(set(errors)) == 1, errors
+
+    def test_missing_hess_h_reads_as_zeros_in_every_entry(self):
+        for s in (CurvatureSpectrum([1, 2, 3], c=1), CurvatureSpectrum([1.0, 2.0, 3.0], c=1.0)):
+            gauss = SimonsPointData.with_gauss_curvatures(s, 2)
+            data = SimonsPointData(s, 2, None, gauss.k_table)
+            assert data.hess_h == gauss.hess_h == (0, 0, 0)
+            assert simons_rhs_general(data) == simons_rhs_space_form(s, 2) \
+                == simons_rhs_space_form(s, 2, gauss.hess_h)
+
     def test_space_form_validation(self):
         s = CurvatureSpectrum([1, 2, 3])
         with pytest.raises(DomainError):

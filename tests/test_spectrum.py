@@ -72,6 +72,17 @@ class TestCurvatureSpectrum:
         with pytest.raises(DomainError, match="must be a JSON object"):
             CurvatureSpectrum.from_json_dict(payload)
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"lambdas": ["1", "2"], "lamdbas": ["3"]}, "unknown spectrum keys: lamdbas; known: "),
+        ({"lambdas": ["1", "2"], "curvature": "1"}, "unknown spectrum keys: curvature"),
+        ({"lambdas": [True, False, "2"]}, "not a scalar: True"),
+        ({"lambdas": ["1", "2"], "c": True}, "not a scalar: True"),
+        ({"lambdas": [1.0, False], "regime": "float"}, "not a scalar: False"),
+    ])
+    def test_json_rejects_unknown_keys_and_booleans(self, payload, message):
+        with pytest.raises(DomainError, match=message):
+            CurvatureSpectrum.from_json_dict(payload)
+
     def test_json_rejects_float_under_exact(self):
         with pytest.raises(RegimeError):
             CurvatureSpectrum.from_json_dict({"lambdas": [0.5, 1.5], "regime": "exact"})
